@@ -45,18 +45,13 @@ from conftest import fresh_kernel
 
 from repro.analysis import ComparisonTable
 from repro.kernel.net import SocketLayer
-from repro.trace import write_chrome_trace, write_flamegraph
+from repro.trace import (UNTRACED, write_chrome_trace, write_flamegraph,
+                         write_folded)
 from repro.workloads import (SERVER_KINDS, HttpBenchConfig, run_http_bench,
                              run_http_bench_smp)
 
 SMOKE_CLIENTS = 100
 LEVELS = [100, 1000, 10000]
-
-#: sample period for the profiled E11 smoke — dense enough that 100
-#: clients of serving yield thousands of weighted samples, so per-
-#: category sample shares are statistically comparable to the exact
-#: cycle attribution (the ±10-point acceptance gate below)
-PROF_PERIOD = 2_000
 
 #: SMP sweep (E13): core counts for the per-CPU serving curves, the
 #: 10⁵-client peak that cpus=4 must sustain, and the CI-smoke shard size
@@ -223,23 +218,20 @@ def test_net_smoke(run_once, trace_out):
 
 
 def test_net_profiled_smoke(run_once, trace_out):
-    """E11 select under the sampling profiler (docs/PROFILING.md).
+    """E11 select under exact stack attribution (docs/PROFILING.md).
 
-    The same 100-client serving run with ``Kernel(profile=True)`` and a
-    dense sample period must (a) land on the *bit-identical* simulated
-    clock as the unprofiled run — profiling reads the clock, never
-    charges it; (b) attribute ≥95% of weighted samples to named spans;
-    and (c) agree with the exact cycle attribution: every category's
-    sample share within 10 points of its self-cycle share.  The folded
-    stacks and the self-contained flamegraph SVG land in ``--trace-out``
-    (the CI ``prof`` job uploads them as artifacts).
+    The same 100-client serving run, traced with the latency tracers on,
+    must (a) land on the *bit-identical* simulated clock as the untraced
+    run — tracing reads the clock, never charges it; (b) fold into span
+    stacks whose self cycles sum to the window exactly; and (c) give
+    per-category cycles from the folded stacks equal to
+    ``att.by_category()`` exactly.  The folded stacks, the flamegraph SVG
+    and the Perfetto trace land in ``--trace-out``.
     """
     def measure():
-        kernel = fresh_kernel("ramfs", profile=True)
+        kernel = fresh_kernel("ramfs")
         SocketLayer(kernel)
-        # re-arm with the dense bench period (boot used the env default)
-        kernel.prof.period = PROF_PERIOD
-        kernel.prof.enable()
+        kernel.trace.enable()
         start = kernel.clock.now
         r = run_http_bench(kernel, "select",
                            HttpBenchConfig(nclients=SMOKE_CLIENTS))
@@ -248,48 +240,49 @@ def test_net_profiled_smoke(run_once, trace_out):
         return {"kernel": kernel, "elapsed": r.elapsed, "att": att}
 
     out = run_once(measure)
-    kernel, prof, att = out["kernel"], out["kernel"].prof, out["att"]
+    kernel, att = out["kernel"], out["att"]
+    folded = att.folded()
 
     untraced = _measure("select", SMOKE_CLIENTS)
     table = ComparisonTable(
         "E11c", f"profiled HTTP serving, {SMOKE_CLIENTS} clients (smoke)")
-    table.add("profiling costs zero simulated cycles",
-              "profiled clock == unprofiled clock, bit-identical",
+    table.add("tracing costs zero simulated cycles",
+              "traced clock == untraced clock, bit-identical",
               f"{out['elapsed']:,} == {untraced['elapsed_cycles']:,}",
               holds=out["elapsed"] == untraced["elapsed_cycles"])
-    named = prof.named_fraction()
-    table.add("samples land in named spans", ">=95% of weighted samples",
-              f"{100.0 * named:.2f}% of {prof.samples_taken:,} samples",
-              holds=named >= 0.95)
+    table.add("folded stacks cover the window", "Σ folded == window",
+              f"{sum(folded.values()):,} == {att.window_cycles:,} "
+              f"({len(folded)} stacks)",
+              holds=sum(folded.values()) == att.window_cycles)
 
-    # per-category sample shares vs the exact self-cycle attribution
-    window = att.window_cycles or 1
-    cycle_shares = {cat: cyc / window
-                    for cat, cyc in att.by_category().items()}
-    sample_shares = prof.category_shares()
-    worst_cat, worst_gap = "-", 0.0
-    for cat in set(cycle_shares) | set(sample_shares):
-        gap = abs(cycle_shares.get(cat, 0.0) - sample_shares.get(cat, 0.0))
-        if gap > worst_gap:
-            worst_cat, worst_gap = cat, gap
-    table.add("sampling agrees with attribution",
-              "every category share within 10 points of cycle truth",
-              f"worst gap {100.0 * worst_gap:.2f} points ({worst_cat})",
-              holds=worst_gap <= 0.10)
+    # per-category cycles from the folded stacks (a stack's category is
+    # its leaf span's) vs the per-name attribution
+    folded_cats: dict[str, int] = {}
+    for stack, cycles in folded.items():
+        leaf = stack.rsplit(";", 1)[-1]
+        cat = UNTRACED if stack == UNTRACED else att.spans[leaf].category
+        folded_cats[cat] = folded_cats.get(cat, 0) + cycles
+    by_cat = att.by_category()
+    table.add("folded categories equal attribution",
+              "per-category cycles identical",
+              f"{len(by_cat)} categories",
+              holds=folded_cats == by_cat)
 
     if trace_out is not None:
-        prof.write_folded(trace_out / "net-select-profile.folded")
+        write_folded(folded, trace_out / "net-select-profile.folded")
         write_flamegraph(
-            prof.folded(), trace_out / "net-select-profile.svg",
+            folded, trace_out / "net-select-profile.svg",
             title=f"E11 select, {SMOKE_CLIENTS} clients "
-                  f"({prof.samples_taken:,} samples)")
+                  f"({att.window_cycles:,} cycles)")
         write_chrome_trace(kernel.trace,
-                           trace_out / "net-select-profiled.json",
-                           profiler=prof)
+                           trace_out / "net-select-profiled.json")
     table.print()
-    _NET["profile"] = dict(prof.to_dict(),
-                           cycle_shares={k: round(v, 6) for k, v
-                                         in cycle_shares.items()})
+    window = att.window_cycles or 1
+    hottest = sorted(folded.items(), key=lambda kv: -kv[1])[:10]
+    _NET["profile"] = dict(
+        kernel.prof.to_dict(),
+        cycle_shares={k: round(v / window, 6) for k, v in by_cat.items()},
+        hottest_stacks=dict(hottest))
     _flush()
     assert table.all_hold
 

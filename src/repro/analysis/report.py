@@ -249,31 +249,28 @@ def metric_families_report(metrics,
     return "\n".join(lines)
 
 
-def prof_report(prof, top: int = 15) -> str:
-    """Render one profiler's findings: hottest folded stacks, category
-    sample shares, the latency-tracer histograms with their max-latency
-    witnesses, and the per-syscall latency table.
-
-    ``prof`` is a :class:`repro.trace.prof.Profiler` (enabled now or
-    previously — disabled profilers keep their samples readable).
+def prof_report(kernel, top: int = 15) -> str:
+    """Render one kernel's traced window: category shares and hottest
+    stacks from the exact attribution
+    (``kernel.trace.attribution().folded()``), the latency-tracer
+    histograms with their max-latency witnesses, and the per-syscall
+    latency table.  Disabled tracers keep their window readable.
     """
     from repro.analysis.slo import latency_summary
 
-    lines = [f"== profile: {prof.samples_taken} weighted samples "
-             f"(period {prof.period} cyc) =="]
-    if not prof.samples_taken:
-        lines.append("  (no samples; was the profiler enabled?)")
+    att = kernel.trace.attribution()
+    window = att.window_cycles
+    lines = [f"== profile: {window:,} cycles, exact stack attribution =="]
+    if not window:
+        lines.append("  (empty window; was kernel.trace enabled?)")
         return "\n".join(lines)
-    lines.append(f"  named-span fraction: {prof.named_fraction():.4f}")
     lines.append("  category shares:")
-    for cat, share in sorted(prof.category_shares().items(),
-                             key=lambda kv: -kv[1]):
-        lines.append(f"    {cat:<12} {100.0 * share:6.2f}%")
-    folded = prof.folded()
-    total = sum(folded.values()) or 1
+    for cat, cycles in att.by_category().items():
+        lines.append(f"    {cat:<12} {100.0 * cycles / window:6.2f}%")
     lines.append(f"  hottest stacks (top {top}):")
-    for stack, n in sorted(folded.items(), key=lambda kv: -kv[1])[:top]:
-        lines.append(f"    {n:>7} ({100.0 * n / total:5.2f}%)  {stack}")
+    for stack, n in sorted(att.folded().items(),
+                           key=lambda kv: -kv[1])[:top]:
+        lines.append(f"    {n:>12,} ({100.0 * n / window:5.2f}%)  {stack}")
 
     def tracer_block(title: str, hist, witness) -> None:
         if not hist.count:
@@ -286,7 +283,9 @@ def prof_report(prof, top: int = 15) -> str:
         lines.append(f"    worst: {witness.cycles} cyc on cpu{witness.cpu} "
                      f"task={witness.task} at {stack}")
 
-    tracer_block("wakeup latency", prof.wakeup_delay, prof.wakeup_max)
+    prof = kernel.prof
+    tracer_block("wakeup latency", kernel.metrics.get("sched.delay"),
+                 prof.wakeup_max)
     tracer_block("irqsoff", prof.irqsoff, prof.irqsoff_max)
     tracer_block("preemptoff", prof.preemptoff, prof.preemptoff_max)
     if prof.syscall_lat:

@@ -85,11 +85,6 @@ class Clock:
         self.system = 0
         self.iowait = 0
         self._mode_stack: list[Mode] = [Mode.USER]
-        #: sampling-profiler slot (repro.trace.prof): when armed, every
-        #: charge offers the profiler a read-only look at the clock.  The
-        #: sampler never charges, so the counters above are bit-identical
-        #: with profiling on or off.
-        self._sampler = None
         if self.cpus > 1:
             self._pc_user: list[int] | None = [0] * self.cpus
             self._pc_system: list[int] | None = [0] * self.cpus
@@ -126,9 +121,6 @@ class Clock:
             self.iowait += cycles
             if self._pc_iowait is not None:
                 self._pc_iowait[self.cpu] += cycles
-        s = self._sampler
-        if s is not None:
-            s.tick()
 
     def charge_system(self, cycles: int) -> None:
         """:meth:`charge` with ``Mode.SYSTEM`` pre-resolved — the
@@ -138,9 +130,6 @@ class Clock:
         self.system += cycles
         if self._pc_system is not None:
             self._pc_system[self.cpu] += cycles
-        s = self._sampler
-        if s is not None:
-            s.tick()
 
     def push_mode(self, mode: Mode) -> None:
         """Enter an execution mode (e.g. USER→SYSTEM on a trap)."""

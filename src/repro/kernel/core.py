@@ -40,7 +40,7 @@ from repro.kernel.syslog import KERN_INFO, Syslog
 from repro.kernel.vfs.namei import VFS
 from repro.kernel.vfs.super import SuperBlock
 from repro.safety.lockdep import ENV_LOCKDEP, LockdepValidator
-from repro.trace import ENV_PROF, ENV_TRACE, MetricsRegistry, Profiler, Tracer
+from repro.trace import ENV_TRACE, LatencyTracers, MetricsRegistry, Tracer
 
 #: signature of the event hook: (obj, event_type, site) — see §3.3.
 EventHook = Callable[[Any, int, str], None]
@@ -65,8 +65,7 @@ class Kernel:
     def __init__(self, costs: CostModel | None = None,
                  ram_bytes: int = 884 * 1024 * 1024,
                  lockdep: bool | None = None,
-                 cpus: int | None = None,
-                 profile: bool | None = None):
+                 cpus: int | None = None):
         self.costs = costs if costs is not None else DEFAULT_COSTS
         #: simulated CPU count (docs/SMP.md): explicit argument wins, then
         #: REPRO_CPUS, then 1.  cpus=1 is bit-identical to the pre-SMP
@@ -81,6 +80,10 @@ class Kernel:
         #: kernel-wide tracepoint engine (repro.trace); disabled by default,
         #: and free (one attribute check per tracepoint) while disabled.
         self.trace = Tracer(self.clock)
+        #: ftrace-style latency tracers (docs/PROFILING.md): they run
+        #: while the tracer is enabled and, like it, only ever *read* the
+        #: clock.
+        self.prof = LatencyTracers(self)
         self.syslog = Syslog(clock=self.clock, tracer=self.trace)
         #: kernel-wide failpoint registry; dormant until an injection arms it.
         self.faults = FaultRegistry(self, metrics=self.metrics)
@@ -122,13 +125,6 @@ class Kernel:
         self.vfs = VFS(self)
         self.sched = Scheduler(self)
         self.sys = SyscallInterface(self)
-        #: sampling profiler + latency tracers (docs/PROFILING.md);
-        #: dormant (zero charge-path cost) until enabled.  Like the
-        #: tracer, it only ever *reads* the clock: booting with
-        #: ``profile=True`` / ``REPRO_PROF=1`` must not move the
-        #: simulated clock by a single cycle.
-        self.prof = Profiler(self)
-        self._register_prof_counters()
         self.kma = KmallocFacade(self)
         self.tasks: list[Task] = []
         #: event dispatcher socket (§3.3); None = instrumentation compiled out.
@@ -143,34 +139,7 @@ class Kernel:
         # must not move the simulated clock by a single cycle.
         if os.environ.get(ENV_TRACE):
             self.trace.enable()
-        # Profiling mode: explicit argument wins, then REPRO_PROF.  The
-        # sampler's context is the tracepoint span stacks, so profiling
-        # implies tracing.
-        if profile is None:
-            profile = bool(os.environ.get(ENV_PROF))
-        if profile:
-            if not self.trace.enabled:
-                self.trace.enable()
-            self.prof.enable()
         self.printk(KERN_INFO, "kernel booted")
-
-    def _register_prof_counters(self) -> None:
-        """Wire the Perfetto counter-track allowlist: zero-cost reads over
-        state the subsystems already keep, sampled at each profile tick."""
-        prof = self.prof
-        for c in range(self.ncpus):
-            st = self.sched.cpus[c]
-            prof.add_counter(f"sched.runqueue.cpu{c}",
-                             lambda st=st: len(st.runqueue))
-        prof.add_counter("mmu.tlb_misses", lambda: self.mmu.tlb_misses)
-
-        def cq_backlog() -> int:
-            uring = getattr(self, "uring", None)
-            if uring is None:
-                return 0
-            return sum(ring.cq_pending() for ring in uring.rings)
-
-        prof.add_counter("uring.cq_backlog", cq_backlog)
 
     # ------------------------------------------------------------- plumbing
 

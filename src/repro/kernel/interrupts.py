@@ -70,10 +70,10 @@ class IrqController:
             depth = self._depths[cpu]
         if depth == 1:
             # irqsoff tracer: the section starts at the 0->1 transition.
-            prof = getattr(self.kernel, "prof", None)
-            if prof is not None and prof.enabled:
-                clock = self.kernel.clock
-                prof.irq_disabled(clock.cpu, clock.local_now())
+            kernel = self.kernel
+            if kernel.trace.enabled:
+                clock = kernel.clock
+                kernel.prof.irq_disabled(clock.cpu, clock.local_now())
         self.toggles += 1
         ld = getattr(self.kernel, "lockdep", None)
         if ld is not None:
@@ -95,10 +95,10 @@ class IrqController:
             depth = self._depths[cpu]
         if depth == 0:
             # irqsoff tracer: the section ends at the 1->0 transition.
-            prof = getattr(self.kernel, "prof", None)
-            if prof is not None and prof.enabled:
-                clock = self.kernel.clock
-                prof.irq_enabled(clock.cpu, clock.local_now())
+            kernel = self.kernel
+            if kernel.trace.enabled:
+                clock = kernel.clock
+                kernel.prof.irq_enabled(clock.cpu, clock.local_now())
         self.toggles += 1
         ld = getattr(self.kernel, "lockdep", None)
         if ld is not None:

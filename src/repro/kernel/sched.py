@@ -238,6 +238,8 @@ class Scheduler:
                             kernel.costs.context_switch,
                             prev=prev.pid if prev is not None else None,
                             next=task.pid)
+            tracer.counter(f"sched.runqueue.cpu{c}", len(st.runqueue))
+            tracer.counter("mmu.tlb_misses", kernel.mmu.tlb_misses)
         st.current = task
         task.state = TaskState.RUNNING
         st.last_switch = clock.local_now()
@@ -246,7 +248,7 @@ class Scheduler:
     def _note_scheduled(self, task: Task, clock) -> None:
         """Record ``task``'s READY->RUNNING delay: into the kernel-wide
         ``sched.delay`` histogram, the task's own (tenant SLO) histogram
-        if one is attached, and the profiler's wakeup tracer when armed."""
+        if one is attached, and the wakeup tracer's witness while traced."""
         t0 = task.last_ready
         if t0 is None:
             return
@@ -256,9 +258,8 @@ class Scheduler:
         h = task.sched_delay
         if h is not None:
             h.observe(delay)
-        prof = getattr(self.kernel, "prof", None)
-        if prof is not None and prof.enabled:
-            prof.sched_wakeup(task, delay)
+        if self.kernel.trace.enabled:
+            self.kernel.prof.sched_wakeup(task, delay)
 
     # ----------------------------------------------------------------- SMP
 
@@ -357,17 +358,16 @@ class Scheduler:
         clock = kernel.clock
         st = self.cpus[clock.cpu]
         now = clock.local_now()
-        prof = getattr(kernel, "prof", None)
-        if prof is not None and prof.enabled:
+        tracer = kernel.trace
+        if tracer.enabled:
             # preemptoff tracer: each visit here is a preemption
             # opportunity; the gap since the previous one is how long
             # this CPU could not reschedule.
-            prof.preempt_point(clock.cpu, now)
+            kernel.prof.preempt_point(clock.cpu, now)
         # Injected "preemption": the quantum is treated as already expired.
         forced = kernel.faults.should_fail("sched.preempt", "tick") is not None
         if not forced and now - st.last_switch < kernel.costs.sched_quantum:
             return False
-        tracer = kernel.trace
         traced = tracer.enabled
         if traced:
             tracer.begin("sched:preempt", "sched", forced=forced)

@@ -112,11 +112,10 @@ class SyscallInterface(FileOpsMixin, DirOpsMixin, ConsolidatedMixin):
         finally:
             clock.pop_mode()
             task.stime += clock.system - start_system
-            prof = getattr(kernel, "prof", None)
-            if prof is not None and prof.enabled:
+            if traced:
                 # per-syscall-number latency histogram: trap to return
-                prof.observe_syscall(name, syscall_nr(name),
-                                     clock.now - start)
+                kernel.prof.observe_syscall(name, syscall_nr(name),
+                                            clock.now - start)
             if self.tracers:
                 delta = self.ucopy.stats.since(copy_snap)
                 self._seq += 1

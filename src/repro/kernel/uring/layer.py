@@ -84,9 +84,6 @@ class UringLayer:
         sys.uring_enter = self._enter_entry
         sys.do_uring_setup = self.do_uring_setup
         sys.do_uring_enter = self.do_uring_enter
-        # Register on the kernel so observers (the profiler's CQ-backlog
-        # counter track) can find the live rings without importing uring.
-        self.kernel.uring = self
 
     # ----------------------------------------------------- syscall entries
 
@@ -571,6 +568,9 @@ class UringLayer:
                     self._publish_locked(ring, cqe)
         ring.completed += 1
         self._counter("uring.cqes").inc()
-        if self.kernel.trace.enabled:
-            self.kernel.trace.instant("uring:complete", cat="uring",
-                                      res=res)
+        tracer = self.kernel.trace
+        if tracer.enabled:
+            tracer.instant("uring:complete", cat="uring", res=res)
+            # every _post has just read this ring's CQ head (cq_space)
+            tracer.counter("uring.cq_backlog",
+                           sum(r.cq_backlog() for r in self.rings))

@@ -90,6 +90,8 @@ class Uring:
         #: kernel-authoritative indices (mirrored to the header)
         self.sq_head = 0
         self.cq_tail = 0
+        #: user ``cq_head`` as of the kernel's last (charged) read of it
+        self.cq_head_seen = 0
         #: CQ-overflow backlog, flushed ahead of new completions
         self.overflow: deque[Cqe] = deque()
         #: armed ops (blocked single-shots + multishots), FIFO
@@ -116,13 +118,19 @@ class Uring:
 
     def cq_space(self) -> int:
         """Free CQE slots (kernel view; the user advances ``cq_head``)."""
-        head = self.k_read_u32(CQ_HEAD_OFF)
+        head = self.cq_head_seen = self.k_read_u32(CQ_HEAD_OFF)
         return self.cq_entries - ((self.cq_tail - head) & 0xFFFFFFFF)
 
     def cq_pending(self) -> int:
         """CQEs published but not yet harvested (kernel view)."""
-        head = self.k_read_u32(CQ_HEAD_OFF)
-        return ((self.cq_tail - head) & 0xFFFFFFFF) + len(self.overflow)
+        self.cq_head_seen = self.k_read_u32(CQ_HEAD_OFF)
+        return self.cq_backlog()
+
+    def cq_backlog(self) -> int:
+        """:meth:`cq_pending` as of the kernel's last read of the head:
+        free (no shared-memory access), for counter tracks."""
+        return ((self.cq_tail - self.cq_head_seen) & 0xFFFFFFFF) \
+            + len(self.overflow)
 
     def fixed_fd(self, slot: int) -> int:
         if not 0 <= slot < len(self.fixed):

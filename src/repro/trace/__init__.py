@@ -5,9 +5,11 @@ The simulator's observability layer (cf. ftrace/eBPF in docs/OBSERVABILITY.md):
 * :class:`Tracer` — static tracepoints emitting begin/end spans, complete
   events, and instants into a bounded drop-oldest ring buffer, stamped
   with the simulated clock;
-* :class:`Attribution` — hierarchical self/total cycle decomposition of a
-  traced window, summing exactly to the clock's elapsed cycles, diffable
-  between runs;
+* :class:`Attribution` — exact self/total cycle decomposition of a traced
+  window per span stack (``folded()`` feeds flamegraphs), summing exactly
+  to the clock's elapsed cycles, diffable between runs;
+* :class:`LatencyTracers` — ftrace-style wakeup/irqsoff/preemptoff and
+  per-syscall latency tracers with max-latency witnesses;
 * :class:`MetricsRegistry` — named counters/gauges/histograms the
   previously scattered subsystem counters register on;
 * :func:`chrome_trace` / :func:`write_chrome_trace` — Perfetto-loadable
@@ -19,13 +21,12 @@ attribute check per tracepoint.  Set ``REPRO_TRACE=1`` to boot every
 kernel with tracing enabled.
 """
 
-from repro.trace.attribution import Attribution, SpanStat, render_diff
-from repro.trace.flamegraph import flamegraph_svg, write_flamegraph
+from repro.trace.attribution import UNTRACED, Attribution, SpanStat, render_diff
+from repro.trace.flamegraph import flamegraph_svg, write_flamegraph, write_folded
 from repro.trace.metrics import (Counter, Gauge, Histogram, Metric,
                                  MetricsRegistry, PercpuCounter)
 from repro.trace.perfetto import chrome_trace, write_chrome_trace
-from repro.trace.prof import (DEFAULT_PERIOD, ENV_PROF, ENV_PROF_PERIOD,
-                              MaxWitness, Profiler)
+from repro.trace.prof import LatencyTracers, MaxWitness
 from repro.trace.tracepoints import (DEFAULT_CAPACITY, PH_BEGIN, PH_COMPLETE,
                                      PH_COUNTER, PH_END, PH_INSTANT,
                                      TraceEvent, Tracer)
@@ -36,13 +37,13 @@ ENV_TRACE = "REPRO_TRACE"
 ENV_TRACE_OUT = "REPRO_TRACE_OUT"
 
 __all__ = [
-    "Attribution", "SpanStat", "render_diff",
+    "Attribution", "SpanStat", "UNTRACED", "render_diff",
     "Counter", "Gauge", "Histogram", "Metric", "MetricsRegistry",
     "PercpuCounter",
     "chrome_trace", "write_chrome_trace",
-    "flamegraph_svg", "write_flamegraph",
-    "Profiler", "MaxWitness", "DEFAULT_PERIOD",
+    "flamegraph_svg", "write_flamegraph", "write_folded",
+    "LatencyTracers", "MaxWitness",
     "Tracer", "TraceEvent", "DEFAULT_CAPACITY",
     "PH_BEGIN", "PH_END", "PH_COMPLETE", "PH_INSTANT", "PH_COUNTER",
-    "ENV_TRACE", "ENV_TRACE_OUT", "ENV_PROF", "ENV_PROF_PERIOD",
+    "ENV_TRACE", "ENV_TRACE_OUT",
 ]

@@ -2,17 +2,20 @@
 
 The tracer maintains a span stack; when a span ends, its *total* cycles
 (end − begin) and *self* cycles (total minus the totals of its direct
-children) are accumulated here, keyed by span name and grouped by
-category (the subsystem).  Because every cycle of the traced window falls
-either inside some span's self time or outside all spans (``untraced``),
-the attribution is a complete decomposition::
+children) are accumulated here, keyed by the span-stack tuple
+``(outermost, ..., leaf)`` — the eBPF idiom of counting per stack id in a
+map instead of streaming samples.  Because every cycle of the traced
+window falls either inside some stack's self time or outside all spans
+(``untraced``), the attribution is a complete, exact decomposition::
 
-    sum(self_cycles over all spans) + untraced_cycles == window_cycles
-                                                      == Δ(user+system+iowait)
+    sum(self_cycles over all stacks) + untraced_cycles == window_cycles
+                                                        == Δ(user+system+iowait)
 
-which is asserted by ``tests/trace/`` and the CI trace job.  Reports are
-diffable: :meth:`Attribution.diff` explains *why* one run was faster than
-another, span by span.
+which is asserted by ``tests/trace/`` and the CI trace job.
+:meth:`Attribution.folded` is that decomposition in flamegraph form;
+:attr:`Attribution.spans` sums it per leaf name.  Reports are diffable:
+:meth:`Attribution.diff` explains *why* one run was faster than another,
+span by span.
 """
 
 from __future__ import annotations
@@ -20,9 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+#: folded-stack frame (and category) for cycles charged outside any span
+UNTRACED = "(untraced)"
+
+
 @dataclass
 class SpanStat:
-    """Accumulated cycles for one span name."""
+    """Accumulated cycles for one span stack (or, summed, one span name)."""
 
     category: str
     count: int = 0
@@ -30,14 +37,31 @@ class SpanStat:
     self_cycles: int = 0
 
 
+def merge_stat(into: dict, key, s: SpanStat) -> None:
+    """Add ``s`` into ``into[key]`` (a copy of ``s`` if ``key`` is new)."""
+    m = into.get(key)
+    if m is None:
+        into[key] = SpanStat(s.category, s.count, s.total_cycles,
+                             s.self_cycles)
+    else:
+        m.count += s.count
+        m.total_cycles += s.total_cycles
+        m.self_cycles += s.self_cycles
+
+
 class Attribution:
     """A complete decomposition of one traced window's elapsed cycles."""
 
     def __init__(self, window_cycles: int, untraced_cycles: int,
-                 spans: dict[str, SpanStat]):
+                 stacks: dict[tuple[str, ...], SpanStat]):
         self.window_cycles = window_cycles
         self.untraced_cycles = untraced_cycles
-        self.spans = spans
+        #: exact per-stack stats, keyed ``(outermost, ..., leaf)``
+        self.stacks = stacks
+        #: the same cycles summed per leaf span name
+        self.spans: dict[str, SpanStat] = {}
+        for key, s in stacks.items():
+            merge_stat(self.spans, key[-1], s)
 
     # ------------------------------------------------------------ queries
 
@@ -57,8 +81,17 @@ class Attribution:
         for s in self.spans.values():
             out[s.category] = out.get(s.category, 0) + s.self_cycles
         if self.untraced_cycles:
-            out["(untraced)"] = self.untraced_cycles
+            out[UNTRACED] = self.untraced_cycles
         return dict(sorted(out.items(), key=lambda kv: -kv[1]))
+
+    def folded(self) -> dict[str, int]:
+        """Exact folded stacks: ``"outer;...;leaf" -> self cycles``, with
+        the untraced residual as its own ``(untraced)`` entry, so the
+        values sum to :attr:`window_cycles` exactly."""
+        out = {";".join(key): s.self_cycles for key, s in self.stacks.items()}
+        if self.untraced_cycles:
+            out[UNTRACED] = self.untraced_cycles
+        return out
 
     def total_of(self, name: str) -> int:
         s = self.spans.get(name)

@@ -1,9 +1,9 @@
 """Self-contained flamegraph SVG writer for folded stacks.
 
 Renders the classic flamegraph layout — one rectangle per (stack-prefix)
-node, width proportional to its weighted sample count, children stacked
-above parents — from the ``{"frame;frame;...": count}`` dict the
-profiler's :meth:`~repro.trace.prof.Profiler.folded` produces.  No
+node, width proportional to its cycles, children stacked above parents —
+from the exact ``{"frame;frame;...": self_cycles}`` dict
+:meth:`~repro.trace.Attribution.folded` produces.  No
 external dependencies and no JavaScript: plain ``<rect>``/``<text>``
 elements with ``<title>`` tooltips, loadable in any browser or image
 viewer straight from a CI artifact.
@@ -90,7 +90,7 @@ def flamegraph_svg(folded: dict[str, int], *,
         f'<text x="{width // 2}" y="20" text-anchor="middle" '
         f'font-size="14">{escape(title)}</text>',
         f'<text x="{width // 2}" y="{height - 8}" text-anchor="middle" '
-        f'fill="#555">{total} weighted samples</text>',
+        f'fill="#555">{total:,} cycles</text>',
     ]
 
     def emit(node: _Node, x: float, level: int) -> None:
@@ -102,7 +102,7 @@ def flamegraph_svg(folded: dict[str, int], *,
         pct = 100.0 * node.value / total if total else 0.0
         label = escape(node.name)
         out.append(
-            f'<g><title>{label} ({node.value} samples, '
+            f'<g><title>{label} ({node.value:,} cycles, '
             f'{pct:.2f}%)</title>'
             f'<rect x="{x:.2f}" y="{y}" width="{max(w - 0.5, MIN_RECT_PX):.2f}" '
             f'height="{ROW_HEIGHT - 1}" fill="{_color(node.name)}" '
@@ -125,9 +125,19 @@ def flamegraph_svg(folded: dict[str, int], *,
         emit(root, 0.0, 0)
     else:
         out.append(f'<text x="{width // 2}" y="{height // 2}" '
-                   f'text-anchor="middle" fill="#999">(no samples)</text>')
+                   f'text-anchor="middle" fill="#999">(empty)</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def write_folded(folded: dict[str, int], path) -> Path:
+    """Write folded stacks one ``stack count`` line each (sorted), the
+    format every flamegraph toolchain reads; returns the path."""
+    p = Path(path)
+    p.parent.mkdir(parents=True, exist_ok=True)
+    p.write_text("".join(f"{stack} {n}\n"
+                         for stack, n in sorted(folded.items())))
+    return p
 
 
 def write_flamegraph(folded: dict[str, int], path, *,

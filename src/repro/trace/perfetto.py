@@ -19,25 +19,17 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro.trace.tracepoints import (PH_BEGIN, PH_COMPLETE, PH_COUNTER,
                                      PH_END, PH_INSTANT, Tracer)
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.trace.prof import Profiler
 
-
-def chrome_trace(tracer: Tracer, *, process_name: str = "repro-kernel",
-                 profiler: "Profiler | None" = None) -> dict:
+def chrome_trace(tracer: Tracer, *, process_name: str = "repro-kernel") -> dict:
     """Build the Trace Event Format document for one traced window.
 
-    With a ``profiler`` the document additionally carries the sampling
-    profiler's view of the same window: one ``prof:sample`` instant per
-    retained sample (on the sampled CPU's track, stack and weight in
-    ``args``) and the allowlisted counter tracks (runqueue depth, CQ
-    backlog, TLB misses) as ``C`` time-series events — so a Perfetto
-    view shows *load*, not just spans.
+    Counter points (runqueue depth, CQ backlog, TLB misses — emitted by
+    :meth:`Tracer.counter` at their tracepoint sites) render as ``C``
+    time-series tracks, so a Perfetto view shows *load*, not just spans.
     """
     hz = tracer.clock.hz
     us_per_cycle = 1e6 / hz
@@ -66,21 +58,6 @@ def chrome_trace(tracer: Tracer, *, process_name: str = "repro-kernel",
         if args:
             ev["args"] = dict(args)
         events.append(ev)
-    if profiler is not None:
-        from repro.trace.prof import S_CAT, S_CPU, S_STACK, S_TASK, S_TS, \
-            S_WEIGHT
-        for s in profiler.samples():
-            events.append({
-                "ph": "i", "name": "prof:sample", "cat": "prof",
-                "ts": us(s[S_TS]), "pid": 0, "tid": s[S_CPU], "s": "t",
-                "args": {"task": s[S_TASK], "stack": ";".join(s[S_STACK]),
-                         "category": s[S_CAT], "weight": s[S_WEIGHT]},
-            })
-        for ts, cpu, name, value in profiler.counter_samples():
-            events.append({
-                "ph": "C", "name": name, "cat": "counter", "ts": us(ts),
-                "pid": 0, "tid": cpu, "args": {"value": value},
-            })
     ring = tracer.ring
     doc = {
         "traceEvents": events,
@@ -92,18 +69,14 @@ def chrome_trace(tracer: Tracer, *, process_name: str = "repro-kernel",
             "dropped_oldest_events": ring.dropped_oldest,
         },
     }
-    if profiler is not None:
-        doc["otherData"]["prof_samples"] = profiler.samples_taken
-        doc["otherData"]["prof_period_cycles"] = profiler.period
     return doc
 
 
 def write_chrome_trace(tracer: Tracer, path: str | Path, *,
-                       process_name: str = "repro-kernel",
-                       profiler: "Profiler | None" = None) -> Path:
+                       process_name: str = "repro-kernel") -> Path:
     """Serialize :func:`chrome_trace` to ``path``; returns the path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    doc = chrome_trace(tracer, process_name=process_name, profiler=profiler)
+    doc = chrome_trace(tracer, process_name=process_name)
     path.write_text(json.dumps(doc) + "\n")
     return path

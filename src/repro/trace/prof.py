@@ -1,92 +1,32 @@
-"""Sampling profiler and ftrace-family latency tracers (``repro.trace.prof``).
+"""ftrace-family latency tracers (``repro.trace.prof``).
 
-This is the simulator's *perf*: where PR 5's span attribution answers
-"which subsystem", the profiler answers "which code path, on which CPU,
-under which tenant" — and adds the ftrace latency-tracer family on top.
+The tracer's exact span-stack attribution
+(:meth:`repro.trace.Attribution.folded`) answers "which code path spent
+the cycles".  These tracers answer "how long did something wait, and
+what was running at the worst moment":
 
-Three parts:
+* **wakeup** — READY→RUNNING scheduling delay.  Its distribution is the
+  scheduler's always-on ``sched.delay`` histogram; this tracer adds the
+  max-latency witness (task, CPU and span stack at the worst case).
+* **irqsoff** — length of each outermost IRQ-disabled section per CPU.
+* **preemptoff** — gap between consecutive scheduler preemption points.
+* **per-syscall latency** — trap-to-return cycles per syscall name.
 
-* **Sampling profiler.**  A virtual timer fires every ``period`` simulated
-  cycles on every CPU.  The trigger is the clock itself: every
-  :meth:`~repro.kernel.clock.Clock.charge` checks whether the executing
-  CPU's local clock crossed its next sample deadline, and if so captures
-  one *weighted* sample — (cpu, timestamp, task, tenant, tracepoint span
-  stack, leaf category, C-minus function, weight) — into a bounded
-  per-CPU ring.  The weight is the number of period boundaries the charge
-  crossed, so one huge quantum (a 21M-cycle disk seek) lands as one
-  sample worth its full cycle share instead of a 400-iteration loop:
-  sample shares are *exactly* proportional to self-cycles, quantized at
-  one period.
-
-* **Latency tracers.**  A wakeup tracer (READY→RUNNING delay per task,
-  power-of-two histogram, max-latency witness = the span stack at the
-  worst case), an irqsoff max tracer over the per-CPU IRQ-disable depths,
-  a preemptoff tracer over the gaps between scheduler preemption points,
-  and per-syscall latency histograms observed at dispatch.
-
-* **Exports.**  Folded-stack output (``folded()``/``write_folded``) feeds
-  :mod:`repro.trace.flamegraph`; samples and an allowlist of counter
-  tracks (runqueue depth, CQ backlog, TLB misses) ride along in the
-  Perfetto export (:func:`repro.trace.perfetto.chrome_trace`).
-
-The hard constraint, inherited from the tracer: **zero cost-model
-impact**.  Nothing here ever charges the simulated clock — every hook
-only *reads* it — so the same workload profiled and unprofiled lands on
-bit-identical user/system/iowait counts (``tests/trace/test_prof.py``;
-the CI ``prof`` job re-runs the kernel suites under ``REPRO_PROF=1``).
-
-Charge-time samples see the *innermost open span*, which is exactly that
-span's self time — but retroactive ``complete`` events (a TLB miss, one
-``syscall:boundary`` quantum, a disk request) are not on the stack while
-their cost is charged.  The tracer therefore notifies the profiler on
-every complete, and the profiler relabels the tail samples that landed
-inside the completed quantum (complete ranges on one CPU never overlap:
-each covers cycles charged immediately before it).  Without this fixup
-roughly half the cycles of a syscall-heavy workload would be
-misattributed to the enclosing syscall span.
+They run whenever the kernel's tracer is enabled (``kernel.trace.enable()``
+or ``REPRO_TRACE=1``), and their per-CPU open sections restart with each
+tracing window.  Like the tracer, nothing here ever charges the simulated
+clock — every hook only *reads* it — so a traced run lands on
+bit-identical user/system/iowait counts (``tests/trace/test_prof.py``).
 """
 
 from __future__ import annotations
 
-import os
-from collections import deque
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.trace.metrics import Histogram
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.core import Kernel
-
-#: environment knob: boot kernels with profiling (and tracing) enabled.
-ENV_PROF = "REPRO_PROF"
-#: environment knob: sample period in simulated cycles.
-ENV_PROF_PERIOD = "REPRO_PROF_PERIOD"
-
-#: default sample period (cycles): ~34k samples/simulated-second at the
-#: paper's 1.7 GHz, fine enough to split a 1200-cycle syscall trap share.
-DEFAULT_PERIOD = 50_000
-
-#: samples kept per CPU (drop-oldest) and counter-track points kept total.
-DEFAULT_CAPACITY = 1 << 14
-COUNTER_CAPACITY = 1 << 15
-
-#: sample record indices (records are lists so completes can relabel them)
-S_CPU, S_TS, S_PID, S_TASK, S_TENANT, S_STACK, S_CAT, S_CMINUS, S_WEIGHT = \
-    range(9)
-
-#: folded-stack frame used for samples taken outside any span
-UNTRACED_FRAME = "(untraced)"
-
-
-def resolve_period(period: int | None = None) -> int:
-    """Explicit argument wins, then ``REPRO_PROF_PERIOD``, then default."""
-    if period is not None:
-        p = int(period)
-    else:
-        p = int(os.environ.get(ENV_PROF_PERIOD) or DEFAULT_PERIOD)
-    if p <= 0:
-        raise ValueError(f"sample period must be positive, got {p}")
-    return p
 
 
 class MaxWitness:
@@ -122,36 +62,17 @@ class MaxWitness:
         return f"MaxWitness({self.cycles} cyc @{self.ts} cpu{self.cpu})"
 
 
-class Profiler:
-    """Per-kernel sampling profiler + latency tracers.
+class LatencyTracers:
+    """Per-kernel wakeup/irqsoff/preemptoff/syscall latency tracers.
 
-    Built for every kernel but dormant until :meth:`enable` — a disabled
-    profiler costs nothing on the charge path (the clock's sampler slot
-    stays ``None``) and one ``getattr``-and-``None``-check at the tracer
-    hook sites.
+    The hook sites call in only while ``kernel.trace.enabled``; the
+    tracer's :meth:`~repro.trace.Tracer.enable` calls :meth:`reset`.
     """
 
-    def __init__(self, kernel: "Kernel", period: int | None = None,
-                 capacity: int = DEFAULT_CAPACITY):
+    def __init__(self, kernel: "Kernel"):
         self.kernel = kernel
         self.clock = kernel.clock
         self.ncpus = kernel.ncpus
-        self.period = resolve_period(period)
-        self.capacity = capacity
-        self.enabled = False
-        #: per-CPU sample rings, drop-oldest
-        self.rings: list[deque] = [deque(maxlen=capacity)
-                                   for _ in range(self.ncpus)]
-        self._deadlines = [0] * self.ncpus
-        #: weighted sample total (== periods elapsed) and ring pushes
-        self.samples_taken = 0
-        self.sample_events = 0
-        #: counter-track providers: (name, zero-cost read callback)
-        self._counters: list[tuple[str, Callable[[], int]]] = []
-        self._counter_samples: deque = deque(maxlen=COUNTER_CAPACITY)
-        # -- latency tracers -------------------------------------------
-        self.wakeup_delay = Histogram(
-            "prof.wakeup_delay", help="READY->RUNNING delay (cycles)")
         self.wakeup_max = MaxWitness()
         self.irqsoff = Histogram(
             "prof.irqsoff", help="IRQ-disabled section length (cycles)")
@@ -164,107 +85,32 @@ class Profiler:
         #: per-syscall latency histograms, keyed by syscall name
         self.syscall_lat: dict[str, Histogram] = {}
         self.syscall_nrs: dict[str, int] = {}
+        kernel.trace.on_enable.append(self.reset)
 
-    # ------------------------------------------------------------ lifecycle
-
-    def enable(self) -> None:
-        """Arm the profiler.  The tracer must already be enabled (the
-        span stacks are the sample context); :class:`Kernel` guarantees
-        this when booting with ``profile=True`` / ``REPRO_PROF=1``."""
-        clock = self.clock
+    def reset(self) -> None:
+        """Forget sections opened under an earlier tracing window."""
         for c in range(self.ncpus):
-            self._deadlines[c] = clock.local_now(c) + self.period
-            self._last_preempt_point[c] = None
             self._irq_off_since[c] = None
-        self.enabled = True
-        clock._sampler = self
-        self.kernel.trace._prof = self
-
-    def disable(self) -> None:
-        """Disarm; collected samples and histograms stay readable."""
-        self.enabled = False
-        if self.clock._sampler is self:
-            self.clock._sampler = None
-        if self.kernel.trace._prof is self:
-            self.kernel.trace._prof = None
-
-    # ------------------------------------------------------------- sampling
-
-    def tick(self) -> None:
-        """Charge-path hook: called by the clock after every charge.
-        Reads the clock, never writes it."""
-        clock = self.clock
-        cpu = clock.cpu
-        now = clock.local_now(cpu)
-        deadline = self._deadlines[cpu]
-        if now < deadline:
-            return
-        weight = 1 + (now - deadline) // self.period
-        self._deadlines[cpu] = deadline + weight * self.period
-        self._sample(cpu, now, weight)
-
-    def _sample(self, cpu: int, now: int, weight: int) -> None:
-        kernel = self.kernel
-        task = kernel.sched.cpus[cpu].current
-        frames = kernel.trace._stacks[cpu]
-        # frame 0 is the implicit per-CPU root; user spans start at 1
-        names = tuple(f[0] for f in frames[1:])
-        cat = frames[-1][1] if len(frames) > 1 else None
-        cminus = None
-        for f in reversed(frames):
-            if f[0].startswith("cminus:"):
-                cminus = f[0][7:]
-                break
-        self.rings[cpu].append([
-            cpu, now,
-            task.pid if task is not None else None,
-            task.name if task is not None else "(idle)",
-            getattr(task, "tenant", "") if task is not None else "",
-            names, cat, cminus, weight,
-        ])
-        self.sample_events += 1
-        self.samples_taken += weight
-        for name, fn in self._counters:
-            self._counter_samples.append((now, cpu, name, int(fn())))
-
-    def on_complete(self, cpu: int, name: str, cat: str, now: int,
-                    dur: int) -> None:
-        """Tracer hook: a retroactive span ``[now-dur, now]`` was just
-        recorded on ``cpu``.  Relabel the tail samples that landed inside
-        it — they were attributed to the enclosing open span at charge
-        time, but the cycles belong to the completed quantum."""
-        if dur <= 0:
-            return
-        t0 = now - dur
-        for s in reversed(self.rings[cpu]):
-            if s[S_TS] <= t0:
-                break
-            s[S_STACK] = s[S_STACK] + (name,)
-            s[S_CAT] = cat
-
-    # ------------------------------------------------------- counter tracks
-
-    def add_counter(self, name: str, fn: Callable[[], int]) -> None:
-        """Register a counter track sampled at every profile tick.  The
-        callback must be a zero-cost read over existing state."""
-        self._counters.append((name, fn))
-
-    def counter_samples(self) -> list[tuple[int, int, str, int]]:
-        """Collected counter points, oldest first: (ts, cpu, name, value)."""
-        return list(self._counter_samples)
+            self._last_preempt_point[c] = None
 
     # --------------------------------------------------- latency tracer hooks
 
-    def _stack_at(self, cpu: int) -> tuple:
-        return tuple(f[0] for f in self.kernel.trace._stacks[cpu][1:])
+    def _offer(self, witness: MaxWitness, cycles: int, cpu: int, now: int,
+               task) -> None:
+        """Record a new worst case; callers first check that ``cycles``
+        beats it, so the common case builds no context."""
+        witness.offer(cycles, now, cpu,
+                      task.pid if task is not None else None,
+                      task.name if task is not None else "(idle)",
+                      self.kernel.trace.stack_of(cpu))
 
     def sched_wakeup(self, task, delay: int) -> None:
         """Scheduler hook: ``task`` just went READY→RUNNING after
         ``delay`` cycles on the runqueue."""
-        self.wakeup_delay.observe(delay)
-        cpu = self.clock.cpu
-        self.wakeup_max.offer(delay, self.clock.local_now(cpu), cpu,
-                              task.pid, task.name, self._stack_at(cpu))
+        if delay > self.wakeup_max.cycles:
+            cpu = self.clock.cpu
+            self._offer(self.wakeup_max, delay, cpu,
+                        self.clock.local_now(cpu), task)
 
     def irq_disabled(self, cpu: int, now: int) -> None:
         """IRQ hook: disable depth went 0→1 on ``cpu``."""
@@ -278,12 +124,9 @@ class Profiler:
         self._irq_off_since[cpu] = None
         dur = now - start
         self.irqsoff.observe(dur)
-        task = self.kernel.sched.cpus[cpu].current
-        self.irqsoff_max.offer(
-            dur, now, cpu,
-            task.pid if task is not None else None,
-            task.name if task is not None else "(idle)",
-            self._stack_at(cpu))
+        if dur > self.irqsoff_max.cycles:
+            self._offer(self.irqsoff_max, dur, cpu, now,
+                        self.kernel.sched.cpus[cpu].current)
 
     def preempt_point(self, cpu: int, now: int) -> None:
         """Scheduler hook: a preemption opportunity on ``cpu``.  The gap
@@ -294,12 +137,9 @@ class Profiler:
             return
         dur = now - last
         self.preemptoff.observe(dur)
-        task = self.kernel.sched.cpus[cpu].current
-        self.preemptoff_max.offer(
-            dur, now, cpu,
-            task.pid if task is not None else None,
-            task.name if task is not None else "(idle)",
-            self._stack_at(cpu))
+        if dur > self.preemptoff_max.cycles:
+            self._offer(self.preemptoff_max, dur, cpu, now,
+                        self.kernel.sched.cpus[cpu].current)
 
     def observe_syscall(self, name: str, nr: int, cycles: int) -> None:
         """Dispatch hook: one syscall took ``cycles`` (trap to return)."""
@@ -311,72 +151,12 @@ class Profiler:
 
     # -------------------------------------------------------------- queries
 
-    def samples(self) -> list[list]:
-        """Every retained sample, oldest first, all CPUs interleaved by
-        ring order (sort by ``S_TS`` for a strict timeline)."""
-        out: list[list] = []
-        for ring in self.rings:
-            out.extend(ring)
-        return out
-
-    def folded(self, *, by_task: bool = True) -> dict[str, int]:
-        """Folded-stack form: ``frame;frame;... -> weighted samples``.
-        The first frame is the task name (flamegraph convention) unless
-        ``by_task=False``; sample-time stacks with no open span fold to
-        ``(untraced)``."""
-        out: dict[str, int] = {}
-        for s in self.samples():
-            frames = list(s[S_STACK]) or [UNTRACED_FRAME]
-            if by_task:
-                frames.insert(0, s[S_TASK])
-            key = ";".join(frames)
-            out[key] = out.get(key, 0) + s[S_WEIGHT]
-        return out
-
-    def write_folded(self, path) -> None:
-        """Serialize :meth:`folded` in the classic one-line-per-stack
-        format every flamegraph toolchain reads."""
-        from pathlib import Path
-        p = Path(path)
-        p.parent.mkdir(parents=True, exist_ok=True)
-        lines = [f"{stack} {n}" for stack, n in
-                 sorted(self.folded().items())]
-        p.write_text("\n".join(lines) + "\n")
-
-    def named_fraction(self) -> float:
-        """Share of weighted samples attributed to at least one named
-        span (the acceptance gate: ≥0.95 on a traced serving bench)."""
-        total = named = 0
-        for s in self.samples():
-            total += s[S_WEIGHT]
-            if s[S_STACK]:
-                named += s[S_WEIGHT]
-        return named / total if total else 0.0
-
-    def category_shares(self) -> dict[str, float]:
-        """Weighted sample share per leaf category; comparable to
-        ``Attribution.by_category`` self-cycle shares on the same run."""
-        counts: dict[str, int] = {}
-        total = 0
-        for s in self.samples():
-            cat = s[S_CAT] if s[S_CAT] is not None else UNTRACED_FRAME
-            counts[cat] = counts.get(cat, 0) + s[S_WEIGHT]
-            total += s[S_WEIGHT]
-        if not total:
-            return {}
-        return {cat: n / total for cat, n in sorted(counts.items())}
-
     def to_dict(self) -> dict:
         """JSON-ready summary (benchmarks embed this next to attribution)."""
         from repro.analysis.slo import latency_summary
         return {
-            "period_cycles": self.period,
-            "samples": self.samples_taken,
-            "sample_events": self.sample_events,
-            "named_fraction": round(self.named_fraction(), 6),
-            "category_shares": {k: round(v, 6) for k, v in
-                                self.category_shares().items()},
-            "wakeup_delay": latency_summary(self.wakeup_delay),
+            "wakeup_delay": latency_summary(
+                self.kernel.metrics.get("sched.delay")),
             "wakeup_max": self.wakeup_max.to_dict(),
             "irqsoff": latency_summary(self.irqsoff),
             "irqsoff_max": self.irqsoff_max.to_dict(),
@@ -386,7 +166,3 @@ class Profiler:
                 name: dict(latency_summary(h), nr=self.syscall_nrs[name])
                 for name, h in sorted(self.syscall_lat.items())},
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"Profiler(period={self.period}, enabled={self.enabled}, "
-                f"samples={self.samples_taken})")

@@ -6,18 +6,21 @@ NIC hardirq/softirq, Cosy compound elements, C-minus engine calls, syslog
 lines) and, when tracing is enabled, each emits events stamped with the
 executing CPU's local clock into a bounded drop-oldest ring buffer.
 
-Three event shapes:
+Four event shapes:
 
 * **spans** — ``begin(name, cat)`` / ``end()`` bracket work whose duration
   is not known up front (a syscall handler, a softirq drain).  Spans nest
   on a stack; attribution splits each span's cycles into *self* and
-  *children*.
+  *children*, keyed by the whole span-stack tuple (computed once per
+  frame in ``begin`` from its parent's key, so ``end`` stays O(1)).
 * **complete events** — ``complete(name, cat, dur)`` records a span
   retroactively when the whole cost was charged as one quantum (a TLB
   miss, a disk request, a context switch): the span covers the ``dur``
-  cycles ending *now*.
+  cycles ending *now*, folded under the innermost open span.
 * **instants** — ``instant(name, cat)`` marks a point (a wakeup, a syslog
   line, a fault injection decision).
+* **counters** — ``counter(name, value)`` adds one point to a time series
+  (runqueue depth, TLB misses, CQ backlog) at an existing tracepoint site.
 
 SMP (docs/SMP.md): the tracer keeps one span stack, stat table, and
 window per CPU.  Emitters stamp events with ``Clock.local_now()`` on the
@@ -42,10 +45,10 @@ Two invariants the whole design hangs off:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.safety.monitor.ringbuf import LockFreeRingBuffer
-from repro.trace.attribution import Attribution, SpanStat
+from repro.trace.attribution import Attribution, SpanStat, merge_stat
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.clock import Clock
@@ -74,16 +77,16 @@ class Tracer:
         self.enabled = False
         self.ring: LockFreeRingBuffer[TraceEvent] = LockFreeRingBuffer(
             capacity, policy="drop-oldest")
-        # One timeline per CPU: frames are [name, cat, start, child].
+        # One timeline per CPU: frames are [name, cat, start, child, key],
+        # key being the span-stack tuple (outermost, ..., name).
         self._stacks: list[list[list]] = [[] for _ in range(self.ncpus)]
-        self._statsv: list[dict[str, SpanStat]] = [
+        self._statsv: list[dict[tuple[str, ...], SpanStat]] = [
             {} for _ in range(self.ncpus)]
         self._t0s: list[int] = [0] * self.ncpus
         self._t_ends: list[int | None] = [None] * self.ncpus
-        #: attached sampling profiler (repro.trace.prof); notified on
-        #: every complete event so retroactive quanta relabel the samples
-        #: that landed inside them.  None = no profiler armed.
-        self._prof = None
+        #: called at every :meth:`enable`, so per-window state kept
+        #: elsewhere (the latency tracers' open sections) restarts too.
+        self.on_enable: list[Callable[[], None]] = []
 
     # ------------------------------------------------------------ lifecycle
 
@@ -95,9 +98,11 @@ class Tracer:
             t0 = self.clock.local_now(c)
             self._t0s[c] = t0
             self._t_ends[c] = None
-            self._stacks[c] = [["(cpu)", "root", t0, 0]]
+            self._stacks[c] = [["(cpu)", "root", t0, 0, ()]]
             self._statsv[c] = {}
         self.ring = LockFreeRingBuffer(self.capacity, policy="drop-oldest")
+        for fn in self.on_enable:
+            fn()
 
     def disable(self) -> None:
         """Freeze every CPU's window; events and attribution stay readable."""
@@ -114,11 +119,11 @@ class Tracer:
     # ------------------------------------------------------------- emitters
 
     @staticmethod
-    def _accum(name: str, cat: str, total: int, self_cycles: int,
-               stats: dict[str, SpanStat]) -> None:
-        s = stats.get(name)
+    def _accum(key: tuple[str, ...], cat: str, total: int, self_cycles: int,
+               stats: dict[tuple[str, ...], SpanStat]) -> None:
+        s = stats.get(key)
         if s is None:
-            s = stats[name] = SpanStat(cat)
+            s = stats[key] = SpanStat(cat)
         s.count += 1
         s.total_cycles += total
         s.self_cycles += self_cycles
@@ -130,7 +135,8 @@ class Tracer:
             return
         cpu = self.clock.cpu
         now = self.clock.local_now()
-        self._stacks[cpu].append([name, cat, now, 0])
+        stack = self._stacks[cpu]
+        stack.append([name, cat, now, 0, stack[-1][4] + (name,)])
         self.ring.try_push((PH_BEGIN, name, cat, now, None, args or None,
                             cpu))
 
@@ -144,10 +150,10 @@ class Tracer:
         stack = self._stacks[cpu]
         if len(stack) <= 1:
             return
-        name, cat, start, child = stack.pop()
+        name, cat, start, child, key = stack.pop()
         now = self.clock.local_now()
         total = now - start
-        self._accum(name, cat, total, total - child, self._statsv[cpu])
+        self._accum(key, cat, total, total - child, self._statsv[cpu])
         stack[-1][3] += total
         self.ring.try_push((PH_END, name, cat, now, None, args or None,
                             cpu))
@@ -159,13 +165,11 @@ class Tracer:
             return
         cpu = self.clock.cpu
         now = self.clock.local_now()
-        self._accum(name, cat, dur, dur, self._statsv[cpu])
-        self._stacks[cpu][-1][3] += dur
+        parent = self._stacks[cpu][-1]
+        self._accum(parent[4] + (name,), cat, dur, dur, self._statsv[cpu])
+        parent[3] += dur
         self.ring.try_push((PH_COMPLETE, name, cat, now - dur, dur,
                             args or None, cpu))
-        prof = self._prof
-        if prof is not None:
-            prof.on_complete(cpu, name, cat, now, dur)
 
     def counter(self, name: str, value: int, cat: str = "counter") -> None:
         """Record one point of a counter track (Perfetto ``C`` event):
@@ -191,6 +195,11 @@ class Tracer:
         """Open (user-visible) span depth on the executing CPU."""
         return max(len(self._stacks[self.clock.cpu]) - 1, 0)
 
+    def stack_of(self, cpu: int) -> tuple[str, ...]:
+        """Names of the spans open on ``cpu``, outermost first."""
+        stack = self._stacks[cpu]
+        return stack[-1][4] if stack else ()
+
     def events(self) -> list[TraceEvent]:
         """Drain-free snapshot of the ring's current contents, oldest first."""
         ring = self.ring
@@ -204,7 +213,7 @@ class Tracer:
         """Cycle decomposition, computed *now*.
 
         ``cpu=None`` merges every CPU's window: windows, untraced cycles,
-        and span stats sum across CPUs (per-CPU windows partition the
+        and per-stack stats sum across CPUs (per-CPU windows partition the
         global clock delta, so the merged window equals ``Δ Clock.now``).
         ``cpu=c`` returns CPU *c*'s window alone.
 
@@ -220,17 +229,10 @@ class Tracer:
         parts = [self._attribution_cpu(c) for c in range(self.ncpus)]
         window = sum(p.window_cycles for p in parts)
         untraced = sum(p.untraced_cycles for p in parts)
-        merged: dict[str, SpanStat] = {}
+        merged: dict[tuple[str, ...], SpanStat] = {}
         for p in parts:
-            for name, s in p.spans.items():
-                m = merged.get(name)
-                if m is None:
-                    merged[name] = SpanStat(s.category, s.count,
-                                            s.total_cycles, s.self_cycles)
-                else:
-                    m.count += s.count
-                    m.total_cycles += s.total_cycles
-                    m.self_cycles += s.self_cycles
+            for key, s in p.stacks.items():
+                merge_stat(merged, key, s)
         return Attribution(window, untraced, merged)
 
     def _attribution_cpu(self, cpu: int) -> Attribution:
@@ -239,17 +241,17 @@ class Tracer:
             return Attribution(0, 0, {})
         t_end = self._t_ends[cpu]
         now = self.clock.local_now(cpu) if t_end is None else t_end
-        stats = {name: SpanStat(s.category, s.count, s.total_cycles,
-                                s.self_cycles)
-                 for name, s in self._statsv[cpu].items()}
+        stats: dict[tuple[str, ...], SpanStat] = {}
+        for key, s in self._statsv[cpu].items():
+            merge_stat(stats, key, s)
         # Virtually close open frames from the innermost outwards: each
         # open frame's total is (now - start); its self time excludes both
         # its closed children (frame[3]) and its one open child (the frame
         # above it on the stack).
         open_child_total = 0
-        for name, cat, start, child in reversed(stack[1:]):
+        for _, cat, start, child, key in reversed(stack[1:]):
             total = now - start
-            self._accum(name, cat, total, total - child - open_child_total,
+            self._accum(key, cat, total, total - child - open_child_total,
                         stats)
             open_child_total = total
         window = now - self._t0s[cpu]

@@ -74,19 +74,22 @@ def test_prof_report_renders_tracers_and_stacks():
     from repro.kernel.fs import RamfsSuperBlock
     from repro.kernel.vfs.file import O_CREAT, O_RDWR
 
-    k = Kernel(profile=True)
-    k.prof.period = 1_000
-    k.prof.enable()
+    k = Kernel()
+    k.trace.enable()
     k.mount_root(RamfsSuperBlock(k))
     k.spawn("t0")
     fd = k.sys.open("/f", O_CREAT | O_RDWR)
     for _ in range(10):
         k.sys.write(fd, b"x" * 500)
     k.sys.close(fd)
-    out = prof_report(k.prof)
+    out = prof_report(k)
     assert "== profile:" in out
-    assert "named-span fraction" in out
-    assert "hottest stacks" in out and "syscall:" in out
+    assert "category shares" in out and "boundary" in out
+    # hottest stacks are the exact folded stacks, parent;child
+    hottest = max(k.trace.attribution().folded().items(),
+                  key=lambda kv: kv[1])
+    assert "hottest stacks" in out and hottest[0] in out
+    assert "syscall:write;syscall:boundary" in out
     assert "wakeup latency" in out and "preemptoff" in out
     assert "syscall latency (cycles):" in out and "write" in out
 
@@ -94,5 +97,5 @@ def test_prof_report_renders_tracers_and_stacks():
 def test_prof_report_on_empty_profiler():
     from repro.kernel.core import Kernel
 
-    out = prof_report(Kernel().prof)
-    assert "no samples" in out
+    out = prof_report(Kernel())
+    assert "empty window" in out
