@@ -170,6 +170,11 @@ class SocketInode(Inode):
                     else:
                         self.rx[0] = chunk[take:]
                 self.rx_bytes -= len(out)
+        rcvbuf = self.rcvbuf
+        if (rcvbuf is not None and self.peer is not None
+                and self.rx_bytes < rcvbuf <= self.rx_bytes + len(out)):
+            # a full buffer got room: the writer's EPOLLOUT rose
+            self.peer.wq.notify_polls()
         self.bytes_received += len(out)
         self._charge(len(out))
         return bytes(out)
@@ -208,6 +213,9 @@ class SocketInode(Inode):
         self.rd_closed = True
         self.wr_closed = True
         self.state = SockState.CLOSED
+        # EPOLLIN|EPOLLHUP rose with no packet: the next epoll_wait meets
+        # each registration closed without EPOLL_CTL_DEL once, and drops it
+        self.wq.notify_polls()
         kernel = self.sb.kernel
         kernel.log_event(self, EV_SOCK_CLOSE, site)
         stack = self.sb.stack

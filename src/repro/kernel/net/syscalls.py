@@ -305,6 +305,7 @@ class SocketLayer:
         self._charge_op()
         if how in (SHUT_RD, SHUT_RDWR):
             sock.rd_closed = True
+            sock.wq.notify_polls()      # EPOLLIN (EOF) rose; no packet did
         if how in (SHUT_WR, SHUT_RDWR) and not sock.wr_closed:
             sock.wr_closed = True
             self.send_fin(sock)
@@ -418,9 +419,9 @@ class SocketLayer:
             raise_errno(EOPNOTSUPP, f"fd {fd} is not pollable")
         self.kernel.clock.charge(self.kernel.costs.epoll_op, Mode.SYSTEM)
         if op == EPOLL_CTL_ADD:
-            ep.ctl_add(fd, mask, ino=inode.ino)
+            ep.ctl_add(fd, mask, inode)
         elif op == EPOLL_CTL_MOD:
-            ep.ctl_mod(fd, mask, ino=inode.ino)
+            ep.ctl_mod(fd, mask, inode)
         elif op == EPOLL_CTL_DEL:
             ep.ctl_del(fd)
         else:

@@ -50,7 +50,15 @@ class WaitQueue:
     back (two context switches plus the TLB refill) — and the caller
     re-checks its wake condition in a loop, exactly like the kernel's
     ``wait_event`` macro re-tests its expression after every wakeup.
+
+    Poll entries are epoll's ``ep_poll_callback``: each is a
+    ``(ready_set, fd)`` pair, and every wakeup adds ``fd`` to its
+    ``ready_set``.  That is free in simulated cycles, like the wakeup.
     """
+
+    #: poll entries; a queue gets its own list on its first entry, so
+    #: the many queues nobody polls carry none
+    polls: list[tuple[set[int], int]] | None = None
 
     def __init__(self, kernel: "Kernel", name: str = "?"):
         self.kernel = kernel
@@ -88,9 +96,28 @@ class WaitQueue:
     def wake_all(self, site: str = "?") -> None:
         """Mark the queue's condition changed (wake_up_interruptible)."""
         self.wakeups += 1
+        if self.polls:
+            self.notify_polls()
         tracer = self.kernel.trace
         if tracer.enabled:
             tracer.instant("sched:wakeup", "sched", wq=self.name, site=site)
+
+    def notify_polls(self) -> None:
+        """Feed the poll entries only, for a readiness change no sleeper
+        waits on (the owner's shutdown or close, room in a full peer
+        buffer): no wakeup is counted or traced."""
+        for ready, fd in self.polls or ():
+            ready.add(fd)
+
+    def add_poll(self, ready: set[int], fd: int) -> None:
+        if self.polls is None:
+            self.polls = []
+        self.polls.append((ready, fd))
+
+    def remove_poll(self, ready: set[int], fd: int) -> None:
+        # match the set by identity: two epolls' ready sets may be equal
+        self.polls = [(r, f) for r, f in self.polls or ()
+                      if r is not ready or f != fd]
 
 
 class Scheduler:

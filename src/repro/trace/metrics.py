@@ -132,14 +132,19 @@ class Histogram:
         self.buckets: dict[int, int] = {}
 
     def observe(self, value: int) -> None:
+        # Hot: every scheduling delay and, traced, every preemption
+        # point.  Compare-and-assign beats the min()/max() builtins.
         if value < 0:
             raise ValueError(f"negative observation: {value}")
         self.count += 1
         self.sum += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = max(self.max, value)
+        if self.min is None or value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+        buckets = self.buckets
         b = int(value).bit_length()
-        self.buckets[b] = self.buckets.get(b, 0) + 1
+        buckets[b] = buckets.get(b, 0) + 1
 
     @property
     def mean(self) -> float:

@@ -8,10 +8,10 @@ from repro.errors import (EADDRINUSE, EAGAIN, ECONNREFUSED, ECONNRESET,
 from repro.kernel import Kernel
 from repro.kernel.fs import RamfsSuperBlock
 from repro.kernel.interrupts import TimerInterrupt
-from repro.kernel.net import (EPOLL_CTL_ADD, EPOLL_CTL_DEL, EPOLLHUP,
-                              EPOLLIN, EV_SOCK_ACCEPT, EV_SOCK_CLOSE,
-                              EV_SOCK_DROP, MTU, SHUT_WR, SocketLayer,
-                              SockState)
+from repro.kernel.net import (EPOLL_CTL_ADD, EPOLL_CTL_DEL, EPOLL_CTL_MOD,
+                              EPOLLHUP, EPOLLIN, EPOLLOUT, EV_SOCK_ACCEPT,
+                              EV_SOCK_CLOSE, EV_SOCK_DROP, MTU, SHUT_RD,
+                              SHUT_WR, SocketLayer, SockState)
 from repro.kernel.vfs import O_CREAT, O_WRONLY
 from repro.safety.monitor import EventDispatcher, SocketMonitor
 
@@ -348,6 +348,58 @@ def test_epoll_del_and_closed_fd_forgotten(k, stack):
     assert k.sys.epoll_wait(epfd, timeout=0) == []
     with pytest.raises(Errno):             # double-del
         k.sys.epoll_ctl(epfd, EPOLL_CTL_DEL, conn, 0)
+
+
+def test_epoll_reports_shut_rd(k, stack):
+    """shutdown(SHUT_RD) makes a socket readable (EOF) without a packet."""
+    lfd, cfd, conn = _connected_pair(k)
+    epfd = k.sys.epoll_create()
+    k.sys.epoll_ctl(epfd, EPOLL_CTL_ADD, conn, EPOLLIN)
+    assert k.sys.epoll_wait(epfd, timeout=0) == []
+    k.sys.shutdown(conn, SHUT_RD)
+    assert k.sys.epoll_wait(epfd, timeout=0) == [(conn, EPOLLIN)]
+
+
+def test_epoll_mod_admits_readiness_already_present(k, stack):
+    lfd, cfd, conn = _connected_pair(k)
+    epfd = k.sys.epoll_create()
+    k.sys.epoll_ctl(epfd, EPOLL_CTL_ADD, conn, EPOLLIN)
+    assert k.sys.epoll_wait(epfd, timeout=0) == []  # writable, not wanted
+    k.sys.epoll_ctl(epfd, EPOLL_CTL_MOD, conn, EPOLLIN | EPOLLOUT)
+    assert k.sys.epoll_wait(epfd, timeout=0) == [(conn, EPOLLOUT)]
+
+
+def test_epoll_reports_epollout_once_peer_drains_full_buffer(k):
+    """A reader making room in its full receive buffer raises the
+    writer's EPOLLOUT; no packet announces it."""
+    SocketLayer(k, default_rcvbuf=8)
+    lfd, cfd, conn = _connected_pair(k)
+    epfd = k.sys.epoll_create()
+    k.sys.epoll_ctl(epfd, EPOLL_CTL_ADD, conn, EPOLLOUT)
+    k.sys.write(conn, b"x" * 8)             # the client's buffer is full
+    assert k.sys.epoll_wait(epfd, timeout=0) == []
+    assert k.sys.read(cfd, 3) == b"xxx"
+    assert k.sys.epoll_wait(epfd, timeout=0) == [(conn, EPOLLOUT)]
+
+
+def test_closing_epoll_fd_removes_only_its_poll_entries(k, stack):
+    lfd, cfd, conn = _connected_pair(k)
+    socks = [k.current.fds[fd].inode for fd in (lfd, cfd, conn)]
+    ep1, ep2 = k.sys.epoll_create(), k.sys.epoll_create()
+    for ep in (ep1, ep2):
+        for fd in (lfd, cfd, conn):
+            k.sys.epoll_ctl(ep, EPOLL_CTL_ADD, fd, EPOLLIN)
+        assert k.sys.epoll_wait(ep, timeout=0) == []
+    k.sys.close(cfd)                        # registered, closed without DEL
+    # both ready lists now hold the same fds: closing ep2 must still take
+    # off ep2's entries, not ep1's
+    k.sys.close(ep2)
+    assert [len(s.wq.polls) for s in socks] == [1, 1, 1]
+    k.sys.connect(k.sys.socket(blocking=False), 80)
+    assert k.sys.epoll_wait(ep1, timeout=0) == [(lfd, EPOLLIN),
+                                                (conn, EPOLLIN | EPOLLHUP)]
+    k.sys.close(ep1)
+    assert not any(s.wq.polls for s in socks)
 
 
 def test_epoll_wait_blocking_deadlock_detected(k, stack):

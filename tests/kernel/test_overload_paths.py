@@ -157,6 +157,7 @@ def test_epoll_ignores_reused_descriptor_after_close_without_del(k, stack):
     lfd, cfd, conn = _connected_pair(k)
     epfd = k.sys.epoll_create()
     k.sys.epoll_ctl(epfd, EPOLL_CTL_ADD, conn, EPOLLIN)
+    assert k.sys.epoll_wait(epfd, timeout=0) == []  # idle: off the ready list
     # allocate the second client while `conn` still holds its descriptor,
     # so the accepted child (not the client) lands on the freed number
     cfd2 = k.sys.socket(blocking=False)

@@ -426,6 +426,30 @@ def test_epoll_reports_ring_readiness(k, stack, layer):
     assert k.sys.epoll_wait(epfd, timeout=0) == []  # harvested: idle
 
 
+def test_epoll_ring_poll_readies_a_later_fd_in_the_same_wait(k, stack,
+                                                             layer):
+    """Polling the ring completes its armed RECV, whose linked SEND makes
+    a socket registered after the ring readable: one epoll_wait reports
+    both, as a scan of the whole interest set would."""
+    lfd, cfd, conn = _connected_pair(k)
+    fd, q = _queue(k)
+    epfd = k.sys.epoll_create()
+    k.sys.epoll_ctl(epfd, EPOLL_CTL_ADD, fd, EPOLLIN)
+    k.sys.epoll_ctl(epfd, EPOLL_CTL_ADD, cfd, EPOLLIN)
+    buf = q.alloc(16)
+    pong = q.place(b"pong")
+    q.prep(Sqe(OP_RECV, flags=F_LINK, fd=conn, addr=buf, len=16,
+               user_data=1))
+    q.prep(Sqe(OP_SEND, fd=conn, addr=pong, len=4, user_data=2))
+    q.submit()
+    assert k.sys.epoll_wait(epfd, timeout=0) == []  # armed, not ready
+    k.sys.write(cfd, b"ping")
+    assert k.sys.epoll_wait(epfd, timeout=0) == [(fd, EPOLLIN),
+                                                 (cfd, EPOLLIN)]
+    assert [c.res for c in q.harvest()] == [4, 4]
+    assert k.sys.read(cfd, 16) == b"pong"
+
+
 def test_epoll_uring_fd_reuse_after_close_without_del(k, stack, layer):
     """PR-6 regression, uring edition: close a registered ring fd
     *without* EPOLL_CTL_DEL, let the fd number be reused by a fresh

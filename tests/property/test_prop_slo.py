@@ -6,8 +6,11 @@ Whatever the observation stream, the estimate must be monotone in the
 requested percentile, bracketed by the exact min/max the histogram
 tracked, and *exact* when the distribution is degenerate (one distinct
 value) — those three properties are what make sched-delay p50/p99
-comparisons across tenants meaningful.
+comparisons across tenants meaningful.  Underneath, the histogram's
+own summary must equal one computed from the raw observations.
 """
+
+from collections import Counter
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,6 +27,18 @@ def filled(values) -> Histogram:
     for v in values:
         h.observe(v)
     return h
+
+
+@given(st.lists(st.integers(min_value=0, max_value=1 << 40), max_size=300))
+def test_snapshot_matches_raw_values(values):
+    n = len(values)
+    assert filled(values).snapshot() == {
+        "count": n, "sum": sum(values),
+        "min": min(values) if values else None,
+        "max": max(values, default=0),
+        "mean": sum(values) / n if n else 0.0,
+        "buckets": dict(sorted(Counter(v.bit_length()
+                                       for v in values).items()))}
 
 
 @given(observations,

@@ -13,9 +13,11 @@ Usage::
     python tools/bench_diff.py OLD.json NEW.json [--threshold PCT]
                                [--strict] [--all]
 
-* default is **warn-only**: regressions print but the exit status stays
-  0, so the CI bench-smoke gate accumulates a trajectory without going
-  red on noise (``--strict`` exits 1 on any flagged regression);
+* by default regressions only print and the exit status stays 0;
+  ``--strict`` exits 1 on any flagged regression.  CI runs
+  ``--threshold 0 --strict`` against the committed BENCH_NET.json and
+  BENCH_SCALE.json: their named series are simulated cycles, which
+  regenerate exactly, so any rise is real;
 * ``--all`` also prints improvements and unflagged drifts;
 * a missing/empty OLD file (first run, new series) is a clean pass.
 
