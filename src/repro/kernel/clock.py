@@ -45,6 +45,12 @@ class Mode(enum.Enum):
     IOWAIT = "iowait"    # cycles the CPU idles waiting for the disk
 
 
+# Hot paths compare modes against these module globals: reading a member
+# through the class (``Mode.SYSTEM``) goes through ``EnumType.__getattr__``
+# on CPython 3.11, about ten times the cost of a global load (docs/PERF.md).
+USER, SYSTEM, IOWAIT = Mode.USER, Mode.SYSTEM, Mode.IOWAIT
+
+
 @dataclass
 class ClockSnapshot:
     """Immutable copy of the clock's counters, for interval measurements."""
@@ -109,14 +115,14 @@ class Clock:
         if cycles < 0:
             raise ValueError(f"negative charge: {cycles}")
         m = mode or self._mode_stack[-1]
-        if m is Mode.USER:
-            self.user += cycles
-            if self._pc_user is not None:
-                self._pc_user[self.cpu] += cycles
-        elif m is Mode.SYSTEM:
+        if m is SYSTEM:
             self.system += cycles
             if self._pc_system is not None:
                 self._pc_system[self.cpu] += cycles
+        elif m is USER:
+            self.user += cycles
+            if self._pc_user is not None:
+                self._pc_user[self.cpu] += cycles
         else:
             self.iowait += cycles
             if self._pc_iowait is not None:

@@ -37,7 +37,10 @@ class IrqController:
     Interrupt state is architecturally *per-CPU* (the eflags IF bit): on
     an SMP kernel the nesting depth is a per-CPU array indexed by the
     executing CPU, so cpu1 disabling interrupts leaves cpu0's enabled.
-    Single-CPU kernels keep the original scalar depth.
+    Single-CPU kernels keep the original scalar depth.  A kernel has one
+    controller, ``kernel.irq``, which devices share: a second one would
+    split one CPU's depth in two, and the irqsoff tracer would end the
+    outermost section at an inner one's enable.
     """
 
     def __init__(self, kernel: "Kernel", *, instrumented: bool = False):
@@ -60,51 +63,48 @@ class IrqController:
         return self.disable_depth == 0
 
     def local_irq_disable(self, site: str = "?") -> None:
-        self.kernel.clock.charge(IRQ_TOGGLE_COST, Mode.SYSTEM)
-        if self._depths is None:
-            self._depth += 1
-            depth = self._depth
+        kernel = self.kernel
+        clock = kernel.clock
+        clock.charge_system(IRQ_TOGGLE_COST)
+        depths = self._depths
+        if depths is None:
+            self._depth = depth = self._depth + 1
         else:
-            cpu = self.kernel.clock.cpu
-            self._depths[cpu] += 1
-            depth = self._depths[cpu]
-        if depth == 1:
+            cpu = clock.cpu
+            depths[cpu] = depth = depths[cpu] + 1
+        if depth == 1 and kernel.trace.enabled:
             # irqsoff tracer: the section starts at the 0->1 transition.
-            kernel = self.kernel
-            if kernel.trace.enabled:
-                clock = kernel.clock
-                kernel.prof.irq_disabled(clock.cpu, clock.local_now())
+            kernel.prof.irq_disabled(clock.cpu, clock.local_now())
         self.toggles += 1
-        ld = getattr(self.kernel, "lockdep", None)
+        ld = kernel.lockdep
         if ld is not None:
             ld.irq_disable()
         if self.instrumented:
-            self.kernel.log_event(self, EV_IRQ_DISABLE, site)
+            kernel.log_event(self, EV_IRQ_DISABLE, site)
 
     def local_irq_enable(self, site: str = "?") -> None:
-        if self.disable_depth == 0:
+        kernel = self.kernel
+        clock = kernel.clock
+        depths = self._depths
+        depth = self._depth if depths is None else depths[clock.cpu]
+        if depth == 0:
             raise InvariantViolation(
                 "irq-balanced", f"enable with interrupts already on (at {site})")
-        self.kernel.clock.charge(IRQ_TOGGLE_COST, Mode.SYSTEM)
-        if self._depths is None:
-            self._depth -= 1
-            depth = self._depth
+        clock.charge_system(IRQ_TOGGLE_COST)
+        depth -= 1
+        if depths is None:
+            self._depth = depth
         else:
-            cpu = self.kernel.clock.cpu
-            self._depths[cpu] -= 1
-            depth = self._depths[cpu]
-        if depth == 0:
+            depths[clock.cpu] = depth
+        if depth == 0 and kernel.trace.enabled:
             # irqsoff tracer: the section ends at the 1->0 transition.
-            kernel = self.kernel
-            if kernel.trace.enabled:
-                clock = kernel.clock
-                kernel.prof.irq_enabled(clock.cpu, clock.local_now())
+            kernel.prof.irq_enabled(clock.cpu, clock.local_now())
         self.toggles += 1
-        ld = getattr(self.kernel, "lockdep", None)
+        ld = kernel.lockdep
         if ld is not None:
             ld.irq_enable()
         if self.instrumented:
-            self.kernel.log_event(self, EV_IRQ_ENABLE, site)
+            kernel.log_event(self, EV_IRQ_ENABLE, site)
 
     class _Guard:
         def __init__(self, ctl: "IrqController", site: str):

@@ -62,13 +62,14 @@ class SpinLock:
         self.instrumented = instrumented or getattr(
             kernel, "instrument_all_locks", False)
         self.charged = charge
+        #: only an SMP kernel can contend across CPUs; its CPU count is
+        #: fixed at boot
+        self._smp = getattr(kernel, "ncpus", 1) > 1
         self.held = False
         self.holder_pid: int | None = None
-        self.holder_cpu: int | None = None
         self.acquisitions = 0
         self.contentions = 0
         self.contention_cycles = 0
-        self._acquired_at = 0
         self._acquired_local = 0
         self._last_unlock_cpu: int | None = None
         self._last_unlock_local = 0
@@ -90,25 +91,26 @@ class SpinLock:
                 "spinlock-no-recursion",
                 f"'{self.name}' re-acquired while held (at {site})",
             )
-        ld = getattr(self.kernel, "lockdep", None)
+        kernel = self.kernel
+        ld = kernel.lockdep
         if ld is not None:
             ld.acquire(self, "spin", site, subclass=subclass)
-        clock = self.kernel.clock
+        clock = kernel.clock
         if self.charged:
-            if self.kernel.faults.should_fail(
+            faults = kernel.faults
+            if faults.enabled and faults.should_fail(
                     "lock.acquire", self.name) is not None:
                 # Injected contention: another CPU "held" the lock, so this
                 # acquisition spins for a schedule-away-and-back round trip.
                 self.contentions += 1
-                spin = 2 * self.kernel.costs.context_switch
+                spin = 2 * kernel.costs.context_switch
                 self.contention_cycles += spin
                 clock.charge(spin)
-                tracer = self.kernel.trace
+                tracer = kernel.trace
                 if tracer.enabled:
                     tracer.complete("lock:contention", "lock", spin,
                                     lock=self.name, site=site)
-            if getattr(self.kernel, "ncpus", 1) > 1 and \
-                    self._last_unlock_cpu is not None and \
+            if self._smp and self._last_unlock_cpu is not None and \
                     self._last_unlock_cpu != clock.cpu:
                 # Cross-CPU contention: the previous holder ran on another
                 # CPU and, on the wall clock, had not yet released the lock
@@ -119,28 +121,27 @@ class SpinLock:
                 # cooperative schedule.
                 wait = self._last_unlock_local - clock.local_now()
                 if wait > 0:
-                    hold = max(self._last_hold_cycles,
-                               self.kernel.costs.spinlock_pair)
-                    spin = min(wait, hold,
-                               self.kernel.costs.spinlock_contend_cap)
+                    costs = kernel.costs
+                    hold = max(self._last_hold_cycles, costs.spinlock_pair)
+                    spin = min(wait, hold, costs.spinlock_contend_cap)
                     self.contentions += 1
                     self.contention_cycles += spin
                     clock.charge(spin)
-                    tracer = self.kernel.trace
+                    tracer = kernel.trace
                     if tracer.enabled:
                         tracer.complete(
                             "lock:contention", "lock", spin, lock=self.name,
                             site=site, cpu=clock.cpu,
                             holder_cpu=self._last_unlock_cpu)
-            clock.charge(self.kernel.costs.spinlock_pair // 2)
+            clock.charge(kernel.costs.spinlock_pair // 2)
         self.held = True
-        self.holder_pid = self.kernel.current.pid if self.kernel.current else None
-        self.holder_cpu = clock.cpu
+        task = kernel.sched.cpus[clock.cpu].current
+        self.holder_pid = task.pid if task is not None else None
         self.acquisitions += 1
-        self._acquired_at = clock.now
-        self._acquired_local = clock.local_now()
+        if self._smp:
+            self._acquired_local = clock.local_now()
         if self.instrumented:
-            self.kernel.log_event(self, EV_LOCK, site)
+            kernel.log_event(self, EV_LOCK, site)
 
     def unlock(self, site: str = "?", *, subclass: int = 0) -> None:
         if not self.held:
@@ -148,23 +149,22 @@ class SpinLock:
                 "spinlock-balanced",
                 f"'{self.name}' released while not held (at {site})",
             )
-        ld = getattr(self.kernel, "lockdep", None)
+        kernel = self.kernel
+        ld = kernel.lockdep
         if ld is not None:
             ld.release(self, "spin", site, subclass=subclass)
-        clock = self.kernel.clock
         if self.charged:
-            clock.charge(self.kernel.costs.spinlock_pair -
-                         self.kernel.costs.spinlock_pair // 2)
-            if getattr(self.kernel, "ncpus", 1) > 1:
+            clock = kernel.clock
+            pair = kernel.costs.spinlock_pair
+            clock.charge(pair - pair // 2)
+            if self._smp:
                 self._last_unlock_cpu = clock.cpu
-                self._last_unlock_local = clock.local_now()
-                self._last_hold_cycles = max(
-                    0, self._last_unlock_local - self._acquired_local)
+                self._last_unlock_local = now = clock.local_now()
+                self._last_hold_cycles = max(0, now - self._acquired_local)
         self.held = False
         self.holder_pid = None
-        self.holder_cpu = None
         if self.instrumented:
-            self.kernel.log_event(self, EV_UNLOCK, site)
+            kernel.log_event(self, EV_UNLOCK, site)
 
     class _Guard:
         def __init__(self, lk: "SpinLock", site: str, subclass: int = 0):
@@ -181,6 +181,36 @@ class SpinLock:
     def guard(self, site: str = "?", *, subclass: int = 0) -> "_Guard":
         """``with lock.guard(site):`` — exception-safe lock/unlock pair."""
         return SpinLock._Guard(self, site, subclass)
+
+    class _IrqSave:
+        def __init__(self, lk: "SpinLock", site: str):
+            self._lk, self._site = lk, site
+
+        def __enter__(self):
+            lk, site = self._lk, self._site
+            irq = lk.kernel.irq
+            irq.local_irq_disable(site)
+            try:
+                lk.lock(site)
+            except BaseException:
+                irq.local_irq_enable(site)
+                raise
+            return lk
+
+        def __exit__(self, *exc):
+            lk, site = self._lk, self._site
+            try:
+                lk.unlock(site)
+            finally:
+                lk.kernel.irq.local_irq_enable(site)
+            return False
+
+    def irqsave(self, site: str = "?") -> "_IrqSave":
+        """``with lock.irqsave(site):`` — ``spin_lock_irqsave`` /
+        ``spin_unlock_irqrestore``: disable interrupts on ``kernel.irq``,
+        then lock; unlock, then restore.  The idiom for locks an interrupt
+        handler also takes (docs/LOCKDEP.md)."""
+        return SpinLock._IrqSave(self, site)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SpinLock({self.name!r}, held={self.held}, hits={self.acquisitions})"

@@ -42,8 +42,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.kernel.clock import Mode
-from repro.kernel.interrupts import IRQ_DISPATCH_COST, IrqController
+from repro.kernel.interrupts import IRQ_DISPATCH_COST
 from repro.kernel.locks import SpinLock
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -87,10 +86,12 @@ class Nic:
         self.rx_slots = rx_slots
         self.deliver = deliver
         self.nqueues = queues
-        self.irq = IrqController(kernel)
+        #: the CPU's interrupt state is the kernel's: a device has no
+        #: controller of its own
+        self.irq = kernel.irq
         #: guards all descriptor rings.  Taken by the hardware interrupt,
-        #: so every acquisition is irqsave (inside ``irq.irqs_off``) — the
-        #: lockdep irq-safety discipline for driver locks.  Never held
+        #: so every acquisition is ``lock.irqsave`` — the lockdep
+        #: irq-safety discipline for driver locks.  Never held
         #: across ``stack.deliver``/``drop_packet``, which can transmit.
         #: On SMP kernels this is the lock cross-CPU softirq drains
         #: genuinely contend on (lockprof's ``contention_cycles``).
@@ -173,7 +174,7 @@ class Nic:
         """
         costs = self.kernel.costs
         tx_cycles = costs.nic_tx_per_packet + int(len(pkt) * costs.net_per_byte)
-        self.kernel.clock.charge(tx_cycles, Mode.SYSTEM)
+        self.kernel.clock.charge_system(tx_cycles)
         tracer = self.kernel.trace
         if tracer.enabled:
             tracer.complete("net:tx", "net", tx_cycles, kind=pkt.kind,
@@ -181,13 +182,12 @@ class Nic:
         if self.kernel.faults.should_fail("net.tx", site) is not None:
             self.stack.drop_packet(pkt, f"net.tx@{site}")
             return False
-        with self.irq.irqs_off("nic:tx"):
-            with self.lock.guard("nic:tx"):
-                overflow = len(self.tx_ring) >= self.tx_slots
-                if not overflow:
-                    self.tx_ring.append(pkt)
-                    self._c_tx_packets.inc()
-                    self._c_tx_bytes.inc(len(pkt))
+        with self.lock.irqsave("nic:tx"):
+            overflow = len(self.tx_ring) >= self.tx_slots
+            if not overflow:
+                self.tx_ring.append(pkt)
+                self._c_tx_packets.inc()
+                self._c_tx_bytes.inc(len(pkt))
         if overflow:
             self.stack.drop_packet(pkt, "tx-ring-overflow")
             return False
@@ -224,7 +224,7 @@ class Nic:
                     # Hardware interrupt: the "wire" steers TX descriptors
                     # onto the receive rings with interrupts disabled.
                     self._c_interrupts.inc()
-                    clock.charge(IRQ_DISPATCH_COST, Mode.SYSTEM)
+                    clock.charge_system(IRQ_DISPATCH_COST)
                     if tracer.enabled:
                         tracer.complete("net:hardirq", "net",
                                         IRQ_DISPATCH_COST,
@@ -233,20 +233,18 @@ class Nic:
                         ld.hardirq_enter()
                     try:
                         overflowed: list[Packet] = []
-                        with self.irq.irqs_off("nic:hardirq"):
-                            with self.lock.guard("nic:hardirq"):
-                                while self.tx_ring:
-                                    pkt = self.tx_ring.popleft()
-                                    ring = self.rx_rings[self._queue_for(pkt)]
-                                    if len(ring) >= self.rx_slots:
-                                        overflowed.append(pkt)
-                                        continue
-                                    ring.append(pkt)
-                            # Still at interrupt time, but the ring lock is
-                            # dropped: drop_packet touches socket state.
-                            for pkt in overflowed:
-                                self.stack.drop_packet(pkt,
-                                                       "rx-ring-overflow")
+                        with self.lock.irqsave("nic:hardirq"):
+                            while self.tx_ring:
+                                pkt = self.tx_ring.popleft()
+                                ring = self.rx_rings[self._queue_for(pkt)]
+                                if len(ring) >= self.rx_slots:
+                                    overflowed.append(pkt)
+                                    continue
+                                ring.append(pkt)
+                        # Still at interrupt time, but after the irqsave
+                        # section: drop_packet touches socket state.
+                        for pkt in overflowed:
+                            self.stack.drop_packet(pkt, "rx-ring-overflow")
                     finally:
                         if ld is not None:
                             ld.hardirq_exit()
@@ -280,14 +278,13 @@ class Nic:
             ld.softirq_enter()
         try:
             if ring:
-                clock.charge(costs.softirq_entry, Mode.SYSTEM)
+                clock.charge_system(costs.softirq_entry)
             while True:
-                with self.irq.irqs_off("nic:softirq"):
-                    with self.lock.guard("nic:softirq"):
-                        pkt = ring.popleft() if ring else None
+                with self.lock.irqsave("nic:softirq"):
+                    pkt = ring.popleft() if ring else None
                 if pkt is None:
                     break
-                clock.charge(costs.nic_rx_per_packet, Mode.SYSTEM)
+                clock.charge_system(costs.nic_rx_per_packet)
                 if self.kernel.faults.should_fail(
                         "net.rx", pkt.kind) is not None:
                     self.stack.drop_packet(pkt, f"net.rx@{pkt.kind}")

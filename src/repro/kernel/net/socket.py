@@ -23,7 +23,6 @@ from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.errors import ECONNRESET, EINVAL, EPIPE, ENOTCONN, raise_errno
-from repro.kernel.clock import Mode
 from repro.kernel.locks import SpinLock
 from repro.kernel.sched import WaitQueue
 from repro.kernel.vfs.inode import Inode
@@ -95,8 +94,8 @@ class SocketInode(Inode):
         self.wq = WaitQueue(sb.kernel, f"sock:{self.ino}")
         #: guards the receive and accept queues.  Written from softirq
         #: delivery and read from process context, so every acquisition is
-        #: irqsave (``kernel.irq.irqs_off``) — never held across anything
-        #: that can transmit or sleep.
+        #: ``rxq_lock.irqsave`` — never held across anything that can
+        #: transmit or sleep.
         self.rxq_lock = SpinLock(sb.kernel, "sock_rxq")
 
     # ------------------------------------------------------------ plumbing
@@ -120,9 +119,8 @@ class SocketInode(Inode):
 
     def _charge(self, nbytes: int) -> None:
         costs = self.sb.kernel.costs
-        self.sb.kernel.clock.charge(
-            costs.sock_op + int(nbytes * costs.sock_copy_per_byte),
-            Mode.SYSTEM)
+        self.sb.kernel.clock.charge_system(
+            costs.sock_op + int(nbytes * costs.sock_copy_per_byte))
 
     # ----------------------------------------------------------- readiness
 
@@ -158,18 +156,16 @@ class SocketInode(Inode):
             if self.reset:
                 raise_errno(ECONNRESET, "connection reset while blocked")
         out = bytearray()
-        kernel = self.sb.kernel
-        with kernel.irq.irqs_off("sock:read"):
-            with self.rxq_lock.guard("sock:read"):
-                while self.rx and len(out) < size:
-                    chunk = self.rx[0]
-                    take = min(len(chunk), size - len(out))
-                    out += chunk[:take]
-                    if take == len(chunk):
-                        self.rx.popleft()
-                    else:
-                        self.rx[0] = chunk[take:]
-                self.rx_bytes -= len(out)
+        with self.rxq_lock.irqsave("sock:read"):
+            while self.rx and len(out) < size:
+                chunk = self.rx[0]
+                take = min(len(chunk), size - len(out))
+                out += chunk[:take]
+                if take == len(chunk):
+                    self.rx.popleft()
+                else:
+                    self.rx[0] = chunk[take:]
+            self.rx_bytes -= len(out)
         rcvbuf = self.rcvbuf
         if (rcvbuf is not None and self.peer is not None
                 and self.rx_bytes < rcvbuf <= self.rx_bytes + len(out)):
@@ -225,10 +221,9 @@ class SocketInode(Inode):
             stack.release_port(self.port, self)
         # Detach the backlog under the queue lock, then tear the children
         # down with it dropped (teardown transmits FIN/RST packets).
-        with kernel.irq.irqs_off("sock:close"):
-            with self.rxq_lock.guard("sock:close"):
-                pending = list(self.accept_queue)
-                self.accept_queue.clear()
+        with self.rxq_lock.irqsave("sock:close"):
+            pending = list(self.accept_queue)
+            self.accept_queue.clear()
         for child in pending:
             # connections completed but never accepted are reset AND
             # closed: no fd will ever reference them, so leaving the

@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING
 from repro.errors import (EAGAIN, EADDRINUSE, ECONNREFUSED, ECONNRESET,
                           EDEADLK, EINVAL, EISCONN, ENOTCONN, EOPNOTSUPP,
                           Errno, raise_errno)
-from repro.kernel.clock import Mode
 from repro.kernel.net.epoll import (EPOLL_CTL_ADD, EPOLL_CTL_DEL,
                                     EPOLL_CTL_MOD, EPOLLIN, EVENT_BYTES,
                                     EpollInode)
@@ -181,7 +180,7 @@ class SocketLayer:
             File(Dentry(f"sock:{sock.ino}", None, sock), O_RDWR))
 
     def _charge_op(self) -> None:
-        self.kernel.clock.charge(self.kernel.costs.sock_op, Mode.SYSTEM)
+        self.kernel.clock.charge_system(self.kernel.costs.sock_op)
 
     # ---------------------------------------------------- socket creation
 
@@ -276,9 +275,8 @@ class SocketLayer:
             if not self.nic.kick():
                 raise_errno(EDEADLK,
                             "blocking accept with no connection in flight")
-        with self.kernel.irq.irqs_off("sock:accept"):
-            with listener.rxq_lock.guard("sock:accept"):
-                child = listener.accept_queue.popleft()
+        with listener.rxq_lock.irqsave("sock:accept"):
+            child = listener.accept_queue.popleft()
         self._charge_op()
         try:
             child_fd = self._alloc_sock_fd(child)
@@ -358,8 +356,8 @@ class SocketLayer:
                                 "TX ring full on non-blocking socket")
             self.kernel.sched.maybe_preempt()
             # in-kernel handoff: page-cache pages feed the socket directly
-            self.kernel.clock.charge(
-                self.kernel.costs.memcpy_cost(len(chunk)), Mode.SYSTEM)
+            self.kernel.clock.charge_system(
+                self.kernel.costs.memcpy_cost(len(chunk)))
             dst_inode.write(0, chunk)
             pos += len(chunk)
             sent += len(chunk)
@@ -382,8 +380,8 @@ class SocketLayer:
         sys = self.kernel.sys
         fdset_bytes = (nfds + 7) // 8
         sys.ucopy.charge_from_user(3 * fdset_bytes)  # read/write/except sets
-        self.kernel.clock.charge(nfds * self.kernel.costs.select_per_fd,
-                                 Mode.SYSTEM)
+        self.kernel.clock.charge_system(
+            nfds * self.kernel.costs.select_per_fd)
         self.nic.kick()
         task = self.kernel.current
         ready: list[int] = []
@@ -401,7 +399,7 @@ class SocketLayer:
         return ready
 
     def do_epoll_create(self) -> int:
-        self.kernel.clock.charge(self.kernel.costs.epoll_op, Mode.SYSTEM)
+        self.kernel.clock.charge_system(self.kernel.costs.epoll_op)
         ep = EpollInode(self.sockfs)
         self.sockfs.register_inode(ep)
         return self.kernel.current.alloc_fd(
@@ -417,7 +415,7 @@ class SocketLayer:
         if not isinstance(inode, SocketInode) \
                 and not hasattr(inode, "epoll_events"):
             raise_errno(EOPNOTSUPP, f"fd {fd} is not pollable")
-        self.kernel.clock.charge(self.kernel.costs.epoll_op, Mode.SYSTEM)
+        self.kernel.clock.charge_system(self.kernel.costs.epoll_op)
         if op == EPOLL_CTL_ADD:
             ep.ctl_add(fd, mask, inode)
         elif op == EPOLL_CTL_MOD:
@@ -439,7 +437,7 @@ class SocketLayer:
         if maxevents <= 0:
             raise_errno(EINVAL, "maxevents must be positive")
         costs = self.kernel.costs
-        self.kernel.clock.charge(costs.epoll_wait_base, Mode.SYSTEM)
+        self.kernel.clock.charge_system(costs.epoll_wait_base)
         self.nic.kick()
         task = self.kernel.current
 
@@ -464,8 +462,7 @@ class SocketLayer:
         metrics = self.kernel.metrics
         metrics.counter("epoll.waits").inc()
         metrics.counter("epoll.events").inc(len(events))
-        self.kernel.clock.charge(costs.epoll_per_event * len(events),
-                                 Mode.SYSTEM)
+        self.kernel.clock.charge_system(costs.epoll_per_event * len(events))
         if events:
             self.kernel.sys.ucopy.charge_to_user(len(events) * EVENT_BYTES)
         return events
@@ -505,13 +502,12 @@ class SocketLayer:
             # Queue under the socket's receive-queue lock (irqsave: this
             # runs in softirq context); drop_packet transmits an RST, so
             # it must run with the lock dropped.
-            with self.kernel.irq.irqs_off("net:deliver"):
-                with dst.rxq_lock.guard("net:deliver"):
-                    overflow = (dst.rcvbuf is not None
-                                and dst.rx_bytes + len(pkt) > dst.rcvbuf)
-                    if not overflow:
-                        dst.rx.append(pkt.payload)
-                        dst.rx_bytes += len(pkt.payload)
+            with dst.rxq_lock.irqsave("net:deliver"):
+                overflow = (dst.rcvbuf is not None
+                            and dst.rx_bytes + len(pkt) > dst.rcvbuf)
+                if not overflow:
+                    dst.rx.append(pkt.payload)
+                    dst.rx_bytes += len(pkt.payload)
             if overflow:
                 self.drop_packet(pkt, "rcvbuf-overflow")
                 return
@@ -541,9 +537,8 @@ class SocketLayer:
         child.peer = src
         if src is not None:
             src.peer = child
-        with self.kernel.irq.irqs_off("net:deliver-syn"):
-            with listener.rxq_lock.guard("net:deliver-syn"):
-                listener.accept_queue.append(child)
+        with listener.rxq_lock.irqsave("net:deliver-syn"):
+            listener.accept_queue.append(child)
         listener.wq.wake_all()
         self.nic.transmit(Packet("syn+ack", child, src), site="syn+ack")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import ENOMEM, Errno, OutOfMemory, errno_name
-from repro.kernel.clock import Mode
+from repro.kernel.clock import SYSTEM, USER
 from repro.kernel.syscalls.consolidated import ConsolidatedMixin
 from repro.kernel.syscalls.dir_ops import DirOpsMixin
 from repro.kernel.syscalls.file_ops import FileOpsMixin
@@ -80,17 +80,17 @@ class SyscallInterface(FileOpsMixin, DirOpsMixin, ConsolidatedMixin):
         if traced:
             tracer.begin("syscall:" + name, "syscall", pid=task.pid)
         # User-side stub (libc wrapper, register setup, errno handling).
-        clock.charge(costs.user_syscall_stub, Mode.USER)
+        clock.charge(costs.user_syscall_stub, USER)
         task.utime += costs.user_syscall_stub
         start = clock.now
         start_system = clock.system
         copy_snap = self.ucopy.stats.snapshot()
         # Trap into the kernel.
-        clock.charge(costs.syscall_trap, Mode.SYSTEM)
+        clock.charge_system(costs.syscall_trap)
         errno: int | None = None
         task.syscall_count += 1
         self.total_syscalls += 1
-        clock.push_mode(Mode.SYSTEM)
+        clock.push_mode(SYSTEM)
         try:
             clock.charge(costs.syscall_dispatch)
             if traced:

@@ -410,9 +410,8 @@ class UringLayer:
         if listener.state is not SockState.LISTENING:
             raise_errno(EINVAL, "uring accept on a non-listening socket")
         while listener.accept_queue:
-            with self.kernel.irq.irqs_off("uring:accept"):
-                with listener.rxq_lock.guard("uring:accept"):
-                    child = listener.accept_queue.popleft()
+            with listener.rxq_lock.irqsave("uring:accept"):
+                child = listener.accept_queue.popleft()
             stack._charge_op()
             try:
                 child_fd = stack._alloc_sock_fd(child)
@@ -537,9 +536,8 @@ class UringLayer:
     def _flush_overflow(self, ring: Uring) -> None:
         if not ring.overflow:
             return
-        with self.kernel.irq.irqs_off("uring:cq"):
-            with ring.lock.guard("uring:cq"):
-                self._drain_overflow_locked(ring)
+        with ring.lock.irqsave("uring:cq"):
+            self._drain_overflow_locked(ring)
 
     def _drain_overflow_locked(self, ring: Uring) -> None:
         while ring.overflow and ring.cq_space() > 0:
@@ -558,14 +556,13 @@ class UringLayer:
         when the user is slow to harvest)."""
         from repro.kernel.uring.sqe import CQE_F_MORE
         cqe = Cqe(user_data, res, CQE_F_MORE if more else 0)
-        with self.kernel.irq.irqs_off("uring:cq"):
-            with ring.lock.guard("uring:cq"):
-                self._drain_overflow_locked(ring)
-                if ring.overflow or ring.cq_space() <= 0:
-                    ring.overflow.append(cqe)
-                    self._counter("uring.cq_overflows").inc()
-                else:
-                    self._publish_locked(ring, cqe)
+        with ring.lock.irqsave("uring:cq"):
+            self._drain_overflow_locked(ring)
+            if ring.overflow or ring.cq_space() <= 0:
+                ring.overflow.append(cqe)
+                self._counter("uring.cq_overflows").inc()
+            else:
+                self._publish_locked(ring, cqe)
         ring.completed += 1
         self._counter("uring.cqes").inc()
         tracer = self.kernel.trace

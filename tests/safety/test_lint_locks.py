@@ -84,6 +84,46 @@ def test_acquire_not_directly_before_try_flagged(tmp_path):
     assert any("lk.lock()" in p for p in problems)
 
 
+def test_bare_irq_disable_enable_flagged(tmp_path):
+    problems = _lint(tmp_path, """
+        def f(irq):
+            irq.local_irq_disable("site")
+            do_work()
+            irq.local_irq_enable("site")
+    """)
+    assert len(problems) == 2
+    assert "irq.local_irq_disable()" in problems[0]
+    assert "use .irqs_off() or lock.irqsave()" in problems[0]
+    assert "irq.local_irq_enable()" in problems[1]
+
+
+def test_irq_context_managers_and_try_finally_are_clean(tmp_path):
+    assert _lint(tmp_path, """
+        def f(kernel, lk):
+            with lk.irqsave("site"):
+                do_work()
+            with kernel.irq.irqs_off("site"):
+                do_work()
+            kernel.irq.local_irq_disable("site")
+            try:
+                do_work()
+            finally:
+                kernel.irq.local_irq_enable("site")
+    """) == []
+
+
+def test_irq_try_finally_enabling_wrong_receiver_flagged(tmp_path):
+    problems = _lint(tmp_path, """
+        def f(a, b):
+            a.local_irq_disable("site")
+            try:
+                do_work()
+            finally:
+                b.local_irq_enable("site")
+    """)
+    assert any("a.local_irq_disable()" in p for p in problems)
+
+
 def test_unrelated_methods_ignored(tmp_path):
     assert _lint(tmp_path, """
         def f(widget):
@@ -94,10 +134,12 @@ def test_unrelated_methods_ignored(tmp_path):
 
 
 def test_allowlisted_file_skipped(tmp_path):
-    assert _lint(tmp_path, """
-        def f(lk):
-            lk.lock("site")
-    """, rel="kernel/locks.py") == []
+    for rel in ("kernel/locks.py", "kernel/interrupts.py"):
+        assert _lint(tmp_path, """
+            def f(lk, irq):
+                lk.lock("site")
+                irq.local_irq_disable("site")
+        """, rel=rel) == []
 
 
 def test_real_tree_is_clean():

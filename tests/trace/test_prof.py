@@ -14,6 +14,8 @@ from repro.analysis import prof_report
 from repro.kernel.clock import Clock
 from repro.kernel.core import Kernel
 from repro.kernel.fs import Ext2SuperBlock, RamfsSuperBlock
+from repro.kernel.interrupts import (IRQ_DISPATCH_COST, IRQ_TOGGLE_COST,
+                                     TimerInterrupt)
 from repro.kernel.net import SocketLayer
 from repro.kernel.vfs.file import O_CREAT, O_RDWR
 from repro.trace import (UNTRACED, Tracer, write_flamegraph,
@@ -272,6 +274,23 @@ def test_irqsoff_only_tracks_outermost_section():
     assert k.prof.irqsoff.count == 0  # still disabled at depth 1
     k.irq.local_irq_enable("outer")
     assert k.prof.irqsoff.count == 1
+
+
+def test_irqsoff_records_a_tick_whose_sections_nest_across_devices():
+    """The NIC shares ``kernel.irq``: the tick's IRQ-off window nests the
+    NIC's and the socket's irqsave sections and is recorded whole."""
+    k = traced_kernel()
+    stack = SocketLayer(k, deliver="tick")
+    a, b = k.sys.socketpair()
+    k.sys.write(a, b"x" * 100)
+    timer = TimerInterrupt(k, stack.nic.irq)
+    stack.attach_timer(timer)
+    before = k.clock.now
+    timer.fire()
+    # the window opens after fire()'s dispatch and cli charges
+    window = k.clock.now - before - IRQ_DISPATCH_COST - IRQ_TOGGLE_COST
+    assert k.sys.read(b, 100) == b"x" * 100
+    assert k.prof.irqsoff_max.cycles == window
 
 
 def test_enable_forgets_sections_of_an_earlier_window():

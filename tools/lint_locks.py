@@ -4,10 +4,14 @@
 A bare ``lk.lock()`` / ``sem.down()`` with the matching release written as
 a later statement leaks the lock on any exception in between — the bug
 class the guard() context managers exist to prevent, and one lockdep can
-only see at run time if the exception path actually fires.  This linter
-enforces the discipline statically: every acquire/release of a kernel
-lock must go through ``guard()`` (or a try/finally that releases the same
-receiver), except at explicitly allowlisted sites.
+only see at run time if the exception path actually fires.  Interrupts
+are the same kind of resource: a bare ``irq.local_irq_disable()`` leaves
+the CPU's interrupts off on the exception path, which the §3.3 monitors
+report as an unmatched disable.  This linter enforces the discipline
+statically: every acquire/release of a kernel lock must go through
+``guard()``, and every IRQ disable/enable through ``irqs_off()`` or
+``lock.irqsave()`` — or through a try/finally that releases the same
+receiver — except at explicitly allowlisted sites.
 
 Usage: ``python tools/lint_locks.py [root]`` (default: ``src/repro``).
 Exit status 1 if any violation is found; run by the CI lint job.
@@ -20,14 +24,19 @@ import sys
 from pathlib import Path
 
 #: acquire method -> the release that must pair with it
-ACQUIRE = {"lock": "unlock", "down": "up"}
-RELEASE = {"unlock", "up"}
+ACQUIRE = {"lock": "unlock", "down": "up",
+           "local_irq_disable": "local_irq_enable"}
+#: release method -> the context manager that pairs it exception-safely
+USE = {"unlock": ".guard()", "up": ".guard()",
+       "local_irq_enable": ".irqs_off() or lock.irqsave()"}
 
 #: sites where bare calls are the point (paths relative to the scan root)
 ALLOWLIST = {
-    # the guard() context managers themselves: acquire in __enter__,
-    # release in __exit__ — the primitive everything else must use
+    # the guard()/irqsave()/irqs_off() context managers themselves:
+    # acquire in __enter__, release in __exit__ — the primitives
+    # everything else must use
     "kernel/locks.py",
+    "kernel/interrupts.py",
     # deliberately *wrong* locking patterns the validator must catch
     "safety/lockdep/selftest.py",
 }
@@ -93,11 +102,11 @@ def _check_body(body: list[ast.stmt], path: str,
                 problems.append(
                     f"{path}:{call.lineno}: bare {receiver}.{method}() "
                     f"without a try/finally {ACQUIRE[method]}() — "
-                    f"use .guard()")
-        elif method in RELEASE:
+                    f"use {USE[ACQUIRE[method]]}")
+        elif method in USE:
             problems.append(
                 f"{path}:{call.lineno}: bare {_receiver(call)}."
-                f"{method}() outside a finally block — use .guard()")
+                f"{method}() outside a finally block — use {USE[method]}")
 
 
 def lint(root: Path) -> list[str]:
