@@ -16,12 +16,15 @@ This module generates and executes those runs:
   connections — properties ``tests/property/test_prop_scenario.py``
   checks across random seeds.
 * :class:`ScenarioRunner` — executes a schedule on a fresh kernel: one
-  server task per HTTP tenant (select / epoll / Cosy-compound serving,
-  hardened against mid-request disconnects), batch tasks for PostMark /
-  compile / record-store tenants, trust-tier wiring for the Cosy tenants
-  (load-time-verified / warmup-promoted / pinned-isolated extensions
-  sharing the kernel), and per-tenant SLO accounting into
-  :mod:`repro.analysis.slo` histograms.
+  server task per HTTP tenant, running the server classes the benches
+  measure (:mod:`repro.workloads.httpserver`: select / epoll / Cosy
+  compound / uring rings) through their churn-tolerant entry points,
+  batch tasks for PostMark / compile / record-store tenants, trust-tier
+  wiring for the Cosy tenants (load-time-verified / warmup-promoted /
+  pinned-isolated extensions sharing the kernel), and per-tenant SLO
+  accounting into :mod:`repro.analysis.slo` histograms.  The runner only
+  schedules and measures; surviving EOF, resets and fd exhaustion is the
+  servers' job.
 
 Two runs with the same :class:`ScenarioConfig` produce bit-identical
 clocks, metrics, and SLO reports (``tests/workloads/
@@ -38,26 +41,20 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.analysis.slo import SloReport, TenantSlo
-from repro.core.cosy import (CompoundFault, CosyGCC, CosyKernelExtension,
-                             CosyLib, CosyProtection, TrustManager)
-from repro.errors import EAGAIN, ECANCELED, ECONNREFUSED, EMFILE, Errno
-from repro.kernel.clock import Mode
+from repro.core.cosy import (CosyGCC, CosyKernelExtension, CosyLib,
+                             CosyProtection, TrustManager)
+from repro.errors import ECONNREFUSED, Errno
 from repro.kernel.core import Kernel
 from repro.kernel.fs import RamfsSuperBlock
-from repro.kernel.net import EPOLL_CTL_ADD, EPOLL_CTL_DEL, EPOLLIN, SocketLayer
-from repro.kernel.vfs.file import O_RDONLY
+from repro.kernel.net import SocketLayer
 from repro.safety.monitor import EventDispatcher, SocketMonitor
 from repro.safety.verifier import LoadTimeVerifier
 from repro.workloads.compilebench import CompileBench, CompileBenchConfig
 from repro.workloads.dbapp import (RECORD_SIZE, CosyRecordStore,
                                    DBWorkloadConfig, build_database)
-from repro.workloads.httpserver import (REQUEST_BYTES, CosyHttpServer,
-                                        EpollHttpServer, HttpBenchConfig,
-                                        SelectHttpServer, UringHttpServer,
-                                        _request_for)
+from repro.workloads.httpserver import _SERVERS, HttpBenchConfig, _request_for
 from repro.workloads.postmark import PostMark, PostMarkConfig
-from repro.workloads.webserver import (REQUEST_PARSE_CYCLES, WebServerConfig,
-                                       build_docroot)
+from repro.workloads.webserver import WebServerConfig, build_docroot
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.process import Task
@@ -282,323 +279,8 @@ def generate_schedule(cfg: ScenarioConfig) -> list[ScheduleEvent]:
 
 
 # --------------------------------------------------------------------------
-# scenario-hardened servers
-# --------------------------------------------------------------------------
-# The bench servers in repro.workloads.httpserver assume well-behaved
-# clients: every accepted connection eventually sends a complete request
-# and nobody hangs up.  Under churn those assumptions break — these
-# subclasses keep the serving strategy (select / epoll / compound) but
-# survive EOF, resets, mid-transfer hangups, and fd exhaustion.
-
-class _RobustServing:
-    """Mixin: serve one request off a readable connection, tolerating
-    every way the peer can have misbehaved.  Returns +1 when a request
-    completed, 0 when the connection was reaped or had nothing valid."""
-
-    errors = 0
-
-    def _serve_robust(self, conn: int) -> int:
-        sys = self.kernel.sys
-        try:
-            req = sys.read(conn, REQUEST_BYTES)
-        except Errno:
-            self._reap(conn)
-            return 0
-        if not req:
-            # readable with no data ⇒ EOF/HUP: the peer is gone
-            self._reap(conn)
-            return 0
-        self.kernel.clock.charge(REQUEST_PARSE_CYCLES, Mode.USER)
-        path = req[4:].split(b"\0", 1)[0].decode(errors="replace")
-        try:
-            fd = sys.open(path, O_RDONLY)
-        except Errno:
-            self.errors += 1      # truncated/garbled request line
-            self._reap(conn)
-            return 0
-        try:
-            self.bytes_served += sys.sendfile(conn, fd, 0, 1 << 30)
-        except Errno:
-            self.errors += 1      # peer hung up (or a fault storm) mid-send
-            self._reap(conn)
-            return 0
-        finally:
-            sys.close(fd)
-        self.requests += 1
-        return 1
-
-    def _reap(self, conn: int) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _accept_pending(self) -> int:
-        """Drain the accept queue; returns backlog entries consumed."""
-        sys = self.kernel.sys
-        consumed = 0
-        while True:
-            try:
-                conn = sys.accept(self.listen_fd)
-            except Errno as exc:
-                if exc.errno == EAGAIN:
-                    break
-                if exc.errno == EMFILE:
-                    # the kernel tore the child down (accept-emfile path);
-                    # the backlog entry is consumed, keep draining
-                    consumed += 1
-                    continue
-                raise
-            self._track(conn)
-            consumed += 1
-        return consumed
-
-    def _track(self, conn: int) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class ScenarioSelectServer(_RobustServing, SelectHttpServer):
-    """select(2) strategy with churn-tolerant serving."""
-
-    def _track(self, conn: int) -> None:
-        self._index[conn] = len(self.fds)
-        self.fds.append(conn)
-
-    def _reap(self, conn: int) -> None:
-        self.kernel.sys.close(conn)
-        self.fds = [fd for fd in self.fds if fd != conn]
-        self._index = {fd: i for i, fd in enumerate(self.fds)}
-
-    def pump(self) -> int:
-        sys = self.kernel.sys
-        served = 0
-        while True:
-            progressed = self._accept_pending() > 0
-            ready = sys.select(self.fds, start=0, limit=64)
-            for fd in ready:
-                if fd == self.listen_fd:
-                    continue
-                served += self._serve_robust(fd)
-                progressed = True
-            if not progressed:
-                return served
-
-    def live_conns(self) -> list[int]:
-        return [fd for fd in self.fds if fd != self.listen_fd]
-
-
-class ScenarioEpollServer(_RobustServing, EpollHttpServer):
-    """epoll strategy with churn-tolerant serving.
-
-    Reaping closes the connection *without* EPOLL_CTL_DEL on purpose:
-    descriptor reuse across churn is exactly the stale-registration edge
-    the epoll identity tracking has to survive."""
-
-    def __init__(self, kernel, cfg):
-        super().__init__(kernel, cfg)
-        self._conns: set[int] = set()
-
-    def _track(self, conn: int) -> None:
-        self.kernel.sys.epoll_ctl(self.epfd, EPOLL_CTL_ADD, conn, EPOLLIN)
-        self._conns.add(conn)
-
-    def _reap(self, conn: int) -> None:
-        self.kernel.sys.close(conn)
-        self._conns.discard(conn)
-
-    def pump(self) -> int:
-        sys = self.kernel.sys
-        served = 0
-        while True:
-            events = sys.epoll_wait(self.epfd, maxevents=64, timeout=0)
-            progressed = False
-            for fd, _mask in events:
-                if fd == self.listen_fd:
-                    progressed = self._accept_pending() > 0 or progressed
-                else:
-                    served += self._serve_robust(fd)
-                    progressed = True
-            if not progressed:
-                return served
-
-    def live_conns(self) -> list[int]:
-        return sorted(self._conns)
-
-
-class ScenarioUringServer(UringHttpServer):
-    """Async-ring strategy with churn-tolerant serving (docs/URING.md).
-
-    The bench server treats any negative CQE as a harness bug; under
-    churn they are routine: RECV completes 0 / ``-ECONNRESET`` when the
-    peer hung up, OPENAT fails on a garbled request line, SENDFILE dies
-    mid-transfer, and each failed link cancels the rest of its chain
-    with ``-ECANCELED``.  Every failure reaps the connection and
-    recycles its request buffer; a completed chain re-arms the next
-    request's chain on the same connection (keep-alive).
-    """
-
-    errors = 0
-
-    def __init__(self, kernel, cfg):
-        super().__init__(kernel, cfg)
-        self._conns: set[int] = set()
-
-    def _track(self, conn: int) -> None:
-        self._conns.add(conn)
-        self._chain(conn)
-
-    def _reap(self, conn: int) -> None:
-        if conn not in self._conns:
-            return
-        self._conns.discard(conn)
-        buf = self._bufs.pop(conn, None)
-        if buf is not None:
-            self._pool.append(buf)
-        try:
-            self.kernel.sys.close(conn)
-        except Errno:  # pragma: no cover - double close is a server bug
-            pass
-
-    def _handle(self, cqe) -> int:
-        tag = cqe.user_data & 7
-        conn = cqe.user_data >> 3
-        if tag == self.TAG_ACCEPT:
-            if cqe.res < 0:
-                # EMFILE: the kernel tore the child down (accept-emfile
-                # path); the multishot accept stays armed
-                self.errors += 1
-            else:
-                self._track(cqe.res)
-            return 0
-        if tag == self.TAG_RECV:
-            if cqe.res <= 0:
-                # EOF, reset, or an injected fault; the chain's rest
-                # arrives as -ECANCELED CQEs right behind this one
-                self._reap(conn)
-            return 0
-        if tag == self.TAG_OPEN:
-            if cqe.res < 0 and cqe.res != -ECANCELED:
-                self.errors += 1      # truncated/garbled request line
-                self._reap(conn)
-            return 0
-        if tag == self.TAG_SENDFILE:
-            if cqe.res == -ECANCELED:
-                return 0
-            if cqe.res < 0:
-                self.errors += 1      # peer hung up (or fault) mid-send
-                self._reap(conn)
-                return 0
-            self.bytes_served += cqe.res
-            self.requests += 1
-            return 1
-        # TAG_CLOSE: the chain completed (or was cancelled after a reap);
-        # a surviving connection gets the next request's chain armed
-        if cqe.res != -ECANCELED and conn in self._conns:
-            self._chain(conn)
-        return 0
-
-    def pump(self) -> int:
-        q = self.q
-        served = 0
-        while True:
-            try:
-                # one trap flushes armed accepts/recvs, the CQ-overflow
-                # backlog, and any chains _handle re-armed last round
-                q.enter()
-            except Errno:
-                self.errors += 1
-            cqes = q.harvest(maxevents=64)
-            if not cqes:
-                return served
-            for cqe in cqes:
-                served += self._handle(cqe)
-
-    def live_conns(self) -> list[int]:
-        return sorted(self._conns)
-
-
-class ScenarioCosyServer(CosyHttpServer):
-    """Compound strategy, one connection per request, with cleanup.
-
-    Unlike the bench compound (keep-alive, connections left open), the
-    scenario compound closes the served connection — churn would
-    otherwise leak one server-side fd per request."""
-
-    errors = 0
-
-    def _compound(self, n: int) -> bytes:
-        from repro.core.cosy.compound import CompoundBuilder
-        from repro.core.cosy.ops import Arg
-        encoded = self._encoded.get(n)
-        if encoded is not None:
-            return encoded
-        b = CompoundBuilder()
-        cnt = b.slot("n")
-        conn = b.slot("conn")
-        fd = b.slot("fd")
-        sent = b.slot("sent")
-        nread = b.slot("nread")
-        rc = b.slot("rc")
-        b.mov(cnt, Arg.lit(n))
-        top = b.label("top")
-        done = b.label("done")
-        b.place(top)
-        b.syscall("accept", Arg.lit(self.listen_fd), out=conn)
-        b.syscall("read", Arg.slot(conn),
-                  Arg.shared(self.req_off, REQUEST_BYTES),
-                  Arg.lit(REQUEST_BYTES), out=nread)
-        b.syscall("open", Arg.shared(self.req_off + 4, REQUEST_BYTES - 4),
-                  Arg.lit(O_RDONLY), out=fd)
-        b.syscall("sendfile", Arg.slot(conn), Arg.slot(fd),
-                  Arg.lit(0), Arg.lit(1 << 30), out=sent)
-        b.syscall("close", Arg.slot(fd), out=rc)
-        b.syscall("close", Arg.slot(conn), out=rc)
-        b.math("-", cnt, Arg.slot(cnt), Arg.lit(1))
-        b.jz(Arg.slot(cnt), done)
-        b.jmp(top)
-        b.place(done)
-        encoded = b.encode()
-        self._encoded[n] = encoded
-        return encoded
-
-    #: slot layout above (for fault cleanup)
-    _SLOT_CONN, _SLOT_FD = 1, 2
-
-    def serve_one(self) -> int:
-        """Serve exactly one queued connection through the compound."""
-        encoded = self._compound(1)
-        self.kernel.clock.charge(
-            int(len(encoded) * self.kernel.costs.user_touch_per_byte),
-            Mode.USER)
-        sys = self.kernel.sys
-        try:
-            self.ext.execute(self.kernel.current, encoded, self.shared)
-        except CompoundFault as cf:
-            # partial-failure cleanup: close whatever the compound had
-            # open when the faulting op aborted it
-            self.errors += 1
-            if cf.op_name != "accept":
-                if cf.op_name in ("sendfile", "close"):
-                    try:
-                        sys.close(cf.slots[self._SLOT_FD])
-                    except Errno:
-                        pass
-                try:
-                    sys.close(cf.slots[self._SLOT_CONN])
-                except Errno:
-                    pass
-            return 0
-        self.requests += 1
-        return 1
-
-
-# --------------------------------------------------------------------------
 # tenant runtime state
 # --------------------------------------------------------------------------
-
-_HTTP_SERVERS = {
-    "http-select": ScenarioSelectServer,
-    "http-epoll": ScenarioEpollServer,
-    "http-cosy": ScenarioCosyServer,
-    "http-uring": ScenarioUringServer,
-}
 
 #: the PROVEN tier's extension: constant-bound loops the load-time
 #: verifier proves safe, so the TrustManager grants DATA_ONLY from the
@@ -698,8 +380,8 @@ class ScenarioRunner:
                     nfiles=spec.nfiles, avg_file_bytes=spec.avg_file_bytes,
                     backlog=self.cfg.backlog, port=port,
                     docroot=f"/{spec.name}", seed=self.cfg.seed + 31 * i)
-                server = _HTTP_SERVERS[self.cfg.serving_kind(spec)](
-                    kernel, http_cfg)
+                kind = self.cfg.serving_kind(spec).removeprefix("http-")
+                server = _SERVERS[kind](kernel, http_cfg)
                 server.setup()
                 task.rlimit_nofile = max(task.rlimit_nofile,
                                          4 * self.cfg.max_conns + 64)
@@ -782,8 +464,6 @@ class ScenarioRunner:
         self.kernel.sched.switch_to(tenant.task)
         try:
             tenant.server.pump()
-        except Errno:
-            tenant.server.errors += 1
         finally:
             self.kernel.sched.switch_to(self.driver)
 
@@ -896,9 +576,6 @@ class ScenarioRunner:
             self.kernel.sched.switch_to(tenant.task)
             try:
                 served = tenant.server.serve_one()
-            except Errno:
-                tenant.server.errors += 1
-                served = 0
             finally:
                 self.kernel.sched.switch_to(self.driver)
             got = self._drain(fd)
@@ -982,29 +659,15 @@ class ScenarioRunner:
             if isinstance(fd, int):
                 self._close_driver_fd(fd)
         self._conns.clear()
-        sys = self.kernel.sys
         for tenant in self.tenants.values():
             if tenant.server is None:
                 continue
-            self._pump_quiet(tenant)
+            if tenant.spec.kind != "http-cosy":
+                # let the server observe the final EOFs and reap
+                self._pump(tenant)
             self.kernel.sched.switch_to(tenant.task)
-            server = tenant.server
-            if hasattr(server, "live_conns"):
-                for fd in server.live_conns():
-                    try:
-                        sys.close(fd)
-                    except Errno:
-                        pass
-            if getattr(server, "epfd", -1) >= 0:
-                sys.close(server.epfd)
-            if getattr(server, "ring_fd", -1) >= 0:
-                sys.close(server.ring_fd)
-            sys.close(server.listen_fd)
+            tenant.server.close()
             self.kernel.sched.switch_to(self.driver)
-
-    def _pump_quiet(self, tenant: _Tenant) -> None:
-        if hasattr(tenant.server, "pump"):
-            self._pump(tenant)
 
     def _result(self) -> "ScenarioResult":
         kernel = self.kernel

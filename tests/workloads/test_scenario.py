@@ -1,5 +1,7 @@
 """Functional coverage for the overload scenario generator and runner."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.slo import (SloReport, TenantSlo, histogram_percentile,
@@ -124,6 +126,30 @@ def test_fault_storm_survival():
     assert sum(t.completed for t in report.tenants.values()) > 0
     assert sum(t.resets for t in report.tenants.values()) > 0
     assert report.leaked_sockets == 0 and result.sockfs_inodes == 0
+
+
+def test_io_model_changes_the_cost_not_the_outcome():
+    """One schedule served by every keep-alive I/O model: each web tenant
+    sees the same outcome, and only the simulated cost differs.  The
+    roomy backlog matters: uring's armed multishot accept drains SYNs as
+    they arrive, so under a small backlog its refusals legitimately
+    differ."""
+    cfg = ScenarioConfig(seed=2026, events=60, churn=0.1, abort_prob=0.2,
+                         backlog=64, max_conns=12)
+    outcomes, clocks = [], set()
+    for io_model in (None, "select", "epoll", "uring"):
+        result = run_scenario(replace(cfg, io_model=io_model))
+        assert result.report.leaked_sockets == 0
+        assert result.sockfs_inodes == 0
+        clocks.add(result.clock)
+        outcomes.append({
+            name: (t.requests, t.completed, t.refused, t.resets, t.aborted,
+                   t.goodput_bytes)
+            for name, t in result.report.tenants.items()
+            if name in ("web-select", "web-epoll", "web-uring")})
+    assert all(o == outcomes[0] for o in outcomes[1:])
+    assert all(o[1] > 0 for o in outcomes[0].values())
+    assert len(clocks) == 4, "io_model did not change the serving"
 
 
 def test_slo_histograms_live_in_kernel_metrics():
