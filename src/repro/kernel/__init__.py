@@ -11,7 +11,7 @@ from repro.kernel.costs import (CostModel, DEFAULT_COSTS, DiskProfile,
                                 IDE_7200RPM, SCSI_15KRPM)
 from repro.kernel.core import Kernel
 from repro.kernel.faultinject import (FAILPOINTS, FaultRecord, FaultRegistry,
-                                      Injection, arm_from_env)
+                                      Injection, arm_schedule)
 from repro.kernel.process import Task
 from repro.kernel.locks import SpinLock, Semaphore
 from repro.kernel.refcount import RefCount
@@ -20,5 +20,5 @@ __all__ = [
     "Clock", "ClockSnapshot", "Mode", "Timings",
     "CostModel", "DEFAULT_COSTS", "DiskProfile", "IDE_7200RPM", "SCSI_15KRPM",
     "Kernel", "Task", "SpinLock", "Semaphore", "RefCount",
-    "FAILPOINTS", "FaultRecord", "FaultRegistry", "Injection", "arm_from_env",
+    "FAILPOINTS", "FaultRecord", "FaultRegistry", "Injection", "arm_schedule",
 ]

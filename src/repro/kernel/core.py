@@ -17,14 +17,13 @@ Typical setup::
 
 from __future__ import annotations
 
-import os
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.cminus.compile import CodeCache
+from repro.kernel.boot import BootConfig
 from repro.kernel.clock import Clock
 from repro.kernel.costs import DEFAULT_COSTS, CostModel
-from repro.kernel.cpu import resolve_cpus
-from repro.kernel.faultinject import FaultRegistry, arm_from_env
+from repro.kernel.faultinject import FaultRegistry, arm_schedule
 from repro.kernel.interrupts import IrqController
 from repro.kernel.locks import SpinLock
 from repro.kernel.memory.kmalloc import KmallocAllocator
@@ -39,8 +38,12 @@ from repro.kernel.syscalls.interface import SyscallInterface
 from repro.kernel.syslog import KERN_INFO, Syslog
 from repro.kernel.vfs.namei import VFS
 from repro.kernel.vfs.super import SuperBlock
-from repro.safety.lockdep import ENV_LOCKDEP, LockdepValidator
-from repro.trace import ENV_TRACE, LatencyTracers, MetricsRegistry, Tracer
+from repro.safety.lockdep import LockdepValidator
+from repro.trace import LatencyTracers, MetricsRegistry, Tracer
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.kernel.net.syscalls import SocketLayer
+    from repro.kernel.uring.layer import UringLayer
 
 #: signature of the event hook: (obj, event_type, site) — see §3.3.
 EventHook = Callable[[Any, int, str], None]
@@ -66,12 +69,13 @@ class Kernel:
                  ram_bytes: int = 884 * 1024 * 1024,
                  lockdep: bool | None = None,
                  cpus: int | None = None):
+        boot = BootConfig.resolve(cpus, lockdep)
         self.costs = costs if costs is not None else DEFAULT_COSTS
-        #: simulated CPU count (docs/SMP.md): explicit argument wins, then
-        #: REPRO_CPUS, then 1.  cpus=1 is bit-identical to the pre-SMP
-        #: machine; cpus>1 adds per-CPU runqueues, local clocks, softirq
-        #: contexts, allocator magazines, and metrics shards.
-        self.ncpus = resolve_cpus(cpus)
+        #: simulated CPU count (docs/SMP.md).  cpus=1 is bit-identical to
+        #: the pre-SMP machine; cpus>1 adds per-CPU runqueues, local
+        #: clocks, softirq contexts, allocator magazines, and metrics
+        #: shards.
+        self.ncpus = boot.cpus
         self.clock = Clock(hz=self.costs.hz, cpus=self.ncpus)
         #: kernel-wide metrics registry (repro.trace): the one namespace the
         #: subsystem counters (TLB, code cache, epoll, failpoints) live in.
@@ -88,17 +92,13 @@ class Kernel:
         #: kernel-wide failpoint registry; dormant until an injection arms it.
         self.faults = FaultRegistry(self, metrics=self.metrics)
         #: lock dependency validator (repro.safety.lockdep); None = compiled
-        #: out (every hook site is a getattr-and-None-check, zero cycles).
-        #: ``lockdep=True`` records violations; booting under REPRO_LOCKDEP=1
-        #: is strict — the first violation raises LockdepError.  An explicit
-        #: argument wins over the environment (so self-tests of known-bad
-        #: patterns can record under a strict CI run).
-        if lockdep is None:
-            self.lockdep = LockdepValidator(self, strict=True) \
-                if os.environ.get(ENV_LOCKDEP) else None
-        else:
-            self.lockdep = LockdepValidator(self, strict=False) \
-                if lockdep else None
+        #: out (every hook site is a None-check, zero cycles).  A strict
+        #: one raises LockdepError at the first violation.
+        self.lockdep = None if boot.lockdep == "off" else \
+            LockdepValidator(self, strict=boot.lockdep == "strict")
+        #: compile-time-style switch: newly created refcounts emit events
+        #: when it is set (the §3.3 "instrumented kernel" build).
+        self.instrument_all_refcounts = False
         #: CPU interrupt-enable state (local_irq_save/restore nesting).
         self.irq = IrqController(self)
         self.physmem = PhysicalMemory(ram_bytes)
@@ -129,15 +129,13 @@ class Kernel:
         self.tasks: list[Task] = []
         #: event dispatcher socket (§3.3); None = instrumentation compiled out.
         self.event_hook: EventHook | None = None
-        #: compile-time-style switches: newly created locks/refcounts emit
-        #: events when these are set (the §3.3 "instrumented kernel" builds).
-        self.instrument_all_locks = False
-        self.instrument_all_refcounts = False
-        # CI smoke mode: REPRO_FAULT_SEED arms a seeded low-rate schedule.
-        arm_from_env(self.faults)
-        # CI trace mode: REPRO_TRACE=1 boots with tracing enabled, which
-        # must not move the simulated clock by a single cycle.
-        if os.environ.get(ENV_TRACE):
+        #: set by SocketLayer and UringLayer when they install their syscalls
+        self.socket_layer: SocketLayer | None = None
+        self.uring_layer: UringLayer | None = None
+        if boot.fault_seed is not None:
+            arm_schedule(self.faults, boot.fault_seed)
+        # Tracing must not move the simulated clock by a single cycle.
+        if boot.trace:
             self.trace.enable()
         self.printk(KERN_INFO, "kernel booted")
 

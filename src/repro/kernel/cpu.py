@@ -1,7 +1,7 @@
 """CPU topology for the SMP simulation (docs/SMP.md).
 
-A :class:`Kernel` boots with ``cpus=N`` simulated CPUs (or ``REPRO_CPUS``
-from the environment).  Each CPU owns a :class:`Cpu` record — its
+A :class:`Kernel` boots with ``cpus=N`` simulated CPUs (see
+:mod:`repro.kernel.boot`).  Each CPU owns a :class:`Cpu` record — its
 runqueue, its current task, and its runqueue lock — kept by the
 scheduler.  The simulation stays cooperative: exactly one CPU executes
 Python code at any moment (:attr:`Clock.cpu`, the "camera"), and
@@ -11,30 +11,11 @@ executed — see the merge rule in :mod:`repro.kernel.clock`.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.locks import SpinLock
     from repro.kernel.process import Task
-
-#: environment knob: default CPU count for every booted kernel (CI smp job).
-ENV_CPUS = "REPRO_CPUS"
-
-#: sanity ceiling — the simulation is O(cpus) in several per-CPU sweeps.
-MAX_CPUS = 64
-
-
-def resolve_cpus(cpus: int | None = None) -> int:
-    """CPU count for a booting kernel: explicit argument wins, then
-    ``REPRO_CPUS``, then 1 (the original single-CPU machine)."""
-    if cpus is None:
-        raw = os.environ.get(ENV_CPUS, "").strip()
-        cpus = int(raw) if raw else 1
-    if not 1 <= cpus <= MAX_CPUS:
-        raise ValueError(f"cpus must be in [1, {MAX_CPUS}], got {cpus}")
-    return cpus
-
 
 class Cpu:
     """Per-CPU scheduler state: one runqueue, one current task.

@@ -64,7 +64,6 @@ failing ``kmalloc`` already paid the allocator cost) — see
 from __future__ import annotations
 
 import fnmatch
-import os
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
@@ -109,11 +108,8 @@ DEFAULT_ERRNOS = {
     "uring.dispatch": EIO,
 }
 
-#: Environment knobs for the global low-rate schedule (the CI smoke mode).
-ENV_SEED = "REPRO_FAULT_SEED"
-ENV_RATE = "REPRO_FAULT_RATE"
-ENV_MODE = "REPRO_FAULT_MODE"
-DEFAULT_GLOBAL_RATE = 0.002
+#: per-hit probability of the boot-time schedule (:func:`arm_schedule`).
+SCHEDULE_RATE = 0.002
 
 
 @dataclass(frozen=True)
@@ -402,36 +398,18 @@ class FaultRegistry:
                     f"injected={injected} observed={observed}")
 
 
-def arm_from_env(registry: FaultRegistry,
-                 environ: dict[str, str] | None = None) -> list[Injection]:
-    """Arm the global low-rate schedule if ``REPRO_FAULT_SEED`` is set.
+def arm_schedule(registry: FaultRegistry, seed: int) -> None:
+    """Arm the seeded low-rate schedule a kernel boots with when
+    ``BootConfig.fault_seed`` is set (the CI ``faults`` entry).
 
-    This is the CI smoke mode: every :class:`Kernel` booted while the
-    variable is set gets a seeded probability injection on every
-    error-delivering failpoint.  ``REPRO_FAULT_MODE`` selects ``observe``
-    (default — decisions are traced and counted but always return success,
-    so the tier-1 suite runs unmodified) or ``enforce`` (failures are
-    delivered; for suites written to survive them).  ``REPRO_FAULT_RATE``
-    overrides the per-hit probability.
+    Every error-delivering failpoint gets a seeded probability injection
+    in observe mode: decisions are traced and counted but always return
+    success, so the tier-1 suite runs unmodified.  Suites written to
+    survive delivered faults arm their own injections.
     """
-    env = os.environ if environ is None else environ
-    seed_str = env.get(ENV_SEED)
-    if not seed_str:
-        return []
-    try:
-        seed = int(seed_str)
-    except ValueError as exc:
-        raise ValueError(f"{ENV_SEED} must be an integer, got {seed_str!r}") from exc
-    rate = float(env.get(ENV_RATE, DEFAULT_GLOBAL_RATE))
-    mode = env.get(ENV_MODE, "observe")
-    if mode not in ("observe", "enforce"):
-        raise ValueError(f"{ENV_MODE} must be 'observe' or 'enforce', got {mode!r}")
-    observe = mode == "observe"
-    injections = []
     for i, name in enumerate(("kmalloc", "vmalloc", "disk.read", "disk.write",
                               "copy_to_user", "copy_from_user")):
         # Distinct derived seeds keep the failpoints' streams independent
         # while the whole schedule stays a function of one published seed.
-        injections.append(registry.inject(
-            name, probability=rate, seed=seed * 1000003 + i, observe=observe))
-    return injections
+        registry.inject(name, probability=SCHEDULE_RATE,
+                        seed=seed * 1000003 + i, observe=True)

@@ -47,7 +47,7 @@ class IrqController:
         self.kernel = kernel
         self.instrumented = instrumented
         self.toggles = 0
-        ncpus = getattr(kernel, "ncpus", 1)
+        ncpus = kernel.ncpus
         self._depths: list[int] | None = [0] * ncpus if ncpus > 1 else None
         self._depth = 0
 
@@ -169,7 +169,7 @@ class TimerInterrupt:
         """One tick: IRQ entry, handlers with interrupts off, IRQ exit."""
         self.fires += 1
         self.kernel.clock.charge(IRQ_DISPATCH_COST, Mode.SYSTEM)
-        ld = getattr(self.kernel, "lockdep", None)
+        ld = self.kernel.lockdep
         if ld is not None:
             ld.hardirq_enter()
         try:

@@ -59,12 +59,11 @@ class SpinLock:
                  instrumented: bool = False, charge: bool = True):
         self.kernel = kernel
         self.name = name
-        self.instrumented = instrumented or getattr(
-            kernel, "instrument_all_locks", False)
+        self.instrumented = instrumented
         self.charged = charge
         #: only an SMP kernel can contend across CPUs; its CPU count is
         #: fixed at boot
-        self._smp = getattr(kernel, "ncpus", 1) > 1
+        self._smp = kernel.ncpus > 1
         self.held = False
         self.holder_pid: int | None = None
         self.acquisitions = 0
@@ -252,7 +251,7 @@ class Semaphore:
         return self._wq
 
     def down(self, site: str = "?", *, subclass: int = 0) -> None:
-        ld = getattr(self.kernel, "lockdep", None)
+        ld = self.kernel.lockdep
         if ld is not None:
             if self._mutex_like:
                 ld.acquire(self, "sleep", site, subclass=subclass)
@@ -273,7 +272,7 @@ class Semaphore:
             self.kernel.log_event(self, EV_SEM_DOWN, site)
 
     def up(self, site: str = "?", *, subclass: int = 0) -> None:
-        ld = getattr(self.kernel, "lockdep", None)
+        ld = self.kernel.lockdep
         if ld is not None and self._mutex_like:
             ld.release(self, "sleep", site, subclass=subclass)
         self.count += 1

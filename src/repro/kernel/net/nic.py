@@ -76,8 +76,8 @@ class Nic:
                  deliver: str = "irq", queues: int = 1):
         if deliver not in ("irq", "tick"):
             raise ValueError(f"unknown delivery mode {deliver!r}")
-        ncpus = getattr(kernel, "ncpus", 1)
-        if not 1 <= queues <= max(ncpus, 1):
+        ncpus = kernel.ncpus
+        if not 1 <= queues <= ncpus:
             raise ValueError(
                 f"queues must be in 1..{ncpus} (got {queues})")
         self.kernel = kernel
@@ -216,7 +216,7 @@ class Nic:
         progressed = False
         clock = self.kernel.clock
         tracer = self.kernel.trace
-        ld = getattr(self.kernel, "lockdep", None)
+        ld = self.kernel.lockdep
         multiq = self.nqueues > 1
         try:
             while self.tx_ring or any(self.rx_rings):
@@ -268,7 +268,7 @@ class Nic:
         clock = self.kernel.clock
         costs = self.kernel.costs
         tracer = self.kernel.trace
-        ld = getattr(self.kernel, "lockdep", None)
+        ld = self.kernel.lockdep
         ring = self.rx_rings[q]
         progressed = False
         traced = ring and tracer.enabled

@@ -70,6 +70,7 @@ class SocketLayer:
         self._install()
 
     def _install(self) -> None:
+        self.kernel.socket_layer = self
         sys = self.kernel.sys
         sys.socketpair = self._socketpair_entry
         sys.sendfile = self._sendfile_entry
@@ -275,7 +276,11 @@ class SocketLayer:
             if not self.nic.kick():
                 raise_errno(EDEADLK,
                             "blocking accept with no connection in flight")
-        with listener.rxq_lock.irqsave("sock:accept"):
+        return self.accept_child(listener, "sock:accept")
+
+    def accept_child(self, listener: SocketInode, site: str) -> int:
+        """Give the first queued child an fd (``accept`` and uring's ACCEPT)."""
+        with listener.rxq_lock.irqsave(site):
             child = listener.accept_queue.popleft()
         self._charge_op()
         try:
@@ -287,11 +292,11 @@ class SocketLayer:
             # could not complete.
             self.accept_emfile += 1
             self.kernel.metrics.counter("net.accept_emfile").inc()
-            self.reset_connection(child, site="accept-emfile")
-            child.close_endpoint("sock:accept-emfile")
+            self.reset_connection(child, site=f"{site}-emfile")
+            child.close_endpoint(f"{site}-emfile")
             raise
         self.accepts += 1
-        self.kernel.log_event(child, EV_SOCK_ACCEPT, "sock:accept")
+        self.kernel.log_event(child, EV_SOCK_ACCEPT, site)
         return child_fd
 
     def do_shutdown(self, fd: int, how: int) -> int:

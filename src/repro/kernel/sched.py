@@ -71,7 +71,7 @@ class WaitQueue:
         """Block the current task until the next :meth:`wake_all`."""
         kernel = self.kernel
         task = kernel.current
-        ld = getattr(kernel, "lockdep", None)
+        ld = kernel.lockdep
         if ld is not None:
             ld.might_sleep(site, what=f"sleeping on wait queue '{self.name}'")
         tracer = kernel.trace
@@ -125,7 +125,7 @@ class Scheduler:
 
     def __init__(self, kernel: "Kernel"):
         self.kernel = kernel
-        ncpus = getattr(kernel, "ncpus", 1)
+        ncpus = kernel.ncpus
         self.ncpus = ncpus
         self.cpus: list[Cpu] = [Cpu(c) for c in range(ncpus)]
         if ncpus > 1:

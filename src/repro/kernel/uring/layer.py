@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 from repro.errors import (EBADF, ECANCELED, EDEADLK, EINVAL, EOPNOTSUPP,
                           Errno, raise_errno)
 from repro.kernel.clock import Mode
-from repro.kernel.net.socket import EV_SOCK_ACCEPT, SocketInode, SockState
+from repro.kernel.net.socket import SocketInode, SockState
 from repro.kernel.uring.ring import (CQ_TAIL_OFF, FLAGS_OFF, RING_NEED_WAKEUP,
                                      SQ_HEAD_OFF, SQ_TAIL_OFF, Uring, UringFS,
                                      UringInode)
@@ -79,6 +79,7 @@ class UringLayer:
         self._install()
 
     def _install(self) -> None:
+        self.kernel.uring_layer = self
         sys = self.kernel.sys
         sys.uring_setup = self._setup_entry
         sys.uring_enter = self._enter_entry
@@ -103,10 +104,10 @@ class UringLayer:
     # ------------------------------------------------------------- helpers
 
     def _stack(self) -> "SocketLayer":
-        do_accept = getattr(self.kernel.sys, "do_accept", None)
-        if do_accept is None:
+        stack = self.kernel.socket_layer
+        if stack is None:
             raise_errno(EOPNOTSUPP, "uring needs a network stack installed")
-        return do_accept.__self__
+        return stack
 
     def _ring_for(self, fd: int) -> Uring:
         file = self.kernel.sys._file_for(fd)
@@ -410,26 +411,16 @@ class UringLayer:
         if listener.state is not SockState.LISTENING:
             raise_errno(EINVAL, "uring accept on a non-listening socket")
         while listener.accept_queue:
-            with listener.rxq_lock.irqsave("uring:accept"):
-                child = listener.accept_queue.popleft()
-            stack._charge_op()
             try:
-                child_fd = stack._alloc_sock_fd(child)
+                child_fd = stack.accept_child(listener, "uring:accept")
             except Errno as e:
-                # mirror do_accept: an accepted-but-undeliverable child
-                # must not wedge the peer — abort the connection
-                stack.accept_emfile += 1
-                self._counter("net.accept_emfile").inc()
-                stack.reset_connection(child, site="uring-accept-emfile")
-                child.close_endpoint("uring:accept-emfile")
+                # the stack aborted the undeliverable child
                 self._post(ring, sqe.user_data, -e.errno,
                            more=armed.multishot)
                 if armed.multishot:
                     return False       # stay armed; stop this flush
                 self._cancel(ring, armed.rest)
                 return True
-            stack.accepts += 1
-            self.kernel.log_event(child, EV_SOCK_ACCEPT, "uring:accept")
             self._post(ring, sqe.user_data, child_fd, more=armed.multishot)
             if not armed.multishot:
                 self._run_chain(ring, armed.rest, fail=armed.fail)

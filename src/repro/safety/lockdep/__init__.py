@@ -20,14 +20,13 @@ from repro.safety.lockdep.report import (DEADLOCK, IRQ_INVERSION,
                                          SLEEP_IN_ATOMIC, LockdepError,
                                          LockdepReport, render_reports)
 from repro.safety.lockdep.selftest import SelftestResult, run_selftests
-from repro.safety.lockdep.validator import (ENV_LOCKDEP, ENV_LOCKDEP_OUT,
-                                            LockdepValidator)
+from repro.safety.lockdep.validator import ENV_LOCKDEP_OUT, LockdepValidator
 
 __all__ = [
     "LockdepValidator", "LockdepError", "LockdepReport", "render_reports",
     "LockClass", "HeldLock", "DepEdge",
     "run_selftests", "SelftestResult",
-    "ENV_LOCKDEP", "ENV_LOCKDEP_OUT",
+    "ENV_LOCKDEP_OUT",
     "KIND_SPIN", "KIND_SLEEP",
     "USED_IN_HARDIRQ", "USED_IN_SOFTIRQ", "ENABLED_IRQ",
     "CTX_PROCESS", "CTX_SOFTIRQ", "CTX_HARDIRQ",

@@ -43,8 +43,7 @@ from repro.safety.lockdep.report import (DEADLOCK, IRQ_INVERSION,
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.core import Kernel
 
-#: environment knobs (read by Kernel at boot)
-ENV_LOCKDEP = "REPRO_LOCKDEP"
+#: environment knob: directory each violation splat is written to
 ENV_LOCKDEP_OUT = "REPRO_LOCKDEP_OUT"
 
 _USAGE_LABEL = {USED_IN_HARDIRQ: "hardirq", USED_IN_SOFTIRQ: "softirq"}

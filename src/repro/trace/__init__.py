@@ -17,8 +17,8 @@ The simulator's observability layer (cf. ftrace/eBPF in docs/OBSERVABILITY.md):
 
 Tracing never charges the simulated clock (bit-identity with tracing on
 vs. off is asserted in ``tests/trace/``), and a disabled tracer costs one
-attribute check per tracepoint.  Set ``REPRO_TRACE=1`` to boot every
-kernel with tracing enabled.
+attribute check per tracepoint.  ``BootConfig.trace``
+(:mod:`repro.kernel.boot`) boots every kernel with tracing enabled.
 """
 
 from repro.trace.attribution import UNTRACED, Attribution, SpanStat, render_diff
@@ -31,8 +31,6 @@ from repro.trace.tracepoints import (DEFAULT_CAPACITY, PH_BEGIN, PH_COMPLETE,
                                      PH_COUNTER, PH_END, PH_INSTANT,
                                      TraceEvent, Tracer)
 
-#: environment knob: boot kernels with tracing enabled (CI identity job).
-ENV_TRACE = "REPRO_TRACE"
 #: environment knob: benchmark trace/attribution output directory.
 ENV_TRACE_OUT = "REPRO_TRACE_OUT"
 
@@ -45,5 +43,5 @@ __all__ = [
     "LatencyTracers", "MaxWitness",
     "Tracer", "TraceEvent", "DEFAULT_CAPACITY",
     "PH_BEGIN", "PH_END", "PH_COMPLETE", "PH_INSTANT", "PH_COUNTER",
-    "ENV_TRACE", "ENV_TRACE_OUT",
+    "ENV_TRACE_OUT",
 ]

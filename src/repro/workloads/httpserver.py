@@ -499,7 +499,7 @@ class UringHttpServer(_HttpServerBase):
     def setup(self) -> None:
         super().setup()
         sys = self.kernel.sys
-        if not hasattr(sys, "uring_setup"):
+        if self.kernel.uring_layer is None:
             UringLayer(self.kernel)
         sq = 4 * self.cfg.wave + 8
         data = (2 * self.cfg.wave + 16) * REQUEST_BYTES
@@ -742,7 +742,7 @@ def run_http_bench(kernel: "Kernel", kind: str,
     result.bytes_served = _drain(kernel, clients, client_fds, digest)
     result.requests = server.requests
     result.digest = digest.hexdigest()
-    nic = kernel.sys.do_accept.__self__.nic  # the installed SocketLayer's
+    nic = kernel.socket_layer.nic
     result.nic = _nic_stats(nic)
     return result
 
@@ -841,7 +841,7 @@ def run_http_bench_smp(kernel: "Kernel", kind: str,
     result.per_cpu_elapsed = serving
     result.wall_elapsed = max(serving)
     result.total_elapsed = sum(serving)
-    nic = kernel.sys.do_accept.__self__.nic
+    nic = kernel.socket_layer.nic
     result.nic = {
         **_nic_stats(nic),
         "rx_queues": nic.nqueues,

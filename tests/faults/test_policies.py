@@ -8,8 +8,9 @@ are consulted from.
 import pytest
 
 from repro.errors import EFAULT, EIO, ENOMEM
+from repro.kernel.boot import BootConfig
 from repro.kernel.faultinject import (DEFAULT_ERRNOS, FAILPOINTS,
-                                      FaultRegistry, arm_from_env)
+                                      FaultRegistry, arm_schedule)
 
 
 def hits(reg, n, failpoint="kmalloc", site="?"):
@@ -202,39 +203,26 @@ def test_observe_mode_counts_without_failing():
     assert len(reg.trace) == 2 and all(r.observed for r in reg.trace)
 
 
-# ------------------------------------------------------------- env schedule
+# ------------------------------------------------------------ boot schedule
 
-def test_arm_from_env_noop_without_seed():
-    reg = FaultRegistry()
-    assert arm_from_env(reg, {}) == []
-    assert not reg.enabled
+def test_boot_fault_seed_defaults_to_unset():
+    assert BootConfig.resolve(environ={}).fault_seed is None
+    assert BootConfig.resolve(environ={"REPRO_FAULT_SEED": ""}).fault_seed is None
+    assert BootConfig.resolve(environ={"REPRO_FAULT_SEED": "0"}).fault_seed == 0
 
 
-def test_arm_from_env_observe_default_and_deterministic():
+def test_arm_schedule_observes_deterministically():
     a, b = FaultRegistry(), FaultRegistry()
-    env = {"REPRO_FAULT_SEED": "42", "REPRO_FAULT_RATE": "0.5"}
     for reg in (a, b):
-        injections = arm_from_env(reg, env)
-        assert injections and all(i.observe for i in injections)
-        for _ in range(100):
-            assert reg.should_fail("kmalloc", "x") is None
-            assert reg.should_fail("disk.write", "hda") is None
+        arm_schedule(reg, 42)
+        injections = list(reg.active_injections())
+        assert len(injections) == 6 and all(i.observe for i in injections)
+        assert hits(reg, 2000, "kmalloc", "x") == [None] * 2000
+        assert hits(reg, 2000, "disk.write", "hda") == [None] * 2000
     assert a.trace_signature() == b.trace_signature()
-    assert a.trace  # the 0.5 rate certainly fired within 200 hits
+    assert a.trace  # the fixed 0.002 rate fired within 4,000 hits
 
 
-def test_arm_from_env_enforce_mode_delivers():
-    reg = FaultRegistry()
-    env = {"REPRO_FAULT_SEED": "7", "REPRO_FAULT_RATE": "1.0",
-           "REPRO_FAULT_MODE": "enforce"}
-    arm_from_env(reg, env)
-    assert reg.should_fail("disk.read", "hda") == EIO
-    assert reg.should_fail("copy_to_user") == EFAULT
-
-
-def test_arm_from_env_rejects_bad_values():
-    with pytest.raises(ValueError):
-        arm_from_env(FaultRegistry(), {"REPRO_FAULT_SEED": "not-an-int"})
-    with pytest.raises(ValueError):
-        arm_from_env(FaultRegistry(), {"REPRO_FAULT_SEED": "1",
-                                       "REPRO_FAULT_MODE": "chaos"})
+def test_boot_fault_seed_rejects_bad_values():
+    with pytest.raises(ValueError, match="REPRO_FAULT_SEED"):
+        BootConfig.resolve(environ={"REPRO_FAULT_SEED": "not-an-int"})

@@ -15,7 +15,7 @@ import pytest
 
 from repro.kernel import Kernel
 from repro.kernel.clock import Clock, Mode
-from repro.kernel.cpu import ENV_CPUS, MAX_CPUS, resolve_cpus
+from repro.kernel.boot import MAX_CPUS, BootConfig
 from repro.kernel.fs import RamfsSuperBlock
 from repro.kernel.interrupts import IRQ_DISPATCH_COST
 from repro.kernel.locks import SpinLock
@@ -46,25 +46,28 @@ def _boot(cpus=None, name="t"):
     return k
 
 
-# ------------------------------------------------------------ resolve_cpus
+# -------------------------------------------------------------- boot cpus
 
-def test_resolve_cpus_explicit_beats_env(monkeypatch):
-    monkeypatch.setenv(ENV_CPUS, "8")
-    assert resolve_cpus(2) == 2
-    assert resolve_cpus() == 8
-
-
-def test_resolve_cpus_default_is_one(monkeypatch):
-    monkeypatch.delenv(ENV_CPUS, raising=False)
-    assert resolve_cpus() == 1
+def test_boot_cpus_explicit_beats_env():
+    env = {"REPRO_CPUS": "8"}
+    assert BootConfig.resolve(2, environ=env).cpus == 2
+    assert BootConfig.resolve(environ=env).cpus == 8
 
 
-def test_resolve_cpus_validation(monkeypatch):
-    monkeypatch.delenv(ENV_CPUS, raising=False)
+def test_boot_cpus_default_is_one():
+    assert BootConfig.resolve(environ={}).cpus == 1
+    assert BootConfig.resolve(environ={"REPRO_CPUS": ""}).cpus == 1
+
+
+def test_boot_cpus_validation():
     with pytest.raises(ValueError):
-        resolve_cpus(0)
+        BootConfig.resolve(0, environ={})
     with pytest.raises(ValueError):
-        resolve_cpus(MAX_CPUS + 1)
+        BootConfig.resolve(MAX_CPUS + 1, environ={})
+    with pytest.raises(ValueError):
+        BootConfig.resolve(environ={"REPRO_CPUS": "0"})
+    with pytest.raises(ValueError, match="REPRO_CPUS"):
+        BootConfig.resolve(environ={"REPRO_CPUS": "abc"})
     with pytest.raises(ValueError):
         Clock(cpus=0)
 
@@ -363,9 +366,7 @@ def test_nic_rx_steering_spreads_queues_and_ipis():
 
 
 def test_smp_bench_requires_smp_kernel():
-    k = _boot(name="bench")
-    if k.ncpus > 1:
-        pytest.skip("kernel booted SMP via REPRO_CPUS")
+    k = _boot(cpus=1, name="bench")
     SocketLayer(k)
     with pytest.raises(ValueError):
         run_http_bench_smp(k, "epoll", HttpBenchConfig(nclients=10))

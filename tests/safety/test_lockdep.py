@@ -21,7 +21,7 @@ from repro.kernel.locks import Semaphore, SpinLock
 from repro.kernel.net import SocketLayer
 from repro.kernel.sched import WaitQueue
 from repro.kernel.vfs.file import O_CREAT, O_RDWR
-from repro.safety.lockdep import (DEADLOCK, ENV_LOCKDEP, ENV_LOCKDEP_OUT,
+from repro.safety.lockdep import (DEADLOCK, ENV_LOCKDEP_OUT,
                                   IRQ_INVERSION, RECURSION, SLEEP_IN_ATOMIC,
                                   LockdepError, render_reports, run_selftests)
 from repro.trace import PH_INSTANT
@@ -30,7 +30,7 @@ from repro.trace import PH_INSTANT
 @pytest.fixture
 def k(monkeypatch):
     """A recording (non-strict) lockdep kernel, env-independent."""
-    monkeypatch.delenv(ENV_LOCKDEP, raising=False)
+    monkeypatch.delenv("REPRO_LOCKDEP", raising=False)
     monkeypatch.delenv(ENV_LOCKDEP_OUT, raising=False)
     kern = Kernel(lockdep=True)
     kern.mount_root(RamfsSuperBlock(kern))
@@ -133,7 +133,7 @@ def test_counting_semaphore_multiple_downs_clean(k):
 # ------------------------------------------------------- enable semantics
 
 def test_env_boots_strict_validator(monkeypatch):
-    monkeypatch.setenv(ENV_LOCKDEP, "1")
+    monkeypatch.setenv("REPRO_LOCKDEP", "1")
     kern = Kernel()
     kern.spawn("t")
     assert kern.lockdep is not None and kern.lockdep.strict
@@ -145,18 +145,24 @@ def test_env_boots_strict_validator(monkeypatch):
     with pytest.raises(LockdepError) as exc:
         a.lock("w:ba")
     assert exc.value.report.kind == DEADLOCK
+    monkeypatch.setenv("REPRO_LOCKDEP", "yes")
+    with pytest.raises(ValueError, match="REPRO_LOCKDEP"):
+        Kernel()
 
 
 def test_explicit_param_wins_over_env(monkeypatch):
-    monkeypatch.setenv(ENV_LOCKDEP, "1")
+    monkeypatch.setenv("REPRO_LOCKDEP", "1")
     kern = Kernel(lockdep=True)      # explicit: record, don't raise
     assert kern.lockdep is not None and not kern.lockdep.strict
     assert Kernel(lockdep=False).lockdep is None
 
 
 def test_no_env_no_param_no_validator(monkeypatch):
-    monkeypatch.delenv(ENV_LOCKDEP, raising=False)
+    monkeypatch.delenv("REPRO_LOCKDEP", raising=False)
     assert Kernel().lockdep is None
+    for off in ("", "0"):
+        monkeypatch.setenv("REPRO_LOCKDEP", off)
+        assert Kernel().lockdep is None
 
 
 # ------------------------------------------------------------ bit-identity
@@ -176,7 +182,7 @@ def _file_workload(kern):
 
 
 def test_clock_identity_on_ext2_with_disk_io(monkeypatch):
-    monkeypatch.delenv(ENV_LOCKDEP, raising=False)
+    monkeypatch.delenv("REPRO_LOCKDEP", raising=False)
     runs = []
     for lockdep in (False, True):
         kern = Kernel(lockdep=lockdep)
@@ -189,7 +195,7 @@ def test_clock_identity_on_ext2_with_disk_io(monkeypatch):
 
 
 def test_clock_identity_on_network_workload(monkeypatch):
-    monkeypatch.delenv(ENV_LOCKDEP, raising=False)
+    monkeypatch.delenv("REPRO_LOCKDEP", raising=False)
     runs = []
     for lockdep in (False, True):
         kern = Kernel(lockdep=lockdep)
@@ -280,7 +286,7 @@ def test_analysis_lockdep_report(k, monkeypatch):
     from repro.analysis import lockdep_report
 
     assert "== lockdep ==" in lockdep_report(k)
-    monkeypatch.delenv(ENV_LOCKDEP, raising=False)
+    monkeypatch.delenv("REPRO_LOCKDEP", raising=False)
     assert lockdep_report(Kernel()) == "lockdep: disabled"
 
 

@@ -11,12 +11,11 @@ import pytest
 from repro.kernel import Kernel
 from repro.kernel.fs import RamfsSuperBlock
 from repro.kernel.vfs.file import O_CREAT, O_WRONLY
-from repro.safety.lockdep import ENV_LOCKDEP
 from repro.safety.monitor import EventDispatcher, LockProfiler
 
 
 def _boot(monkeypatch, *, lockdep):
-    monkeypatch.delenv(ENV_LOCKDEP, raising=False)
+    monkeypatch.delenv("REPRO_LOCKDEP", raising=False)
     kern = Kernel(lockdep=lockdep)
     kern.mount_root(RamfsSuperBlock(kern))
     kern.spawn("t")
@@ -81,7 +80,7 @@ def test_strict_validator_under_profiler_still_raises(monkeypatch):
     from repro.kernel.locks import SpinLock
     from repro.safety.lockdep import LockdepError
 
-    monkeypatch.setenv(ENV_LOCKDEP, "1")
+    monkeypatch.setenv("REPRO_LOCKDEP", "1")
     kern = Kernel()
     kern.mount_root(RamfsSuperBlock(kern))
     kern.spawn("t")

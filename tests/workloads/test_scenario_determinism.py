@@ -53,7 +53,6 @@ def test_env_fault_seed_is_part_of_the_identity(monkeypatch):
     """With REPRO_FAULT_SEED set at boot, two runs still agree bit-for-bit
     (the env schedule is seeded), and the armed schedule actually traced."""
     monkeypatch.setenv("REPRO_FAULT_SEED", "7")
-    monkeypatch.setenv("REPRO_FAULT_MODE", "observe")
     results = []
     for _ in range(2):
         kernel = Kernel()
