@@ -15,11 +15,15 @@ eBPF JIT-compiles at load time — scaled to this simulator:
 * :class:`CompiledEngine` executes compiled code behind the same ``call``
   API as the interpreter, with **batched cost accounting**: operations
   accumulate in a pending counter and are charged ``costs.cminus_op × N``
-  at *flush points* — before every memory access, allocation, runtime
-  check, variable hook, extern call, ``step_hook`` and raised error — so
-  any mid-run observer (preemption watchdog, fault injection, Kefence
-  traps, segment-limit faults) reads a clock identical to the
-  tree-walker's.  The tree-walker stays as the differential oracle.
+  at *flush points* — before every memory access that leaves the
+  backend's scalar fast path, allocation, runtime check, variable hook,
+  extern call, ``step_hook`` and raised error — so any mid-run observer
+  (preemption watchdog, fault injection, Kefence traps, segment-limit
+  faults, TLB-miss and fault spans) reads a clock identical to the
+  tree-walker's.  A scalar load or store that hits the TLB
+  (``MemoryAccess.try_read_int``/``try_write_int``) neither reads nor
+  charges the clock, so it needs no flush; only the ``ExecLimits`` test
+  runs before it.  The tree-walker stays as the differential oracle.
 * :class:`CodeCache` caches compiled programs keyed by (program
   fingerprint, instrumentation generation).  KGCC ``instrument`` /
   ``optimize`` / ``hotpatch`` / ``deinstrument`` and CoSy re-registration
@@ -208,8 +212,9 @@ def _invoke(rt: "CompiledEngine", cf: CompiledFunction,
     for spec, arg in zip(cf.params, args):
         addr = mem.alloc_stack(spec.alloc_size)
         allocs.append((addr, spec.alloc_size))
-        mem.write(addr, (arg & spec.store_mask).to_bytes(
-            spec.store_size, "little"))
+        value = arg & spec.store_mask
+        if not rt.store(addr, value, spec.store_size):
+            rt.store_slow(addr, value, spec.store_size)
         frame[spec.slot] = addr
         if vh is not None:
             vh.on_decl(spec.name, addr, spec.ctype,
@@ -409,19 +414,12 @@ class _Compiler:
         def run(rt: "CompiledEngine", frame: Any) -> int:
             rt.pending += 1
             addr = lv(rt, frame)
-            # inlined flush: loads are the hottest closures of all
-            n = rt.pending
-            if n:
-                rt.pending = 0
-                ops = rt.ops_executed + n
-                if ops > rt._ops_cap:
-                    rt.pending = n
-                    rt.flush()
-                rt.ops_executed = ops
-                b = rt._on_op_batch
-                if b is not None:
-                    b(n)
-            return rt.mem.read_int(addr, size, signed)
+            if rt.ops_executed + rt.pending > rt._ops_cap:
+                rt.flush()      # trips ExecLimits at the exact op
+            value = rt.load(addr, size, signed)
+            if value is None:
+                value = rt.load_slow(addr, size, signed)
+            return value
 
         return run
 
@@ -458,32 +456,24 @@ class _Compiler:
         signed = _is_signed(ctype)
         if kind == "local":
             def run(rt: "CompiledEngine", frame: Any) -> int:
-                # inlined tick + flush: local scalar loads dominate all
-                # interpreter-bound profiles
-                n = rt.pending + 1
-                rt.pending = 0
-                ops = rt.ops_executed + n
-                if ops > rt._ops_cap:
-                    rt.pending = n
+                # local scalar loads dominate all interpreter-bound
+                # profiles: a TLB hit is this closure plus one call
+                rt.pending += 1
+                if rt.ops_executed + rt.pending > rt._ops_cap:
                     rt.flush()
-                rt.ops_executed = ops
-                b = rt._on_op_batch
-                if b is not None:
-                    b(n)
-                return rt.mem.read_int(frame[idx], size, signed)
+                value = rt.load(frame[idx], size, signed)
+                if value is None:
+                    value = rt.load_slow(frame[idx], size, signed)
+                return value
         else:
             def run(rt: "CompiledEngine", frame: Any) -> int:
-                n = rt.pending + 1
-                rt.pending = 0
-                ops = rt.ops_executed + n
-                if ops > rt._ops_cap:
-                    rt.pending = n
+                rt.pending += 1
+                if rt.ops_executed + rt.pending > rt._ops_cap:
                     rt.flush()
-                rt.ops_executed = ops
-                b = rt._on_op_batch
-                if b is not None:
-                    b(n)
-                return rt.mem.read_int(rt.globals[idx], size, signed)
+                value = rt.load(rt.globals[idx], size, signed)
+                if value is None:
+                    value = rt.load_slow(rt.globals[idx], size, signed)
+                return value
         return run, ctype
 
     # ------------------------------------------------------------- operators
@@ -822,20 +812,14 @@ class _Compiler:
             def run_incdec(rt: "CompiledEngine", frame: Any) -> int:
                 rt.pending += 1
                 addr = lv_cl(rt, frame)
-                n = rt.pending
-                if n:
-                    rt.pending = 0
-                    ops = rt.ops_executed + n
-                    if ops > rt._ops_cap:
-                        rt.pending = n
-                        rt.flush()
-                    rt.ops_executed = ops
-                    b = rt._on_op_batch
-                    if b is not None:
-                        b(n)
-                old = rt.mem.read_int(addr, size, signed)
-                new = old + scale
-                rt.mem.write(addr, (new & mask).to_bytes(size, "little"))
+                if rt.ops_executed + rt.pending > rt._ops_cap:
+                    rt.flush()
+                old = rt.load(addr, size, signed)
+                if old is None:
+                    old = rt.load_slow(addr, size, signed)
+                new = (old + scale) & mask
+                if not rt.store(addr, new, size):
+                    rt.store_slow(addr, new, size)
                 return trunc(new)
 
             return run_incdec, ctype
@@ -862,7 +846,7 @@ class _Compiler:
     def _compile_assign_stmt(self, expr: ast.Assign) -> StmtFn | None:
         """``x = e;`` / ``x op= e;`` with a scalar Ident target, fused into
         one statement closure: statement tick, hook, assign tick, value,
-        flush, store.  Tick/hook/flush order is exactly the unfused
+        limit test, store.  Tick/hook/flush order is exactly the unfused
         ExprStmt + Assign sequence, so pending counts agree at every
         observable point."""
         fast = self._fast_ident_slot(expr.target)
@@ -895,20 +879,15 @@ class _Compiler:
                     sh()
                 rt.pending += 1          # the Assign node's tick
                 value = ev_val(rt, frame)
-                n = rt.pending
-                rt.pending = 0
-                ops = rt.ops_executed + n
-                if ops > rt._ops_cap:
-                    rt.pending = n
+                if rt.ops_executed + rt.pending > rt._ops_cap:
                     rt.flush()
-                rt.ops_executed = ops
-                b = rt._on_op_batch
-                if b is not None:
-                    b(n)
                 addr = frame[idx] if is_local else rt.globals[idx]
-                old = rt.mem.read_int(addr, size, signed)
-                value = combine(rt, old, value)
-                rt.mem.write(addr, (value & mask).to_bytes(size, "little"))
+                old = rt.load(addr, size, signed)
+                if old is None:
+                    old = rt.load_slow(addr, size, signed)
+                value = combine(rt, old, value) & mask
+                if not rt.store(addr, value, size):
+                    rt.store_slow(addr, value, size)
 
             return run_aug_stmt
 
@@ -928,19 +907,12 @@ class _Compiler:
                         b(n)
                 sh()
             rt.pending += 1              # the Assign node's tick
-            value = ev_val(rt, frame)
-            n = rt.pending
-            rt.pending = 0
-            ops = rt.ops_executed + n
-            if ops > rt._ops_cap:
-                rt.pending = n
+            value = ev_val(rt, frame) & mask
+            if rt.ops_executed + rt.pending > rt._ops_cap:
                 rt.flush()
-            rt.ops_executed = ops
-            b = rt._on_op_batch
-            if b is not None:
-                b(n)
             addr = frame[idx] if is_local else rt.globals[idx]
-            rt.mem.write(addr, (value & mask).to_bytes(size, "little"))
+            if not rt.store(addr, value, size):
+                rt.store_slow(addr, value, size)
 
         return run_assign_stmt
 
@@ -969,20 +941,14 @@ class _Compiler:
                 rt.pending += 1
                 addr = lv_cl(rt, frame)
                 value = ev_val(rt, frame)
-                n = rt.pending
-                if n:
-                    rt.pending = 0
-                    ops = rt.ops_executed + n
-                    if ops > rt._ops_cap:
-                        rt.pending = n
-                        rt.flush()
-                    rt.ops_executed = ops
-                    b = rt._on_op_batch
-                    if b is not None:
-                        b(n)
-                old = rt.mem.read_int(addr, size, signed)
-                value = combine(rt, old, value)
-                rt.mem.write(addr, (value & mask).to_bytes(size, "little"))
+                if rt.ops_executed + rt.pending > rt._ops_cap:
+                    rt.flush()
+                old = rt.load(addr, size, signed)
+                if old is None:
+                    old = rt.load_slow(addr, size, signed)
+                value = combine(rt, old, value) & mask
+                if not rt.store(addr, value, size):
+                    rt.store_slow(addr, value, size)
                 return trunc(value)
 
             return run_aug, ctype
@@ -990,19 +956,11 @@ class _Compiler:
         def run(rt: "CompiledEngine", frame: Any) -> int:
             rt.pending += 1
             addr = lv_cl(rt, frame)
-            value = ev_val(rt, frame)
-            n = rt.pending
-            if n:
-                rt.pending = 0
-                ops = rt.ops_executed + n
-                if ops > rt._ops_cap:
-                    rt.pending = n
-                    rt.flush()
-                rt.ops_executed = ops
-                b = rt._on_op_batch
-                if b is not None:
-                    b(n)
-            rt.mem.write(addr, (value & mask).to_bytes(size, "little"))
+            value = ev_val(rt, frame) & mask
+            if rt.ops_executed + rt.pending > rt._ops_cap:
+                rt.flush()
+            if not rt.store(addr, value, size):
+                rt.store_slow(addr, value, size)
             return trunc(value)
 
         return run, ctype
@@ -1022,20 +980,16 @@ class _Compiler:
             is_local = kind == "local"
 
             def run_fast(rt: "CompiledEngine", frame: Any) -> int:
-                n = rt.pending + 1
-                rt.pending = 0
-                ops = rt.ops_executed + n
-                if ops > rt._ops_cap:
-                    rt.pending = n
+                rt.pending += 1
+                if rt.ops_executed + rt.pending > rt._ops_cap:
                     rt.flush()
-                rt.ops_executed = ops
-                b = rt._on_op_batch
-                if b is not None:
-                    b(n)
                 addr = frame[idx] if is_local else rt.globals[idx]
-                old = rt.mem.read_int(addr, size, signed)
-                rt.mem.write(addr, ((old + scale) & mask).to_bytes(size,
-                                                                   "little"))
+                old = rt.load(addr, size, signed)
+                if old is None:
+                    old = rt.load_slow(addr, size, signed)
+                new = (old + scale) & mask
+                if not rt.store(addr, new, size):
+                    rt.store_slow(addr, new, size)
                 return old
 
             return run_fast, ctype
@@ -1043,20 +997,14 @@ class _Compiler:
         def run(rt: "CompiledEngine", frame: Any) -> int:
             rt.pending += 1
             addr = lv_cl(rt, frame)
-            n = rt.pending
-            if n:
-                rt.pending = 0
-                ops = rt.ops_executed + n
-                if ops > rt._ops_cap:
-                    rt.pending = n
-                    rt.flush()
-                rt.ops_executed = ops
-                b = rt._on_op_batch
-                if b is not None:
-                    b(n)
-            old = rt.mem.read_int(addr, size, signed)
-            rt.mem.write(addr, ((old + scale) & mask).to_bytes(size,
-                                                               "little"))
+            if rt.ops_executed + rt.pending > rt._ops_cap:
+                rt.flush()
+            old = rt.load(addr, size, signed)
+            if old is None:
+                old = rt.load_slow(addr, size, signed)
+            new = (old + scale) & mask
+            if not rt.store(addr, new, size):
+                rt.store_slow(addr, new, size)
             return old
 
         return run, ctype
@@ -1610,10 +1558,11 @@ class _Compiler:
                 raise CMinusError(
                     "array/struct initializers are not supported", line)
             if init_cl is not None:
-                value = init_cl(rt, frame)
-                rt.flush()
-                rt.mem.write(addr, (value & store_mask).to_bytes(
-                    store_size, "little"))
+                value = init_cl(rt, frame) & store_mask
+                if rt.ops_executed + rt.pending > rt._ops_cap:
+                    rt.flush()
+                if not rt.store(addr, value, store_size):
+                    rt.store_slow(addr, value, store_size)
             else:
                 rt.mem.write(addr, zero)
 
@@ -1930,6 +1879,9 @@ class CompiledEngine:
         self.filename = filename
         self.pending = 0
         self.ops_executed = 0
+        # the backend's scalar fast path, bound once (see MemoryAccess)
+        self.load = mem.try_read_int
+        self.store = mem.try_write_int
         self.strings: dict[int, int] = {}
         self.allocs: list[tuple[int, int]] = []
         self._cache = cache
@@ -1981,20 +1933,35 @@ class CompiledEngine:
         if self._on_op_batch is not None:
             self._on_op_batch(n)
 
+    def load_slow(self, addr: int, size: int, signed: bool) -> int:
+        """A scalar load the fast path declined: charge the pending ops
+        first, so the miss, fault or trap it meets sees the tree-walker's
+        clock."""
+        self.flush()
+        return int.from_bytes(self.mem.read(addr, size), "little",
+                              signed=signed)
+
+    def store_slow(self, addr: int, value: int, size: int) -> None:
+        """The store counterpart of :meth:`load_slow`."""
+        self.flush()
+        self.mem.write(addr, value.to_bytes(size, "little"))
+
     # --------------------------------------------------------------- plumbing
 
     def _init_globals(self) -> None:
         for spec in self._compiled.globals_spec:
+            self.flush()    # the last initialiser's store may have hit
             addr = self.mem.malloc(spec.alloc_size)
             self.globals[spec.index] = addr
             if self.var_hooks is not None:
                 self.var_hooks.on_decl(spec.name, addr, spec.ctype,
                                        f"{self.filename}:{spec.line}")
             if spec.init is not None:
-                value = spec.init(self, ())
-                self.flush()
-                self.mem.write(addr, (value & spec.store_mask).to_bytes(
-                    spec.store_size, "little"))
+                value = spec.init(self, ()) & spec.store_mask
+                if self.ops_executed + self.pending > self._ops_cap:
+                    self.flush()
+                if not self.store(addr, value, spec.store_size):
+                    self.store_slow(addr, value, spec.store_size)
             else:
                 self.mem.write(addr, b"\0" * spec.alloc_size)
         self.flush()

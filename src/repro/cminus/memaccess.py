@@ -18,6 +18,7 @@ unchecked over either backend.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.errors import OutOfMemory
@@ -29,19 +30,35 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class MemoryAccess(ABC):
-    """Byte access + stack/heap allocation, as the interpreter needs it."""
+    """Byte access + stack/heap allocation, as the interpreter needs it.
+
+    ``read``/``write`` are the full path: every check, charge, fault and
+    trace event an access can have.
+
+    ``try_read_int``/``try_write_int`` are the compiled engine's scalar
+    fast path.  When a TLB hit completes the access -- one page, 1, 2, 4
+    or 8 bytes, every check passing -- they perform it with exactly the
+    checks and bookkeeping ``read``/``write`` would apply, and return the
+    little-endian value / True.  Otherwise they return None / False
+    having changed nothing, and the caller takes the full path.  The
+    fast path must neither read nor charge the simulated clock: the
+    engine charges its pending ops only before the full path
+    (docs/PERF.md, "Batched charging").  The defaults never take it.
+    """
 
     @abstractmethod
     def read(self, addr: int, size: int) -> bytes: ...
 
-    def read_int(self, addr: int, size: int, signed: bool = False) -> int:
-        """Fused scalar load: ``read()`` + little-endian decode.  Backends
-        override this with a copy-free path; semantics (checks, charges,
-        faults) must be identical to ``read()``."""
-        return int.from_bytes(self.read(addr, size), "little", signed=signed)
-
     @abstractmethod
     def write(self, addr: int, data: bytes) -> None: ...
+
+    def try_read_int(self, addr: int, size: int,
+                     signed: bool) -> int | None:
+        return None
+
+    def try_write_int(self, addr: int, value: int, size: int) -> bool:
+        """``value`` is already truncated to ``size`` bytes."""
+        return False
 
     @abstractmethod
     def alloc_stack(self, size: int) -> int: ...
@@ -62,12 +79,14 @@ class UserMemAccess(MemoryAccess):
     def __init__(self, kernel: "Kernel", task: "Task"):
         self.kernel = kernel
         self.task = task
+        # the scalar fast path is the MMU's, with no wrapper frame
+        self.try_read_int = partial(  # type: ignore[method-assign]
+            kernel.mmu.try_read_int, task.aspace)
+        self.try_write_int = partial(  # type: ignore[method-assign]
+            kernel.mmu.try_write_int, task.aspace)
 
     def read(self, addr: int, size: int) -> bytes:
         return self.kernel.mmu.read(self.task.aspace, addr, size)
-
-    def read_int(self, addr: int, size: int, signed: bool = False) -> int:
-        return self.kernel.mmu.read_int(self.task.aspace, addr, size, signed)
 
     def write(self, addr: int, data: bytes) -> None:
         self.kernel.mmu.write(self.task.aspace, addr, data)
@@ -97,12 +116,13 @@ class KernelMemAccess(MemoryAccess):
 
         self.kernel = kernel
         self.aspace = AddressSpace(kernel.kernel_pt)
+        self.try_read_int = partial(  # type: ignore[method-assign]
+            kernel.mmu.try_read_int, self.aspace)
+        self.try_write_int = partial(  # type: ignore[method-assign]
+            kernel.mmu.try_write_int, self.aspace)
 
     def read(self, addr: int, size: int) -> bytes:
         return self.kernel.mmu.read(self.aspace, addr, size)
-
-    def read_int(self, addr: int, size: int, signed: bool = False) -> int:
-        return self.kernel.mmu.read_int(self.aspace, addr, size, signed)
 
     def write(self, addr: int, data: bytes) -> None:
         self.kernel.mmu.write(self.aspace, addr, data)
@@ -139,9 +159,10 @@ class SegmentMemAccess(MemoryAccess):
         self._free: dict[int, list[int]] = {}
         self._live: dict[int, int] = {}
         # bound-method shortcuts: skip one frame per load/store
-        self.read = view.read          # type: ignore[method-assign]
-        self.read_int = view.read_int  # type: ignore[method-assign]
-        self.write = view.write        # type: ignore[method-assign]
+        self.read = view.read                    # type: ignore[method-assign]
+        self.write = view.write                  # type: ignore[method-assign]
+        self.try_read_int = view.try_read_int    # type: ignore[method-assign]
+        self.try_write_int = view.try_write_int  # type: ignore[method-assign]
 
     def read(self, addr: int, size: int) -> bytes:
         return self.view.read(addr, size)

@@ -32,10 +32,10 @@ from typing import TYPE_CHECKING
 from repro.cminus import ast_nodes as ast
 from repro.cminus.compile import CompiledEngine
 from repro.cminus.interp import ExecLimits, Interpreter
-from repro.cminus.memaccess import MemoryAccess, SegmentMemAccess
+from repro.cminus.memaccess import (KernelMemAccess, MemoryAccess,
+                                   SegmentMemAccess)
 from repro.errors import WatchdogExpired
 from repro.kernel.clock import Mode
-from repro.kernel.memory.paging import AddressSpace
 from repro.kernel.segments import (SEG_READ, SEG_WRITE, SegmentDescriptor,
                                    SegmentedView)
 
@@ -82,38 +82,6 @@ class CosyWatchdog:
             raise WatchdogExpired(task.pid, used, self.max_kernel_cycles)
 
 
-class _RawKernelAccess(MemoryAccess):
-    """UNPROTECTED kernel memory access.
-
-    This is what a hand-crafted (non-Cosy-GCC) function effectively gets in
-    DATA_ONLY mode: its code runs in the kernel segment, so nothing stops
-    it addressing arbitrary kernel memory.  It exists so the paper's stated
-    limitation is demonstrable, not as an API anyone should use.
-    """
-
-    def __init__(self, kernel: "Kernel"):
-        self.kernel = kernel
-        self.aspace = AddressSpace(kernel.kernel_pt)
-
-    def read(self, addr: int, size: int) -> bytes:
-        return self.kernel.mmu.read(self.aspace, addr, size)
-
-    def write(self, addr: int, data: bytes) -> None:
-        self.kernel.mmu.write(self.aspace, addr, data)
-
-    def alloc_stack(self, size: int) -> int:
-        return self.kernel.kmalloc.kmalloc(max(size, 1))
-
-    def free_stack(self, addr: int, size: int) -> None:
-        self.kernel.kmalloc.kfree(addr)
-
-    def malloc(self, size: int) -> int:
-        return self.kernel.kmalloc.kmalloc(max(size, 1))
-
-    def free(self, addr: int) -> None:
-        self.kernel.kmalloc.kfree(addr)
-
-
 class FunctionIsolation:
     """Executes a compiled user function under a Cosy protection mode.
 
@@ -158,7 +126,7 @@ class FunctionIsolation:
         if handcrafted and mode is CosyProtection.DATA_ONLY:
             # The concession of §2.3: hand-crafted code in data-only mode
             # runs in the kernel segment — nothing confines it.
-            mem: MemoryAccess = _RawKernelAccess(kernel)
+            mem: MemoryAccess = KernelMemAccess(kernel)
         else:
             # Heap/stack start after the data already staged in the buffer.
             mem = SegmentMemAccess(self.view,

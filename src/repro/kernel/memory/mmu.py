@@ -16,6 +16,7 @@ True means the fault was resolved and the access should be retried.
 
 from __future__ import annotations
 
+import struct
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable
 
@@ -34,6 +35,17 @@ if TYPE_CHECKING:  # pragma: no cover
 
 FaultHandler = Callable[[PageFault], bool]
 
+#: Little-endian scalar codecs by size, compiled once: ``LOAD`` and
+#: ``LOAD_SIGNED`` decode in place (``unpack_from(buf, off)``), ``STORE``
+#: encodes in place (``pack_into(buf, off, value)``).  They serve the
+#: scalar fast paths of the MMU and of segmented views.
+LOAD = {n: struct.Struct("<" + c).unpack_from
+        for n, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))}
+LOAD_SIGNED = {n: struct.Struct("<" + c).unpack_from
+               for n, c in ((1, "b"), (2, "h"), (4, "i"), (8, "q"))}
+STORE = {n: struct.Struct("<" + c).pack_into
+         for n, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))}
+
 
 class MMU:
     """Byte-level memory access with translation, faults, and a TLB."""
@@ -42,6 +54,7 @@ class MMU:
                  tlb_entries: int = 64, *, tracer: "Tracer | None" = None,
                  metrics: "MetricsRegistry | None" = None):
         self.physmem = physmem
+        self._physdata = physmem._data    # never reassigned by its owner
         self.clock = clock
         self.costs = costs
         self.tlb_entries = tlb_entries
@@ -206,28 +219,61 @@ class MMU:
             addr += n
             view = view[n:]
 
-    def read_int(self, aspace: AddressSpace, vaddr: int, size: int,
-                 signed: bool = False) -> int:
-        """Fused scalar load: single-page TLB-hit read decoded straight
-        from the frame, skipping the intermediate ``bytes`` copy.  Checks
-        and charges are identical to :meth:`read`."""
+    # ---------------------------------------------------- scalar fast path
+
+    def try_read_int(self, aspace: AddressSpace, vaddr: int, size: int,
+                     signed: bool) -> int | None:
+        """The scalar load a TLB hit completes, or ``None``.
+
+        A single-page load of 1, 2, 4 or 8 bytes whose PTE allows it and
+        whose page is in the TLB (outside the vmalloc area) is performed
+        exactly as :meth:`read`'s hit path performs it -- LRU bump and
+        ``tlb_hits`` -- and decoded little-endian with a precompiled
+        ``struct`` codec.  It neither reads nor charges the clock.  Any
+        other access returns ``None`` having changed nothing, and the
+        caller takes :meth:`read`."""
         off = vaddr & (PAGE_SIZE - 1)
-        if off + size <= PAGE_SIZE:
-            vpn = vaddr >> PAGE_SHIFT
-            pt = aspace.kernel_pt if vaddr >= KERNEL_BASE else aspace.user_pt
-            pte = pt._entries.get(vpn)
-            if pte is not None and pte.present and pte.perms & PERM_R \
-                    and vpn in self._tlb \
-                    and not VMALLOC_BASE <= vaddr < VMALLOC_END:
-                self._tlb.move_to_end(vpn)
-                self.tlb_hits += 1
-                data = self.physmem._data.get(pte.frame)
-                if data is None:
-                    data = self.physmem.frame_bytes(pte.frame)
-                return int.from_bytes(data[off:off + size], "little",
-                                      signed=signed)
-        return int.from_bytes(self.read(aspace, vaddr, size), "little",
-                              signed=signed)
+        decode = (LOAD_SIGNED if signed else LOAD).get(size)
+        if decode is None or off + size > PAGE_SIZE:
+            return None
+        vpn = vaddr >> PAGE_SHIFT
+        pt = aspace.kernel_pt if vaddr >= KERNEL_BASE else aspace.user_pt
+        pte = pt._entries.get(vpn)
+        tlb = self._tlb
+        if pte is None or not pte.present or not pte.perms & PERM_R \
+                or vpn not in tlb or VMALLOC_BASE <= vaddr < VMALLOC_END:
+            return None
+        tlb.move_to_end(vpn)
+        self.tlb_hits += 1
+        data = self._physdata.get(pte.frame)
+        if data is None:
+            data = self.physmem.frame_bytes(pte.frame)
+        return decode(data, off)[0]
+
+    def try_write_int(self, aspace: AddressSpace, vaddr: int, value: int,
+                      size: int) -> bool:
+        """The scalar store a TLB hit completes: :meth:`try_read_int`'s
+        rules with write permission.  ``value`` is already truncated to
+        ``size`` bytes (``0 <= value < 2**(8*size)``).  Returns False,
+        having changed nothing, when the caller must take :meth:`write`."""
+        off = vaddr & (PAGE_SIZE - 1)
+        encode = STORE.get(size)
+        if encode is None or off + size > PAGE_SIZE:
+            return False
+        vpn = vaddr >> PAGE_SHIFT
+        pt = aspace.kernel_pt if vaddr >= KERNEL_BASE else aspace.user_pt
+        pte = pt._entries.get(vpn)
+        tlb = self._tlb
+        if pte is None or not pte.present or not pte.perms & PERM_W \
+                or vpn not in tlb or VMALLOC_BASE <= vaddr < VMALLOC_END:
+            return False
+        tlb.move_to_end(vpn)
+        self.tlb_hits += 1
+        buf = self._physdata.get(pte.frame)
+        if buf is None:
+            buf = self.physmem.frame_bytes(pte.frame)
+        encode(buf, off, value)
+        return True
 
     # Fixed-width integer helpers (little-endian, like x86).
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from repro.errors import ProtectionFault
 from repro.kernel.memory.layout import (KERNEL_BASE, PAGE_SHIFT, PAGE_SIZE,
                                         VMALLOC_BASE, VMALLOC_END)
-from repro.kernel.memory.mmu import MMU
+from repro.kernel.memory.mmu import LOAD, LOAD_SIGNED, MMU, STORE
 from repro.kernel.memory.paging import (PERM_R, PERM_W, AddressSpace)
 
 SEG_READ = 1
@@ -109,6 +109,7 @@ class SegmentedView:
         # attribute hop per access instead of two or three
         self._descs = table._descriptors
         self._physdata = mmu.physmem._data
+        self._tlb = mmu._tlb
 
     @property
     def descriptor(self) -> SegmentDescriptor:
@@ -120,10 +121,8 @@ class SegmentedView:
 
     def read(self, offset: int, size: int) -> bytes:
         # The limit check is inlined on the pass path; descriptor.check
-        # re-runs only to raise with the full diagnostic.  Every C-minus
-        # load in an isolated function lands here, so the MMU's
-        # single-page TLB-hit path is inlined too — misses, faults and
-        # straddling accesses fall back to mmu.read.
+        # re-runs only to raise with the full diagnostic.  Scalar loads of
+        # compiled code take try_read_int instead.
         sel = self.selector
         descs = self._descs
         desc = descs[sel] if 0 < sel < len(descs) else None
@@ -132,56 +131,7 @@ class SegmentedView:
         if offset < 0 or size < 0 or offset + size > desc.limit \
                 or not (desc.perms & SEG_READ):
             desc.check(offset, size, "r", sel)
-        vaddr = desc.base + offset
-        mmu = self.mmu
-        off = vaddr & (PAGE_SIZE - 1)
-        if off + size <= PAGE_SIZE:
-            vpn = vaddr >> PAGE_SHIFT
-            aspace = self.aspace
-            pt = aspace.kernel_pt if vaddr >= KERNEL_BASE else aspace.user_pt
-            pte = pt._entries.get(vpn)
-            if pte is not None and pte.present and pte.perms & PERM_R \
-                    and vpn in mmu._tlb \
-                    and not VMALLOC_BASE <= vaddr < VMALLOC_END:
-                mmu._tlb.move_to_end(vpn)
-                mmu.tlb_hits += 1
-                data = self._physdata.get(pte.frame)
-                if data is None:
-                    data = mmu.physmem.frame_bytes(pte.frame)
-                return bytes(data[off:off + size])
-        return mmu.read(self.aspace, vaddr, size)
-
-    def read_int(self, offset: int, size: int, signed: bool = False) -> int:
-        """Fused scalar load — :meth:`read` + little-endian decode without
-        the intermediate ``bytes`` copy.  Same checks, same charges."""
-        sel = self.selector
-        descs = self._descs
-        desc = descs[sel] if 0 < sel < len(descs) else None
-        if desc is None:
-            desc = self.table.descriptor(sel)
-        if offset < 0 or size < 0 or offset + size > desc.limit \
-                or not (desc.perms & SEG_READ):
-            desc.check(offset, size, "r", sel)
-        vaddr = desc.base + offset
-        mmu = self.mmu
-        off = vaddr & (PAGE_SIZE - 1)
-        if off + size <= PAGE_SIZE:
-            vpn = vaddr >> PAGE_SHIFT
-            aspace = self.aspace
-            pt = aspace.kernel_pt if vaddr >= KERNEL_BASE else aspace.user_pt
-            pte = pt._entries.get(vpn)
-            if pte is not None and pte.present and pte.perms & PERM_R \
-                    and vpn in mmu._tlb \
-                    and not VMALLOC_BASE <= vaddr < VMALLOC_END:
-                mmu._tlb.move_to_end(vpn)
-                mmu.tlb_hits += 1
-                data = self._physdata.get(pte.frame)
-                if data is None:
-                    data = mmu.physmem.frame_bytes(pte.frame)
-                return int.from_bytes(data[off:off + size], "little",
-                                      signed=signed)
-        return int.from_bytes(mmu.read(self.aspace, vaddr, size), "little",
-                              signed=signed)
+        return self.mmu.read(self.aspace, desc.base + offset, size)
 
     def write(self, offset: int, data: bytes) -> None:
         sel = self.selector
@@ -193,25 +143,70 @@ class SegmentedView:
         if offset < 0 or offset + size > desc.limit \
                 or not (desc.perms & SEG_WRITE):
             desc.check(offset, size, "w", sel)
+        self.mmu.write(self.aspace, desc.base + offset, data)
+
+    def try_read_int(self, offset: int, size: int,
+                     signed: bool) -> int | None:
+        """:meth:`MMU.try_read_int` through the segment: the scalar load a
+        passing limit/permission check and a TLB hit complete, or
+        ``None`` -- having changed nothing -- for :meth:`read` to fault,
+        miss or straddle."""
+        sel = self.selector
+        descs = self._descs
+        desc = descs[sel] if 0 < sel < len(descs) else None
+        decode = (LOAD_SIGNED if signed else LOAD).get(size)
+        if desc is None or decode is None or offset < 0 \
+                or offset + size > desc.limit or not desc.perms & SEG_READ:
+            return None
         vaddr = desc.base + offset
-        mmu = self.mmu
         off = vaddr & (PAGE_SIZE - 1)
-        if off + size <= PAGE_SIZE:
-            vpn = vaddr >> PAGE_SHIFT
-            aspace = self.aspace
-            pt = aspace.kernel_pt if vaddr >= KERNEL_BASE else aspace.user_pt
-            pte = pt._entries.get(vpn)
-            if pte is not None and pte.present and pte.perms & PERM_W \
-                    and vpn in mmu._tlb \
-                    and not VMALLOC_BASE <= vaddr < VMALLOC_END:
-                mmu._tlb.move_to_end(vpn)
-                mmu.tlb_hits += 1
-                buf = self._physdata.get(pte.frame)
-                if buf is None:
-                    buf = mmu.physmem.frame_bytes(pte.frame)
-                buf[off:off + size] = data
-                return
-        self.mmu.write(self.aspace, vaddr, data)
+        if off + size > PAGE_SIZE:
+            return None
+        vpn = vaddr >> PAGE_SHIFT
+        aspace = self.aspace
+        pt = aspace.kernel_pt if vaddr >= KERNEL_BASE else aspace.user_pt
+        pte = pt._entries.get(vpn)
+        tlb = self._tlb
+        if pte is None or not pte.present or not pte.perms & PERM_R \
+                or vpn not in tlb or VMALLOC_BASE <= vaddr < VMALLOC_END:
+            return None
+        tlb.move_to_end(vpn)
+        self.mmu.tlb_hits += 1
+        data = self._physdata.get(pte.frame)
+        if data is None:
+            data = self.mmu.physmem.frame_bytes(pte.frame)
+        return decode(data, off)[0]
+
+    def try_write_int(self, offset: int, value: int, size: int) -> bool:
+        """The scalar store counterpart of :meth:`try_read_int`
+        (``value`` already truncated to ``size`` bytes); False sends the
+        caller to :meth:`write`."""
+        sel = self.selector
+        descs = self._descs
+        desc = descs[sel] if 0 < sel < len(descs) else None
+        encode = STORE.get(size)
+        if desc is None or encode is None or offset < 0 \
+                or offset + size > desc.limit or not desc.perms & SEG_WRITE:
+            return False
+        vaddr = desc.base + offset
+        off = vaddr & (PAGE_SIZE - 1)
+        if off + size > PAGE_SIZE:
+            return False
+        vpn = vaddr >> PAGE_SHIFT
+        aspace = self.aspace
+        pt = aspace.kernel_pt if vaddr >= KERNEL_BASE else aspace.user_pt
+        pte = pt._entries.get(vpn)
+        tlb = self._tlb
+        if pte is None or not pte.present or not pte.perms & PERM_W \
+                or vpn not in tlb or VMALLOC_BASE <= vaddr < VMALLOC_END:
+            return False
+        tlb.move_to_end(vpn)
+        self.mmu.tlb_hits += 1
+        buf = self._physdata.get(pte.frame)
+        if buf is None:
+            buf = self.mmu.physmem.frame_bytes(pte.frame)
+        encode(buf, off, value)
+        return True
 
     def read_i64(self, offset: int) -> int:
         return int.from_bytes(self.read(offset, 8), "little", signed=True)

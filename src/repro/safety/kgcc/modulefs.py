@@ -140,10 +140,10 @@ class _ModuleEngine:
         else:
             self.report = None
         cminus_op = kernel.costs.cminus_op
-        charge = kernel.clock.charge
+        charge_system = kernel.clock.charge_system
         self.interp = CompiledEngine(
             program, self.mem,
-            on_op_batch=lambda n: charge(n * cminus_op, Mode.SYSTEM),
+            on_op_batch=lambda n: charge_system(n * cminus_op),
             cache=kernel.code_cache,
             **kwargs)
         # shared scratch buffer for passing names into module code

@@ -25,7 +25,7 @@ from repro.cminus.ctypes import ArrayType, CType
 from repro.cminus.memaccess import MemoryAccess
 from repro.errors import AllocatorMisuse, BoundsError, InvalidPointer
 from repro.kernel.clock import Mode
-from repro.safety.kgcc.addrmap import ObjectMap
+from repro.safety.kgcc.addrmap import MemObject, ObjectMap
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.core import Kernel
@@ -43,6 +43,10 @@ class KgccRuntime:
         #: address-never-taken heuristic (InstrumentationReport.unregistered)
         self.skip_names = skip_names or set()
         self.map = ObjectMap(on_visit=self._charge_visits)
+        # the map's containers (never reassigned): the checks consult them
+        # directly, so each check is one splay lookup and one charge
+        self._tree = self.map._tree
+        self._oob = self.map._oob
         self.checks_executed = 0
         self.check_failures = 0
         self.site_counts: Counter = Counter()
@@ -55,9 +59,27 @@ class KgccRuntime:
             self.kernel.clock.charge(
                 nodes * self.kernel.costs.kgcc_splay_node, self.mode)
 
-    def _charge_check(self) -> None:
-        if self.kernel is not None:
-            self.kernel.clock.charge(self.kernel.costs.kgcc_check, self.mode)
+    def _charge_check(self, visits: int = 0) -> None:
+        """A check's whole cost in one charge: ``kgcc_check`` plus
+        ``kgcc_splay_node`` per splay node its lookup touched."""
+        kernel = self.kernel
+        if kernel is not None:
+            costs = kernel.costs
+            kernel.clock.charge(
+                costs.kgcc_check + visits * costs.kgcc_splay_node, self.mode)
+
+    def _lookup_charged(self, addr: int) -> MemObject | None:
+        """``ObjectMap.lookup`` for a check: the live object covering
+        ``addr``, with the check and its splay visits charged together."""
+        tree = self._tree
+        before = tree.visits
+        self.map.lookups += 1
+        hit = tree.find_le(addr)
+        self._charge_check(tree.visits - before)
+        if hit is None:
+            return None
+        obj = hit[1]
+        return obj if addr < obj.base + obj.size else None
 
     def _charge_register(self) -> None:
         if self.kernel is not None:
@@ -92,14 +114,14 @@ class KgccRuntime:
         """Validate an about-to-happen access of ``size`` bytes at ``addr``."""
         self.checks_executed += 1
         self.site_counts[site] += 1
-        self._charge_check()
-        oob = self.map.oob_at(addr)
+        oob = self._oob.get(addr)
         if oob is not None:
+            self._charge_check()
             self.check_failures += 1
             raise BoundsError(
                 addr, f"dereference of out-of-bounds pointer (peer of "
                       f"object at {oob.peer.base:#x})", site)
-        obj = self.map.lookup(addr)
+        obj = self._lookup_charged(addr)
         if obj is None:
             self.check_failures += 1
             raise InvalidPointer(addr)
@@ -115,14 +137,14 @@ class KgccRuntime:
         *adjacent* object is still a violation (Jones & Kelly)."""
         self.checks_executed += 1
         self.site_counts[site] += 1
-        self._charge_check()
-        oob = self.map.oob_at(base)
+        oob = self._oob.get(base)
         if oob is not None:
+            self._charge_check()
             self.check_failures += 1
             raise BoundsError(
                 addr, f"indexing through out-of-bounds pointer (peer of "
                       f"object at {oob.peer.base:#x})", site)
-        origin = self.map.lookup(base)
+        origin = self._lookup_charged(base)
         if origin is None:
             self.check_failures += 1
             raise InvalidPointer(base, "indexing an unknown pointer")
@@ -136,10 +158,13 @@ class KgccRuntime:
         """Validate pointer arithmetic; may create or retire an OOB peer."""
         self.checks_executed += 1
         self.site_counts[site] += 1
-        self._charge_check()
         # Arithmetic starting from an existing OOB peer?
-        src_oob = self.map.oob_at(base)
-        origin = src_oob.peer if src_oob is not None else self.map.lookup(base)
+        src_oob = self._oob.get(base)
+        if src_oob is not None:
+            self._charge_check()
+            origin: MemObject | None = src_oob.peer
+        else:
+            origin = self._lookup_charged(base)
         if origin is None:
             self.check_failures += 1
             raise InvalidPointer(

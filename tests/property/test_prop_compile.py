@@ -3,9 +3,10 @@
 The tree-walking interpreter is the oracle.  For randomly generated
 programs both engines must agree on *everything observable*: the return
 value, the final physical-memory image, the fault raised (type, message,
-and the clock at the instant it fires), KGCC check outcomes, and the
-simulated cycle count.  Any divergence means the closure compiler or its
-batched accounting changed semantics.
+and the clock at the instant it fires), KGCC check outcomes, the
+simulated cycle count, the TLB's counters and LRU order, and the clock at
+every access that leaves the TLB-hit fast path.  Any divergence means the
+closure compiler or its batched accounting changed semantics.
 """
 
 from __future__ import annotations
@@ -102,12 +103,28 @@ def programs(draw):
 
 # ---------------------------------------------------------------- fixtures
 
-def _observe(engine: str, src: str, *, max_ops=None, checked=False):
-    """Run one engine on a fresh kernel and capture everything observable."""
+def _observe(engine: str, src: str, *, max_ops=None, checked=False,
+             flush_tlb=False):
+    """Run one engine on a fresh kernel and capture everything observable.
+
+    ``translations`` holds ``(clock, vaddr, access)`` at every
+    ``MMU.translate`` entry: every access that missed the TLB, faulted or
+    straddled a page, where the tracer's ``mem:tlb_miss``/``mem:fault``
+    spans and the fault handlers read the clock.  ``flush_tlb`` empties
+    the TLB at every statement, so such accesses land mid-expression,
+    with engine ops still pending in the compiled engine."""
     k = Kernel()
     k.mount_root(RamfsSuperBlock(k))
     task = k.spawn("prop")
     mem = UserMemAccess(k, task)
+    translations = []
+    translate = k.mmu.translate
+
+    def spy(aspace, vaddr, access):
+        translations.append((k.clock.now, vaddr, access))
+        return translate(aspace, vaddr, access)
+
+    k.mmu.translate = spy
     program = parse(src)
     kwargs = {}
     runtime = None
@@ -121,6 +138,7 @@ def _observe(engine: str, src: str, *, max_ops=None, checked=False):
 
     cls = Interpreter if engine == "tree" else CompiledEngine
     interp = cls(program, mem, on_op=on_op,
+                 step_hook=k.mmu.flush_tlb if flush_tlb else None,
                  limits=ExecLimits(max_ops=max_ops), **kwargs)
     try:
         outcome = ("ok", interp.call("main"))
@@ -136,6 +154,8 @@ def _observe(engine: str, src: str, *, max_ops=None, checked=False):
         "ops": interp.ops_executed,
         "memory": memory,
         "checks": checks,
+        "translations": translations,
+        "tlb": (k.mmu.tlb_hits, k.mmu.tlb_misses, list(k.mmu._tlb)),
     }
 
 
@@ -166,6 +186,19 @@ def test_engines_agree_on_check_outcomes(src):
     comp = _observe("compiled", src, checked=True)
     assert tree == comp
     assert tree["checks"][0] > 0
+
+
+@given(programs(), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_slow_path_sees_the_tree_walkers_clock(src, checked):
+    """With the TLB flushed at every statement, loads and stores miss
+    mid-expression: the compiled engine must charge its pending ops
+    before each one, so every miss sees the tree-walker's clock, and
+    both engines leave the TLB in the same state."""
+    tree = _observe("tree", src, checked=checked, flush_tlb=True)
+    comp = _observe("compiled", src, checked=checked, flush_tlb=True)
+    assert tree == comp
+    assert len(tree["translations"]) > 1
 
 
 @given(st.integers(min_value=-100, max_value=100),

@@ -97,6 +97,65 @@ def test_objectmap_unregister_kills_peers():
     assert m.lookup(100) is None
 
 
+# ------------------------------------------------------------ cost of a check
+
+_OBJ = 0x8000           # the middle one of 16 registered 64-byte objects
+_PEER = _OBJ + 0x4000   # an out-of-bounds peer of it
+_UNKNOWN = 0x10
+
+
+@pytest.mark.parametrize("check, args, error, looks_up", [
+    pytest.param("check_deref", (_OBJ + 8, 4), None, True, id="deref-hit"),
+    pytest.param("check_deref", (_UNKNOWN, 4), InvalidPointer, True,
+                 id="deref-unknown"),
+    pytest.param("check_deref", (_OBJ + 60, 8), BoundsError, True,
+                 id="deref-overrun"),
+    pytest.param("check_deref", (_PEER, 4), BoundsError, False,
+                 id="deref-of-peer"),
+    pytest.param("check_index", (_OBJ, _OBJ + 8, 4), None, True,
+                 id="index-hit"),
+    pytest.param("check_index", (_UNKNOWN, _UNKNOWN + 8, 4), InvalidPointer,
+                 True, id="index-unknown"),
+    pytest.param("check_index", (_OBJ, _OBJ + 64, 4), BoundsError, True,
+                 id="index-overrun"),
+    pytest.param("check_index", (_PEER, _PEER + 4, 4), BoundsError, False,
+                 id="index-through-peer"),
+    pytest.param("check_arith", (_OBJ, _OBJ + 16), None, True,
+                 id="arith-hit"),
+    pytest.param("check_arith", (_UNKNOWN, _UNKNOWN + 8), InvalidPointer,
+                 True, id="arith-unknown"),
+    pytest.param("check_arith", (_OBJ, _OBJ + 200), None, True,
+                 id="arith-creates-peer"),
+    pytest.param("check_arith", (_PEER, _PEER + 8), None, False,
+                 id="arith-from-peer"),
+])
+def test_check_costs_one_check_plus_its_splay_visits(check, args, error,
+                                                      looks_up):
+    """Every check advances the clock by exactly ``kgcc_check`` plus
+    ``kgcc_splay_node`` per splay node its lookup touched; a check that
+    finds an out-of-bounds peer does no lookup."""
+    k = Kernel()
+    runtime = KgccRuntime(k)
+    for i in range(16):
+        runtime.map.register(_OBJ + (i - 8) * 0x100, 64, "heap", f"o{i}")
+    runtime.map.make_peer(_PEER, runtime.map.lookup(_OBJ))
+    tree = runtime.map._tree
+    clock0, visits0 = k.clock.now, tree.visits
+    if error is None:
+        getattr(runtime, check)(*args, "s")
+    else:
+        with pytest.raises(error):
+            getattr(runtime, check)(*args, "s")
+    visits = tree.visits - visits0
+    assert (visits > 0) is looks_up
+    costs = k.costs
+    assert k.clock.now - clock0 == (costs.kgcc_check
+                                    + visits * costs.kgcc_splay_node)
+    assert runtime.checks_executed == 1
+    assert runtime.check_failures == (error is not None)
+    assert runtime.site_counts == {"s": 1}
+
+
 # ------------------------------------------------------------ checked programs
 
 @pytest.fixture
