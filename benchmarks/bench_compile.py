@@ -1,4 +1,4 @@
-"""The closure-compiled C-minus engine vs the tree-walking interpreter.
+"""The compiled C-minus engine vs the tree-walking interpreter.
 
 Three measurements, all on real wall-clock time (the simulated cycle
 counts are asserted *identical* between engines — the compiler's whole
@@ -85,7 +85,7 @@ def test_tree_vs_compiled(run_once):
         compiled_wall_seconds=lambda: out["r"][1])
     speedup = wt / wc
     table = ComparisonTable(
-        "compile", f"closure-compiled engine ({ITERS} LCG iterations)")
+        "compile", f"compiled engine ({ITERS} LCG iterations)")
     table.add("wall-clock speedup", ">=2.5x", f"{speedup:.2f}x",
               holds=speedup >= 2.5)
     table.add("simulated cycles", "identical", f"{cycles} (both)",

@@ -132,7 +132,7 @@ def _measure_all(trace_dir=None) -> dict[str, tuple[float, int, int, dict]]:
 
 # An interpreter-bound compound: almost all simulated work happens inside
 # the isolated helper function, so wall-clock is dominated by the C-minus
-# engine — exactly where the closure compiler must pay off.
+# engine — exactly where the compiled engine must pay off.
 _ARITH_SRC = """
 int mix(int seed, int iters) {
     int x = seed;
@@ -178,7 +178,7 @@ def _run_arith_engine(engine: str) -> tuple[int, int, float]:
 
 
 def test_cosy_micro_engine(run_once):
-    """The closure-compiled engine on an interpreter-bound compound."""
+    """The compiled engine on an interpreter-bound compound."""
     out = {}
 
     def measure():

@@ -1,34 +1,39 @@
-"""Closure compiler for the C subset: lower an AST once, execute many.
+"""Source generator for the C subset: lower an AST once, execute many.
 
 The tree-walking :class:`~repro.cminus.interp.Interpreter` re-dispatches on
 node types and fires a Python ``on_op`` callback for every simulated
 operation.  That is faithful but slow, and every hot path in the
 reproduction (CoSy compounds, KGCC-instrumented modules) bottoms out in
 it.  This module performs the move real kernel-embedded runtimes make —
-eBPF JIT-compiles at load time — scaled to this simulator:
+eBPF JIT-compiles verified bytecode at load time — scaled to this
+simulator:
 
-* :func:`compile_program` lowers a parsed :class:`ast.Program` into flat
-  Python closures.  Variable references resolve to frame-slot indices at
-  compile time, type sizes and truncation masks are precomputed,
-  per-node ``isinstance``/``getattr`` dispatch disappears, and KGCC
-  :class:`ast.Check` nodes are baked into the closure stream.
+* :func:`compile_program` generates one Python function per C function
+  and ``exec``s it once.  C control flow becomes Python control flow,
+  every C variable keeps its simulated stack slot (its address is a
+  Python local), type sizes and truncation masks are literals, and KGCC
+  :class:`ast.Check` nodes become inline calls into the check runtime.
+  ``CompiledFunction.source`` keeps the text; the code object's filename
+  names the C function (``<cminus:file:func>``).
 * :class:`CompiledEngine` executes compiled code behind the same ``call``
-  API as the interpreter, with **batched cost accounting**: operations
-  accumulate in a pending counter and are charged ``costs.cminus_op × N``
-  at *flush points* — before every memory access that leaves the
-  backend's scalar fast path, allocation, runtime check, variable hook,
-  extern call, ``step_hook`` and raised error — so any mid-run observer
-  (preemption watchdog, fault injection, Kefence traps, segment-limit
-  faults, TLB-miss and fault spans) reads a clock identical to the
-  tree-walker's.  A scalar load or store that hits the TLB
+  API as the interpreter, with **batched cost accounting**.  A generated
+  function keeps its pending-op count in the local ``p`` and sums at
+  generation time the ticks between two points that read it.  It charges
+  ``costs.cminus_op × N`` only at *flush points* — before every memory
+  access that leaves the backend's scalar fast path, allocation, runtime
+  check, variable hook, call, ``step_hook`` and raised error — so any
+  mid-run observer (preemption watchdog, fault injection, Kefence traps,
+  segment-limit faults, TLB-miss and fault spans) reads a clock identical
+  to the tree-walker's.  A scalar load or store that hits the TLB
   (``MemoryAccess.try_read_int``/``try_write_int``) neither reads nor
-  charges the clock, so it needs no flush; only the ``ExecLimits`` test
-  runs before it.  The tree-walker stays as the differential oracle.
+  charges the clock, so only the ``ExecLimits`` test runs before it.
 * :class:`CodeCache` caches compiled programs keyed by (program
   fingerprint, instrumentation generation).  KGCC ``instrument`` /
   ``optimize`` / ``hotpatch`` / ``deinstrument`` and CoSy re-registration
   bump the generation via :func:`bump_generation`, so stale compiled code
   can never run: the engine re-checks the generation on every ``call``.
+  Hooks are read from the engine when a function runs, so one cached
+  program serves engines with any mix of hooks.
 
 Semantics parity contract (verified by ``tests/property/test_prop_compile``):
 return values, memory state, fault sites and messages, check verdicts,
@@ -52,11 +57,6 @@ from repro.cminus.interp import (CheckRuntime, ExecLimits, VarHooks,
                                  _WORD_MASK)
 from repro.cminus.memaccess import MemoryAccess
 from repro.errors import CMinusError
-
-#: an expression closure: (engine, frame) -> value (or address, for lvalues)
-EvalFn = Callable[["CompiledEngine", Any], int]
-#: a statement closure: (engine, frame) -> None
-StmtFn = Callable[["CompiledEngine", Any], None]
 
 _GEN_ATTR = "_cminus_generation"
 _FP_ATTR = "_cminus_fingerprint"
@@ -100,41 +100,70 @@ def program_fingerprint(program: ast.Program) -> str:
 
 # ----------------------------------------------------------- control signals
 
-class _Return(Exception):
-    def __init__(self, value: int):
-        self.value = value
-
-
 class _Break(Exception):
-    pass
+    """``break`` outside any loop of its function."""
 
 
 class _Continue(Exception):
-    pass
+    """``continue`` outside any loop of its function."""
+
+
+#: what an outlined statement returns when a ``break``/``continue`` in it
+#: leaves it for a loop of the function it was cut from
+_BRK = object()
+_CONT = object()
+
+#: Python nesting a generated function may reach before the generator
+#: moves the next statement or expression into a helper function.
+#: CPython rejects more than 20 nested loop/try blocks and 100 levels of
+#: indentation per code object; one C node adds at most 1 and 3.
+_MAX_BLOCKS = 16
+_MAX_INDENT = 80
 
 
 # ------------------------------------------------------------------ helpers
 
-def _make_truncate(ctype: CType) -> Callable[[int], int]:
-    """Specialized equivalent of ``interp._truncate`` for a fixed type."""
-    if isinstance(ctype, PointerType):
-        return lambda v: v & _WORD_MASK
-    bits = ctype.size * 8
-    mask = (1 << bits) - 1
-    if isinstance(ctype, IntType) and ctype.signed and bits > 0:
-        half = 1 << (bits - 1)
-        full = 1 << bits
-
-        def trunc_signed(v: int) -> int:
-            v &= mask
-            return v - full if v >= half else v
-
-        return trunc_signed
-    return lambda v: v & mask
-
-
 def _is_signed(ctype: CType) -> bool:
     return isinstance(ctype, IntType) and ctype.signed
+
+
+def _mask(ctype: CType) -> int:
+    return (1 << (ctype.size * 8)) - 1
+
+
+def _trunc(ctype: CType, v: str) -> str:
+    """Python expression truncating ``v`` like ``interp._truncate``."""
+    if isinstance(ctype, PointerType):
+        return f"(({v}) & {_WORD_MASK})"
+    bits = ctype.size * 8
+    if isinstance(ctype, IntType) and ctype.signed and bits > 0:
+        half = 1 << (bits - 1)
+        return f"((({v}) + {half} & {(1 << bits) - 1}) - {half})"
+    return f"(({v}) & {(1 << bits) - 1})"
+
+
+def _declares(stmts) -> bool:
+    """Whether running ``stmts`` declares a variable in the scope around
+    them: a VarDecl not inside a further Block or For."""
+    for s in stmts:
+        if isinstance(s, ast.VarDecl):
+            return True
+        if isinstance(s, ast.If) and _declares((s.then, s.orelse)):
+            return True
+        if isinstance(s, ast.While) and _declares((s.body,)):
+            return True
+    return False
+
+
+_COMPARE = ("==", "!=", "<", ">", "<=", ">=")
+_BITWISE = ("&", "|", "^")
+
+#: prologue bindings a generated function makes, in this order, for the
+#: names its body uses: the hooks are read when the function runs
+_BINDINGS = (("sh", "rt.step_hook"), ("cr", "rt.check_runtime"),
+             ("vh", "rt.var_hooks"), ("cap", "rt._ops_cap"),
+             ("ld", "rt.load"), ("st", "rt.store"), ("G", "rt.globals"),
+             ("mem", "rt.mem"))
 
 
 class _GlobalSpec:
@@ -144,46 +173,49 @@ class _GlobalSpec:
                  "store_size", "store_mask", "init")
 
     def __init__(self, name: str, ctype: CType, index: int, line: int,
-                 init: EvalFn | None):
+                 init: Callable | None):
         self.name = name
         self.ctype = ctype
         self.index = index
         self.line = line
         self.alloc_size = max(ctype.size, 1)
         self.store_size = ctype.size
-        self.store_mask = (1 << (ctype.size * 8)) - 1
+        self.store_mask = _mask(ctype)
+        #: (engine, scopes, pending) -> (pending, value)
         self.init = init
 
 
 class _ParamSpec:
-    __slots__ = ("name", "ctype", "slot", "line", "alloc_size",
-                 "store_size", "store_mask")
+    __slots__ = ("name", "ctype", "line", "alloc_size", "store_size",
+                 "store_mask")
 
-    def __init__(self, name: str, ctype: CType, slot: int, line: int):
+    def __init__(self, name: str, ctype: CType, line: int):
         self.name = name
         self.ctype = ctype
-        self.slot = slot
         self.line = line
         self.alloc_size = max(ctype.size, 1)
         self.store_size = ctype.size
-        self.store_mask = (1 << (ctype.size * 8)) - 1
+        self.store_mask = _mask(ctype)
 
 
 class CompiledFunction:
-    """One lowered function: parameter specs plus the body closure."""
+    """One generated function: parameter specs, the Python function
+    (engine, *param addresses) -> result, and its source text."""
 
-    __slots__ = ("name", "line", "params", "nslots", "body")
+    __slots__ = ("name", "line", "params", "fn", "source")
+
+    #: set once generated
+    fn: Callable[..., int]
 
     def __init__(self, name: str, line: int):
         self.name = name
         self.line = line
         self.params: list[_ParamSpec] = []
-        self.nslots = 0
-        self.body: StmtFn | None = None
+        self.source = ""
 
 
 class CompiledProgram:
-    """The closure-compiled form of one :class:`ast.Program` generation."""
+    """The generated form of one :class:`ast.Program` generation."""
 
     __slots__ = ("program", "generation", "fingerprint", "funcs",
                  "globals_spec")
@@ -207,857 +239,357 @@ def _invoke(rt: "CompiledEngine", cf: CompiledFunction,
     rt.flush()
     mem = rt.mem
     vh = rt.var_hooks
-    frame: list[int] = [0] * cf.nslots
-    allocs: list[tuple[int, int]] = []
+    addrs: list[int] = []
     for spec, arg in zip(cf.params, args):
         addr = mem.alloc_stack(spec.alloc_size)
-        allocs.append((addr, spec.alloc_size))
+        addrs.append(addr)
         value = arg & spec.store_mask
         if not rt.store(addr, value, spec.store_size):
             rt.store_slow(addr, value, spec.store_size)
-        frame[spec.slot] = addr
         if vh is not None:
             vh.on_decl(spec.name, addr, spec.ctype,
                        f"{rt.filename}:{spec.line}")
-    body = cf.body
-    assert body is not None
     try:
-        body(rt, frame)
-        result = 0
-    except _Return as ret:
-        result = ret.value
+        return cf.fn(rt, *addrs)
     finally:
-        rt.flush()
-        if vh is not None:
-            vh.on_scope_exit([a for a, _ in allocs])
-        for addr, size in reversed(allocs):
-            mem.free_stack(addr, size)
-    return result
+        try:
+            rt.flush()
+        finally:
+            if vh is not None:
+                vh.on_scope_exit(addrs)
+            for spec, addr in zip(reversed(cf.params), reversed(addrs)):
+                mem.free_stack(addr, spec.alloc_size)
 
 
-# ---------------------------------------------------------------- the compiler
+# ---------------------------------------------------------------- generation
 
-class _Compiler:
-    """Per-function lowering: expressions/statements -> closures.
+class _Fn:
+    """Emits one Python function: a C function, a global's initializer,
+    or a statement or expression cut out of a deeply nested one (a
+    *helper*, which takes and returns the pending count).
 
-    Scope resolution happens here, at compile time: every name becomes
-    either a frame-slot index (locals/params) or a global index, so
-    executed code never walks a scope dictionary.
+    ``k`` is the generation-time tick count: ticks counted since ``p``
+    was last brought up to date.  The true pending count is always
+    ``p + k``; code that reads it (the op-limit test, a charge) reads
+    that sum, so consecutive ticks cost nothing at run time.
     """
 
-    def __init__(self, program: ast.Program, compiled: CompiledProgram):
-        self.program = program
-        self.compiled = compiled
-        self.global_index: dict[str, tuple[int, CType]] = {}
-        self.scopes: list[dict[str, tuple[int, CType]]] = []
-        self.nslots = 0
+    def __init__(self, gen: "_Gen", scopes: list[dict], *, helper: bool):
+        self.gen = gen
+        self.helper = helper
+        #: lexical scopes: C name -> (Python address expression, ctype)
+        self.scopes = scopes
+        self.lines: list[str] = []
+        self.ind = 1 if helper else 2     # the body of a C function is
+        self.blocks = 0 if helper else 1  # inside its scope-exit try
+        self.k = 0
+        #: ("scope",) | ("loop", step expr) | ("outline",), innermost last
+        self.ctx: list[tuple] = [("outline",)] if helper else []
+        self.uses: set[str] = set()
+        #: how control left a helper: "break", "continue", "return"
+        self.escapes: set[str] = set()
+        #: locals declared only on some paths, bound to 0 at entry
+        self.unbound: list[str] = []
 
-    # ---------------------------------------------------------------- scopes
+    # ---------------------------------------------------------- emission
 
-    def declare(self, name: str, ctype: CType) -> int:
-        slot = self.nslots
-        self.nslots += 1
-        self.scopes[-1][name] = (slot, ctype)
-        return slot
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.ind + line)
 
-    def lookup(self, name: str) -> tuple[str, int, CType] | None:
-        """('local'|'global', slot-or-index, ctype) or None."""
+    def tmp(self) -> str:
+        self.gen.n += 1
+        return f"t{self.gen.n}"
+
+    def name(self, expr: str) -> str:
+        """``expr`` as a name or literal, so it can be used twice."""
+        if expr.isidentifier() or expr.isdigit():
+            return expr
+        t = self.tmp()
+        self.emit(f"{t} = {expr}")
+        return t
+
+    # ---------------------------------------------------- pending ops
+
+    def pend(self) -> str:
+        return f"p + {self.k}" if self.k else "p"
+
+    def charge(self) -> str:
+        """Statement prefix handing the pending ops to ``rt.pending``.
+        ``p`` is zeroed before anything that can raise, so an error never
+        leaves ops to be charged twice."""
+        return f"rt.pending = {self.pend()}; p = 0; "
+
+    def restore(self) -> str:
+        """Suffix after a conditional charge: ``k`` stays counted, so
+        ``p`` must cancel it."""
+        return f"; p = {-self.k}" if self.k else ""
+
+    def sync(self, target: int = 0) -> None:
+        """Add counted ticks to ``p`` until ``target`` remain counted."""
+        d = self.k - target
+        if d > 0:
+            self.emit(f"p += {d}")
+        elif d < 0:
+            self.emit(f"p -= {-d}")
+        self.k = target
+
+    def flush(self, then: str) -> None:
+        """A flush point: charge everything, then run ``then``."""
+        self.emit(f"{self.charge()}{then}")
+        self.k = 0
+
+    def fail(self, msg: str, line: int) -> str:
+        """Raise ``msg`` here (statically wrong code errors only when
+        reached); the value of the unreachable rest is 0."""
+        self.flush(f"raise CMinusError({msg!r}, {line})")
+        return "0"
+
+    def limit(self) -> None:
+        """The ``ExecLimits`` test before a fast access: an over-limit
+        flush raises, at the exact op."""
+        self.uses.add("cap")
+        head = "    " * self.ind + "if rt.ops_executed + "
+        if self.lines and self.lines[-1].startswith(head):
+            # nothing but ticks since the last test: this one covers it
+            self.lines.pop()
+        self.emit(f"if rt.ops_executed + {self.pend()} > cap: "
+                  f"{self.charge()}rt.flush()")
+
+    @staticmethod
+    def test(value: str) -> str:
+        """``value`` as a condition: a comparison needs no 0/1."""
+        if value.endswith(" else 0)") and value.startswith("(1 if "):
+            return value[6:-8]
+        if value.endswith(" else 1)") and value.startswith("(0 if "):
+            return f"not {value[6:-8]}"
+        return value
+
+    def too_deep(self) -> bool:
+        return self.blocks >= _MAX_BLOCKS or self.ind >= _MAX_INDENT
+
+    # ---------------------------------------------------- memory access
+
+    def load(self, addr: str, ctype: CType, *, test: bool = True) -> str:
+        size, signed = ctype.size, _is_signed(ctype)
+        addr = self.name(addr)
+        if test:
+            self.limit()
+        self.uses.add("ld")
+        t = self.tmp()
+        self.emit(f"{t} = ld({addr}, {size}, {signed})")
+        self.emit(f"if {t} is None: {self.charge()}"
+                  f"{t} = rt.load_slow({addr}, {size}, {signed})"
+                  f"{self.restore()}")
+        return t
+
+    def store(self, addr: str, value: str, size: int) -> None:
+        """Store the already-masked ``value`` (the limit test is the
+        caller's)."""
+        self.uses.add("st")
+        self.emit(f"if not st({addr}, {value}, {size}): {self.charge()}"
+                  f"rt.store_slow({addr}, {value}, {size}){self.restore()}")
+
+    def via(self, addr: str, ctype: CType) -> tuple[str, CType]:
+        """The value of the object at ``addr``: arrays decay."""
+        if isinstance(ctype, ArrayType):
+            return addr, ctype.decay()
+        return self.load(addr, ctype), ctype
+
+    # ------------------------------------------------------------- names
+
+    def lookup(self, name: str) -> tuple[str, CType] | None:
         for scope in reversed(self.scopes):
-            entry = scope.get(name)
-            if entry is not None:
-                return ("local", entry[0], entry[1])
-        entry = self.global_index.get(name)
-        if entry is not None:
-            return ("global", entry[0], entry[1])
+            found = scope.get(name)
+            if found is not None:
+                return found
+        found = self.gen.globals.get(name)
+        if found is not None:
+            self.uses.add("G")
+            return f"G[{found[0]}]", found[1]
         return None
 
-    def _fast_ident_slot(self, expr: ast.Expr
-                         ) -> tuple[str, int, CType] | None:
-        """The ('local'|'global', idx, ctype) of a scalar Ident lvalue —
-        its address is just a slot read, so assignment/increment closures
-        can skip the lvalue-closure call entirely."""
-        if not isinstance(expr, ast.Ident):
-            return None
-        found = self.lookup(expr.name)
-        if found is None or isinstance(found[2], (ArrayType, StructType)):
-            return None
-        return found
+    def visible(self) -> list[str]:
+        return list(dict.fromkeys(a for scope in self.scopes
+                                  for a, _ in scope.values()))
 
-    # ----------------------------------------------------------- error nodes
+    # ------------------------------------------------------- expressions
 
-    @staticmethod
-    def _raise_eval(msg: str, line: int) -> EvalFn:
-        """An expression that errors when (and only when) evaluated — this
-        preserves the tree-walker's lazy error timing for code that is
-        statically wrong but never executed."""
+    def ev(self, e: ast.Expr) -> tuple[str, CType]:
+        """Emit ``e``'s evaluation; returns its value as a Python name,
+        literal or side-effect-free expression, and its static type."""
+        if self.too_deep():
+            return self.outline_expr(e)
+        self.k += 1           # the tree-walker's tick at eval() entry
+        method = getattr(self, f"ev_{type(e).__name__}", None)
+        if method is None:
+            return self.fail(f"cannot evaluate {type(e).__name__}",
+                             e.line), INT
+        return method(e)
 
-        def run(rt: "CompiledEngine", frame: Any) -> int:
-            rt.pending += 1
-            rt.flush()
-            raise CMinusError(msg, line)
+    def ev_IntLit(self, e: ast.IntLit) -> tuple[str, CType]:
+        return (str(e.value) if e.value >= 0 else f"({e.value})"), INT
 
-        return run
+    def ev_StrLit(self, e: ast.StrLit) -> tuple[str, CType]:
+        t = self.tmp()
+        raw = e.value.encode() + b"\0"
+        self.emit(f"{t} = rt.strings.get({id(e)})")
+        self.emit(f"if {t} is None: {self.charge()}rt.flush(); "
+                  f"{t} = rt.intern_string({id(e)}, {raw!r})"
+                  f"{self.restore()}")
+        return t, PointerType(CHAR)
 
-    @staticmethod
-    def _raise_after(ev: EvalFn, msg: str, line: int) -> EvalFn:
-        """Evaluate ``ev`` for its side effects (mirroring the tree-walker's
-        operand-first evaluation order), then raise."""
-
-        def run(rt: "CompiledEngine", frame: Any) -> int:
-            ev(rt, frame)
-            rt.flush()
-            raise CMinusError(msg, line)
-
-        return run
-
-    @staticmethod
-    def _raise_lvalue(msg: str, line: int) -> EvalFn:
-        """An lvalue that errors on use (no tick: ``lvalue()`` never ticks)."""
-
-        def run(rt: "CompiledEngine", frame: Any) -> int:
-            rt.flush()
-            raise CMinusError(msg, line)
-
-        return run
-
-    # ------------------------------------------------------------ expressions
-
-    def compile_eval(self, expr: ast.Expr) -> tuple[EvalFn, CType]:
-        """Closure returning the expression's value; type is static.
-
-        Every eval closure begins with ``rt.pending += 1`` — the exact
-        analogue of the tree-walker's ``_tick()`` at ``eval()`` entry.
-        """
-        if isinstance(expr, ast.IntLit):
-            value = expr.value
-
-            def run_int(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                return value
-
-            return run_int, INT
-
-        if isinstance(expr, ast.StrLit):
-            raw = expr.value.encode() + b"\0"
-            key = id(expr)
-            self._keepalive(expr)
-
-            def run_str(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                addr = rt.strings.get(key)
-                if addr is None:
-                    rt.flush()
-                    addr = rt.mem.malloc(len(raw))
-                    rt.mem.write(addr, raw)
-                    rt.strings[key] = addr
-                return addr
-
-            return run_str, PointerType(CHAR)
-
-        if isinstance(expr, ast.Ident):
-            return self._compile_ident(expr)
-        if isinstance(expr, ast.BinOp):
-            return self._compile_binop(expr)
-        if isinstance(expr, ast.UnOp):
-            return self._compile_unop(expr)
-        if isinstance(expr, ast.Deref):
-            lv, ctype = self.compile_lvalue(expr)
-            return self._eval_via_lvalue(lv, ctype)
-        if isinstance(expr, ast.Member):
-            lv, ctype = self._member_lvalue(expr)
-            if isinstance(ctype, StructType):
-                struct = ctype
-
-                def run_member(rt: "CompiledEngine", frame: Any) -> int:
-                    rt.pending += 1
-                    return lv(rt, frame)
-
-                return run_member, PointerType(struct)
-            return self._eval_via_lvalue(lv, ctype)
-        if isinstance(expr, ast.AddrOf):
-            lv, ctype = self.compile_lvalue_of(expr.target)
-
-            def run_addr(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                return lv(rt, frame)
-
-            if isinstance(ctype, ArrayType):
-                return run_addr, PointerType(ctype.elem)
-            return run_addr, PointerType(ctype)
-        if isinstance(expr, ast.Index):
-            lv, ctype = self.compile_lvalue(expr)
-            return self._eval_via_lvalue(lv, ctype)
-        if isinstance(expr, ast.Assign):
-            return self._compile_assign(expr)
-        if isinstance(expr, ast.PostIncDec):
-            return self._compile_postincdec(expr)
-        if isinstance(expr, ast.Call):
-            return self._compile_call(expr)
-        if isinstance(expr, ast.SizeOf):
-            return self._compile_sizeof(expr)
-        if isinstance(expr, ast.Check):
-            return self._compile_check(expr)
-        return (self._raise_eval(f"cannot evaluate {type(expr).__name__}",
-                                 expr.line), INT)
-
-    def _keepalive(self, node: ast.Node) -> None:
-        # compiled closures key interned strings by id(node); the compiled
-        # program keeps the whole AST alive through .program, so ids are
-        # stable for the cache entry's lifetime.  Nothing to do — the hook
-        # exists to document the invariant.
-        pass
-
-    def _load_closure(self, lv: EvalFn, ctype: CType) -> EvalFn:
-        size = ctype.size
-        signed = _is_signed(ctype)
-
-        def run(rt: "CompiledEngine", frame: Any) -> int:
-            rt.pending += 1
-            addr = lv(rt, frame)
-            if rt.ops_executed + rt.pending > rt._ops_cap:
-                rt.flush()      # trips ExecLimits at the exact op
-            value = rt.load(addr, size, signed)
-            if value is None:
-                value = rt.load_slow(addr, size, signed)
-            return value
-
-        return run
-
-    def _eval_via_lvalue(self, lv: EvalFn, ctype: CType
-                         ) -> tuple[EvalFn, CType]:
-        if isinstance(ctype, ArrayType):
-            decayed = ctype.decay()
-
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                return lv(rt, frame)
-
-            return run, decayed
-        return self._load_closure(lv, ctype), ctype
-
-    def _compile_ident(self, expr: ast.Ident) -> tuple[EvalFn, CType]:
-        found = self.lookup(expr.name)
+    def ev_Ident(self, e: ast.Ident) -> tuple[str, CType]:
+        found = self.lookup(e.name)
         if found is None:
-            return (self._raise_eval(f"undefined variable '{expr.name}'",
-                                     expr.line), INT)
-        kind, idx, ctype = found
-        if isinstance(ctype, ArrayType):
-            decayed = ctype.decay()
-            if kind == "local":
-                def run_arr(rt: "CompiledEngine", frame: Any) -> int:
-                    rt.pending += 1
-                    return frame[idx]
-            else:
-                def run_arr(rt: "CompiledEngine", frame: Any) -> int:
-                    rt.pending += 1
-                    return rt.globals[idx]
-            return run_arr, decayed
-        size = ctype.size
-        signed = _is_signed(ctype)
-        if kind == "local":
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                # local scalar loads dominate all interpreter-bound
-                # profiles: a TLB hit is this closure plus one call
-                rt.pending += 1
-                if rt.ops_executed + rt.pending > rt._ops_cap:
-                    rt.flush()
-                value = rt.load(frame[idx], size, signed)
-                if value is None:
-                    value = rt.load_slow(frame[idx], size, signed)
-                return value
-        else:
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                if rt.ops_executed + rt.pending > rt._ops_cap:
-                    rt.flush()
-                value = rt.load(rt.globals[idx], size, signed)
-                if value is None:
-                    value = rt.load_slow(rt.globals[idx], size, signed)
-                return value
-        return run, ctype
+            return self.fail(f"undefined variable '{e.name}'", e.line), INT
+        return self.via(*found)
 
-    # ------------------------------------------------------------- operators
+    def ev_BinOp(self, e: ast.BinOp) -> tuple[str, CType]:
+        if e.op in ("&&", "||"):
+            left, _ = self.ev(e.left)
+            t = self.tmp()
+            left = self.test(left)
+            self.emit(f"if {left}:" if e.op == "&&" else f"if not ({left}):")
+            k0 = self.k
+            self.ind += 1
+            right, _ = self.ev(e.right)
+            self.emit(f"{t} = 1 if {self.test(right)} else 0")
+            self.sync(k0)
+            self.ind -= 1
+            self.emit(f"else: {t} = {0 if e.op == '&&' else 1}")
+            return t, INT
+        left, lt = self.ev(e.left)
+        right, rtt = self.ev(e.right)
+        return self.combine(e.op, left, lt, right, rtt, e.line)
 
-    def _make_binop_combine(self, op: str, lt: CType, rtt: CType, line: int
-                            ) -> tuple[Callable[["CompiledEngine", int, int],
-                                                int], CType]:
-        """Specialized (rt, lv, rv) -> value mirroring ``Interpreter._binop``
-        for statically-known operand types."""
-        lptr = isinstance(lt, PointerType)
-        rptr = isinstance(rtt, PointerType)
-        t_int = _make_truncate(INT)
-
-        def raiser(msg: str) -> Callable[["CompiledEngine", int, int], int]:
-            def c(rt: "CompiledEngine", lv: int, rv: int) -> int:
-                rt.flush()
-                raise CMinusError(msg, line)
-            return c
-
+    def combine(self, op: str, lv: str, lt: CType, rv: str, rtt: CType,
+                line: int) -> tuple[str, CType]:
+        """Mirror of ``Interpreter._binop`` for static operand types."""
+        lv, rv = self.name(lv), self.name(rv)
+        # pointee sizes, None for a non-pointer operand
+        ls = lt.pointee.size if isinstance(lt, PointerType) else None
+        rs = rtt.pointee.size if isinstance(rtt, PointerType) else None
         if op == "+":
-            if lptr and rptr:
-                return raiser("cannot add two pointers"), INT
-            if lptr:
-                s = lt.pointee.size  # type: ignore[union-attr]
-                return (lambda rt, lv, rv: (lv + rv * s) & _WORD_MASK), lt
-            if rptr:
-                s = rtt.pointee.size  # type: ignore[union-attr]
-                return (lambda rt, lv, rv: (rv + lv * s) & _WORD_MASK), rtt
-            return (lambda rt, lv, rv: t_int(lv + rv)), INT
+            if ls is not None and rs is not None:
+                return self.fail("cannot add two pointers", line), INT
+            if ls is not None:
+                return f"({lv} + {rv} * {ls} & {_WORD_MASK})", lt
+            if rs is not None:
+                return f"({rv} + {lv} * {rs} & {_WORD_MASK})", rtt
+            return _trunc(INT, f"{lv} + {rv}"), INT
         if op == "-":
-            if lptr and rptr:
-                if lt.pointee.size != rtt.pointee.size:  # type: ignore[union-attr]
-                    return raiser("pointer subtraction type mismatch"), INT
-                s = max(lt.pointee.size, 1)  # type: ignore[union-attr]
-                return (lambda rt, lv, rv: (lv - rv) // s), INT
-            if lptr:
-                s = lt.pointee.size  # type: ignore[union-attr]
-                return (lambda rt, lv, rv: (lv - rv * s) & _WORD_MASK), lt
-            return (lambda rt, lv, rv: t_int(lv - rv)), INT
-        if op == "==":
-            return (lambda rt, lv, rv: 1 if lv == rv else 0), INT
-        if op == "!=":
-            return (lambda rt, lv, rv: 1 if lv != rv else 0), INT
-        if op == "<":
-            return (lambda rt, lv, rv: 1 if lv < rv else 0), INT
-        if op == ">":
-            return (lambda rt, lv, rv: 1 if lv > rv else 0), INT
-        if op == "<=":
-            return (lambda rt, lv, rv: 1 if lv <= rv else 0), INT
-        if op == ">=":
-            return (lambda rt, lv, rv: 1 if lv >= rv else 0), INT
-        if lptr or rptr:
-            return raiser(f"invalid pointer operand to '{op}'"), INT
-        if op == "*":
-            return (lambda rt, lv, rv: t_int(lv * rv)), INT
-        if op == "/":
-            def c_div(rt: "CompiledEngine", lv: int, rv: int) -> int:
-                if rv == 0:
-                    rt.flush()
-                    raise CMinusError("division by zero", line)
-                return t_int(int(lv / rv))  # C truncates toward zero
-            return c_div, INT
-        if op == "%":
-            def c_mod(rt: "CompiledEngine", lv: int, rv: int) -> int:
-                if rv == 0:
-                    rt.flush()
-                    raise CMinusError("modulo by zero", line)
-                return t_int(lv - int(lv / rv) * rv)
-            return c_mod, INT
-        if op == "&":
-            return (lambda rt, lv, rv: t_int(lv & rv)), INT
-        if op == "|":
-            return (lambda rt, lv, rv: t_int(lv | rv)), INT
-        if op == "^":
-            return (lambda rt, lv, rv: t_int(lv ^ rv)), INT
-        if op == "<<":
-            return (lambda rt, lv, rv: t_int(lv << (rv & 63))), INT
-        if op == ">>":
-            return (lambda rt, lv, rv: t_int(lv >> (rv & 63))), INT
-        return raiser(f"unknown operator '{op}'"), INT
+            if ls is not None and rs is not None:
+                if ls != rs:
+                    return self.fail("pointer subtraction type mismatch",
+                                     line), INT
+                return f"(({lv} - {rv}) // {max(ls, 1)})", INT
+            if ls is not None:
+                return f"({lv} - {rv} * {ls} & {_WORD_MASK})", lt
+            return _trunc(INT, f"{lv} - {rv}"), INT
+        if op in _COMPARE:
+            return f"(1 if {lv} {op} {rv} else 0)", INT
+        if ls is not None or rs is not None:
+            return self.fail(f"invalid pointer operand to '{op}'", line), INT
+        if op == "*" or op in _BITWISE:
+            return _trunc(INT, f"{lv} {op} {rv}"), INT
+        if op in ("/", "%"):
+            if not rv.isdigit() or rv == "0":
+                what = "division" if op == "/" else "modulo"
+                self.emit(f"if {rv} == 0: {self.charge()}"
+                          f"raise CMinusError('{what} by zero', {line})")
+            if op == "/":
+                return _trunc(INT, f"int({lv} / {rv})"), INT
+            return _trunc(INT, f"{lv} - int({lv} / {rv}) * {rv}"), INT
+        if op in ("<<", ">>"):
+            return _trunc(INT, f"{lv} {op} ({rv} & 63)"), INT
+        return self.fail(f"unknown operator '{op}'", line), INT
 
-    def _compile_binop(self, expr: ast.BinOp) -> tuple[EvalFn, CType]:
-        if expr.op == "&&":
-            ev_l, _ = self.compile_eval(expr.left)
-            ev_r, _ = self.compile_eval(expr.right)
+    def ev_UnOp(self, e: ast.UnOp) -> tuple[str, CType]:
+        if e.op in ("++", "--"):
+            addr, ctype = self.lv(e.operand)
+            new = self.step(addr, ctype, -1 if e.op == "--" else 1)[1]
+            return _trunc(ctype, new), ctype
+        v, _ = self.ev(e.operand)
+        if e.op == "-":
+            return _trunc(INT, f"-{v}"), INT
+        if e.op == "!":
+            return f"(0 if {v} else 1)", INT
+        if e.op == "~":
+            return _trunc(INT, f"~{v}"), INT
+        return self.fail(f"unknown unary operator '{e.op}'", e.line), INT
 
-            def run_and(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                if not ev_l(rt, frame):
-                    return 0
-                return 1 if ev_r(rt, frame) else 0
-
-            return run_and, INT
-        if expr.op == "||":
-            ev_l, _ = self.compile_eval(expr.left)
-            ev_r, _ = self.compile_eval(expr.right)
-
-            def run_or(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                if ev_l(rt, frame):
-                    return 1
-                return 1 if ev_r(rt, frame) else 0
-
-            return run_or, INT
-        ev_l, lt = self.compile_eval(expr.left)
-        ev_r, rtt = self.compile_eval(expr.right)
-        if not isinstance(lt, PointerType) and not isinstance(rtt,
-                                                              PointerType):
-            # fused int-int paths: skip the combine indirection entirely
-            if isinstance(expr.right, ast.IntLit):
-                fused = self._fused_int_binop_const(expr.op, ev_l,
-                                                    expr.right.value)
-                if fused is not None:
-                    return fused, INT
-            fused = self._fused_int_binop(expr.op, ev_l, ev_r, expr.line)
-            if fused is not None:
-                return fused, INT
-        combine, result_type = self._make_binop_combine(expr.op, lt, rtt,
-                                                        expr.line)
-
-        def run(rt: "CompiledEngine", frame: Any) -> int:
-            rt.pending += 1
-            lv = ev_l(rt, frame)
-            rv = ev_r(rt, frame)
-            return combine(rt, lv, rv)
-
-        return run, result_type
-
-    @staticmethod
-    def _fused_int_binop_const(op: str, ev_l: EvalFn, c: int
-                               ) -> EvalFn | None:
-        """``<expr> op <int-literal>`` with the literal folded into the
-        closure.  Tick discipline mirrors the tree-walker exactly: one tick
-        for the BinOp before the left operand, one tick for the literal
-        after it (the literal's own eval), so pending counts agree at every
-        flush point."""
-        t = _make_truncate(INT)
-        if op == "+":
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                lv = ev_l(rt, frame)
-                rt.pending += 1
-                return t(lv + c)
-        elif op == "-":
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                lv = ev_l(rt, frame)
-                rt.pending += 1
-                return t(lv - c)
-        elif op == "*":
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                lv = ev_l(rt, frame)
-                rt.pending += 1
-                return t(lv * c)
-        elif op == "==":
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                lv = ev_l(rt, frame)
-                rt.pending += 1
-                return 1 if lv == c else 0
-        elif op == "!=":
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                lv = ev_l(rt, frame)
-                rt.pending += 1
-                return 1 if lv != c else 0
-        elif op == "<":
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                lv = ev_l(rt, frame)
-                rt.pending += 1
-                return 1 if lv < c else 0
-        elif op == ">":
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                lv = ev_l(rt, frame)
-                rt.pending += 1
-                return 1 if lv > c else 0
-        elif op == "<=":
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                lv = ev_l(rt, frame)
-                rt.pending += 1
-                return 1 if lv <= c else 0
-        elif op == ">=":
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                lv = ev_l(rt, frame)
-                rt.pending += 1
-                return 1 if lv >= c else 0
-        elif op == "&":
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                lv = ev_l(rt, frame)
-                rt.pending += 1
-                return t(lv & c)
-        elif op == "|":
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                lv = ev_l(rt, frame)
-                rt.pending += 1
-                return t(lv | c)
-        elif op == "^":
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                lv = ev_l(rt, frame)
-                rt.pending += 1
-                return t(lv ^ c)
-        elif op == "<<":
-            sh = c & 63
-
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                lv = ev_l(rt, frame)
-                rt.pending += 1
-                return t(lv << sh)
-        elif op == ">>":
-            sh = c & 63
-
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                lv = ev_l(rt, frame)
-                rt.pending += 1
-                return t(lv >> sh)
-        elif op == "/" and c != 0:
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                lv = ev_l(rt, frame)
-                rt.pending += 1
-                return t(int(lv / c))
-        elif op == "%" and c != 0:
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                lv = ev_l(rt, frame)
-                rt.pending += 1
-                return t(lv - int(lv / c) * c)
-        else:
-            return None
-        return run
-
-    @staticmethod
-    def _fused_int_binop(op: str, ev_l: EvalFn, ev_r: EvalFn,
-                         line: int) -> EvalFn | None:
-        t = _make_truncate(INT)
-        if op == "+":
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                return t(ev_l(rt, frame) + ev_r(rt, frame))
-        elif op == "-":
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                return t(ev_l(rt, frame) - ev_r(rt, frame))
-        elif op == "*":
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                return t(ev_l(rt, frame) * ev_r(rt, frame))
-        elif op == "==":
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                return 1 if ev_l(rt, frame) == ev_r(rt, frame) else 0
-        elif op == "!=":
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                return 1 if ev_l(rt, frame) != ev_r(rt, frame) else 0
-        elif op == "<":
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                return 1 if ev_l(rt, frame) < ev_r(rt, frame) else 0
-        elif op == ">":
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                return 1 if ev_l(rt, frame) > ev_r(rt, frame) else 0
-        elif op == "<=":
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                return 1 if ev_l(rt, frame) <= ev_r(rt, frame) else 0
-        elif op == ">=":
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                return 1 if ev_l(rt, frame) >= ev_r(rt, frame) else 0
-        elif op == "&":
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                return t(ev_l(rt, frame) & ev_r(rt, frame))
-        elif op == "|":
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                return t(ev_l(rt, frame) | ev_r(rt, frame))
-        elif op == "^":
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                return t(ev_l(rt, frame) ^ ev_r(rt, frame))
-        elif op == "<<":
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                return t(ev_l(rt, frame) << (ev_r(rt, frame) & 63))
-        elif op == ">>":
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                return t(ev_l(rt, frame) >> (ev_r(rt, frame) & 63))
-        elif op == "/":
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                lv = ev_l(rt, frame)
-                rv = ev_r(rt, frame)
-                if rv == 0:
-                    rt.flush()
-                    raise CMinusError("division by zero", line)
-                return t(int(lv / rv))
-        elif op == "%":
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                lv = ev_l(rt, frame)
-                rv = ev_r(rt, frame)
-                if rv == 0:
-                    rt.flush()
-                    raise CMinusError("modulo by zero", line)
-                return t(lv - int(lv / rv) * rv)
-        else:
-            return None
-        return run
-
-    def _compile_unop(self, expr: ast.UnOp) -> tuple[EvalFn, CType]:
-        if expr.op in ("++", "--"):
-            lv_cl, ctype = self.compile_lvalue_of(expr.operand)
-            scale = (ctype.pointee.size if isinstance(ctype, PointerType)
-                     else 1)
-            if expr.op == "--":
-                scale = -scale
-            size = ctype.size
-            signed = _is_signed(ctype)
-            mask = (1 << (size * 8)) - 1
-            trunc = _make_truncate(ctype)
-
-            def run_incdec(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                addr = lv_cl(rt, frame)
-                if rt.ops_executed + rt.pending > rt._ops_cap:
-                    rt.flush()
-                old = rt.load(addr, size, signed)
-                if old is None:
-                    old = rt.load_slow(addr, size, signed)
-                new = (old + scale) & mask
-                if not rt.store(addr, new, size):
-                    rt.store_slow(addr, new, size)
-                return trunc(new)
-
-            return run_incdec, ctype
-        ev, _ = self.compile_eval(expr.operand)
-        t_int = _make_truncate(INT)
-        if expr.op == "-":
-            def run_neg(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                return t_int(-ev(rt, frame))
-            return run_neg, INT
-        if expr.op == "!":
-            def run_not(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                return 0 if ev(rt, frame) else 1
-            return run_not, INT
-        if expr.op == "~":
-            def run_inv(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                return t_int(~ev(rt, frame))
-            return run_inv, INT
-        return (self._raise_after(
-            ev, f"unknown unary operator '{expr.op}'", expr.line), INT)
-
-    def _compile_assign_stmt(self, expr: ast.Assign) -> StmtFn | None:
-        """``x = e;`` / ``x op= e;`` with a scalar Ident target, fused into
-        one statement closure: statement tick, hook, assign tick, value,
-        limit test, store.  Tick/hook/flush order is exactly the unfused
-        ExprStmt + Assign sequence, so pending counts agree at every
-        observable point."""
-        fast = self._fast_ident_slot(expr.target)
-        if fast is None:
-            return None
-        kind, idx, ctype = fast
-        ev_val, vtype = self.compile_eval(expr.value)
-        size = ctype.size
-        signed = _is_signed(ctype)
-        mask = (1 << (size * 8)) - 1
-        is_local = kind == "local"
-        if expr.op:
-            combine, _ = self._make_binop_combine(expr.op, ctype, vtype,
-                                                  expr.line)
-
-            def run_aug_stmt(rt: "CompiledEngine", frame: Any) -> None:
-                rt.pending += 1          # statement tick
-                sh = rt.step_hook
-                if sh is not None:
-                    n = rt.pending
-                    if n:
-                        ops = rt.ops_executed + n
-                        if ops > rt._ops_cap:
-                            rt.flush()
-                        rt.pending = 0
-                        rt.ops_executed = ops
-                        b = rt._on_op_batch
-                        if b is not None:
-                            b(n)
-                    sh()
-                rt.pending += 1          # the Assign node's tick
-                value = ev_val(rt, frame)
-                if rt.ops_executed + rt.pending > rt._ops_cap:
-                    rt.flush()
-                addr = frame[idx] if is_local else rt.globals[idx]
-                old = rt.load(addr, size, signed)
-                if old is None:
-                    old = rt.load_slow(addr, size, signed)
-                value = combine(rt, old, value) & mask
-                if not rt.store(addr, value, size):
-                    rt.store_slow(addr, value, size)
-
-            return run_aug_stmt
-
-        def run_assign_stmt(rt: "CompiledEngine", frame: Any) -> None:
-            rt.pending += 1              # statement tick
-            sh = rt.step_hook
-            if sh is not None:
-                n = rt.pending
-                if n:
-                    ops = rt.ops_executed + n
-                    if ops > rt._ops_cap:
-                        rt.flush()
-                    rt.pending = 0
-                    rt.ops_executed = ops
-                    b = rt._on_op_batch
-                    if b is not None:
-                        b(n)
-                sh()
-            rt.pending += 1              # the Assign node's tick
-            value = ev_val(rt, frame) & mask
-            if rt.ops_executed + rt.pending > rt._ops_cap:
-                rt.flush()
-            addr = frame[idx] if is_local else rt.globals[idx]
-            if not rt.store(addr, value, size):
-                rt.store_slow(addr, value, size)
-
-        return run_assign_stmt
-
-    def _compile_assign(self, expr: ast.Assign) -> tuple[EvalFn, CType]:
-        lv_cl, ctype = self.compile_lvalue_of(expr.target)
-        if isinstance(ctype, ArrayType):
-            line = expr.line
-
-            def run_bad(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                lv_cl(rt, frame)
-                rt.flush()
-                raise CMinusError("cannot assign to an array", line)
-
-            return run_bad, ctype
-        ev_val, vtype = self.compile_eval(expr.value)
-        size = ctype.size
-        signed = _is_signed(ctype)
-        mask = (1 << (size * 8)) - 1
-        trunc = _make_truncate(ctype)
-        if expr.op:
-            combine, _ = self._make_binop_combine(expr.op, ctype, vtype,
-                                                  expr.line)
-
-            def run_aug(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                addr = lv_cl(rt, frame)
-                value = ev_val(rt, frame)
-                if rt.ops_executed + rt.pending > rt._ops_cap:
-                    rt.flush()
-                old = rt.load(addr, size, signed)
-                if old is None:
-                    old = rt.load_slow(addr, size, signed)
-                value = combine(rt, old, value) & mask
-                if not rt.store(addr, value, size):
-                    rt.store_slow(addr, value, size)
-                return trunc(value)
-
-            return run_aug, ctype
-
-        def run(rt: "CompiledEngine", frame: Any) -> int:
-            rt.pending += 1
-            addr = lv_cl(rt, frame)
-            value = ev_val(rt, frame) & mask
-            if rt.ops_executed + rt.pending > rt._ops_cap:
-                rt.flush()
-            if not rt.store(addr, value, size):
-                rt.store_slow(addr, value, size)
-            return trunc(value)
-
-        return run, ctype
-
-    def _compile_postincdec(self, expr: ast.PostIncDec
-                            ) -> tuple[EvalFn, CType]:
-        lv_cl, ctype = self.compile_lvalue_of(expr.target)
+    def step(self, addr: str, ctype: CType, sign: int) -> tuple[str, str]:
+        """``++``/``--`` on the object at ``addr``: (old, new) names."""
         scale = ctype.pointee.size if isinstance(ctype, PointerType) else 1
-        if expr.op == "--":
-            scale = -scale
-        size = ctype.size
-        signed = _is_signed(ctype)
-        mask = (1 << (size * 8)) - 1
-        fast = self._fast_ident_slot(expr.target)
-        if fast is not None:
-            kind, idx, _ = fast
-            is_local = kind == "local"
+        old = self.load(addr, ctype)
+        new = self.tmp()
+        self.emit(f"{new} = {old} + {sign * scale} & {_mask(ctype)}")
+        self.store(self.name(addr), new, ctype.size)
+        return old, new
 
-            def run_fast(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                if rt.ops_executed + rt.pending > rt._ops_cap:
-                    rt.flush()
-                addr = frame[idx] if is_local else rt.globals[idx]
-                old = rt.load(addr, size, signed)
-                if old is None:
-                    old = rt.load_slow(addr, size, signed)
-                new = (old + scale) & mask
-                if not rt.store(addr, new, size):
-                    rt.store_slow(addr, new, size)
-                return old
+    def ev_PostIncDec(self, e: ast.PostIncDec) -> tuple[str, CType]:
+        addr, ctype = self.lv(e.target)
+        return self.step(addr, ctype, -1 if e.op == "--" else 1)[0], ctype
 
-            return run_fast, ctype
+    def ev_Deref(self, e: ast.Expr) -> tuple[str, CType]:
+        return self.via(*self.lv(e))
 
-        def run(rt: "CompiledEngine", frame: Any) -> int:
-            rt.pending += 1
-            addr = lv_cl(rt, frame)
-            if rt.ops_executed + rt.pending > rt._ops_cap:
-                rt.flush()
-            old = rt.load(addr, size, signed)
-            if old is None:
-                old = rt.load_slow(addr, size, signed)
-            new = (old + scale) & mask
-            if not rt.store(addr, new, size):
-                rt.store_slow(addr, new, size)
-            return old
+    ev_Index = ev_Deref
 
-        return run, ctype
+    def ev_Member(self, e: ast.Member) -> tuple[str, CType]:
+        addr, ctype = self.member_lv(e)
+        if isinstance(ctype, StructType):
+            return addr, PointerType(ctype)   # nested structs decay
+        return self.via(addr, ctype)
 
-    def _compile_call(self, expr: ast.Call) -> tuple[EvalFn, CType]:
-        arg_cls = tuple(self.compile_eval(a)[0] for a in expr.args)
-        name = expr.func
-        if name in self.program.funcs:
-            cf = self.compiled.funcs[name]
+    def ev_AddrOf(self, e: ast.AddrOf) -> tuple[str, CType]:
+        addr, ctype = self.lv(e.target)
+        if isinstance(ctype, ArrayType):
+            return addr, PointerType(ctype.elem)
+        return addr, PointerType(ctype)
 
-            def run(rt: "CompiledEngine", frame: Any) -> int:
-                rt.pending += 1
-                args = [a(rt, frame) for a in arg_cls]
-                return _invoke(rt, cf, args)
+    def ev_Assign(self, e: ast.Assign) -> tuple[str, CType]:
+        addr, ctype = self.lv(e.target)
+        if isinstance(ctype, ArrayType):
+            return self.fail("cannot assign to an array", e.line), ctype
+        addr = self.name(addr)
+        value, vtype = self.ev(e.value)
+        mask = _mask(ctype)
+        if e.op:
+            old = self.load(addr, ctype)
+            value = self.combine(e.op, old, ctype, value, vtype, e.line)[0]
+            value = self.name(f"{value} & {mask}")
+        else:
+            value = self.name(f"{value} & {mask}")
+            self.limit()
+        self.store(addr, value, ctype.size)
+        return _trunc(ctype, value), ctype
 
-            return run, INT
+    def ev_Call(self, e: ast.Call) -> tuple[str, CType]:
+        args = ", ".join(self.ev(a)[0] for a in e.args)
+        t = self.tmp()
+        cf = self.gen.compiled.funcs.get(e.func)
+        if cf is not None:
+            self.flush(f"{t} = _invoke(rt, {self.gen.const(cf)}, [{args}])")
+        else:
+            self.flush(f"rt.flush(); {t} = rt.call_extern({e.func!r}"
+                       f"{', ' if args else ''}{args})")
+        return t, INT
 
-        def run_ext(rt: "CompiledEngine", frame: Any) -> int:
-            rt.pending += 1
-            args = [a(rt, frame) for a in arg_cls]
-            ext = rt.externs.get(name)
-            if ext is None:
-                rt.flush()
-                raise CMinusError(f"undefined function '{name}'", 0)
-            rt.flush()
-            result = ext(*args)
-            return int(result) if result is not None else 0
-
-        return run_ext, INT
-
-    def _compile_sizeof(self, expr: ast.SizeOf) -> tuple[EvalFn, CType]:
+    def ev_SizeOf(self, e: ast.SizeOf) -> tuple[str, CType]:
         try:
-            if expr.ctype is not None:
-                size = expr.ctype.size
-            else:
-                assert expr.expr is not None
-                size = self._static_type(expr.expr).size
+            if e.ctype is not None:
+                return str(e.ctype.size), INT
+            assert e.expr is not None
+            return str(self.static_type(e.expr).size), INT
         except CMinusError as exc:
-            # mirror the tree-walker: the error fires when evaluated
-            return self._raise_eval(exc.args[0].rsplit(" at line", 1)[0]
-                                    if exc.line else exc.args[0],
-                                    exc.line), INT
+            msg = exc.args[0]
+            if exc.line:
+                msg = msg.rsplit(" at line", 1)[0]
+            return self.fail(msg, exc.line), INT
 
-        def run(rt: "CompiledEngine", frame: Any) -> int:
-            rt.pending += 1
-            return size
-
-        return run, INT
-
-    def _static_type(self, expr: ast.Expr) -> CType:
-        """Compile-time mirror of ``Interpreter._static_type``."""
-        if isinstance(expr, ast.IntLit):
-            return INT
+    def static_type(self, expr: ast.Expr) -> CType:
+        """Generation-time mirror of ``Interpreter._static_type``."""
         if isinstance(expr, ast.StrLit):
             return PointerType(CHAR)
         if isinstance(expr, ast.Ident):
@@ -1065,25 +597,25 @@ class _Compiler:
             if found is None:
                 raise CMinusError(f"undefined variable '{expr.name}'",
                                   expr.line)
-            return found[2]
+            return found[1]
         if isinstance(expr, ast.Deref):
-            inner = self._static_type(expr.ptr)
+            inner = self.static_type(expr.ptr)
             if isinstance(inner, PointerType):
                 return inner.pointee
             if isinstance(inner, ArrayType):
                 return inner.elem
             raise CMinusError("sizeof: dereference of non-pointer", expr.line)
         if isinstance(expr, ast.Index):
-            inner = self._static_type(expr.base)
+            inner = self.static_type(expr.base)
             if isinstance(inner, PointerType):
                 return inner.pointee
             if isinstance(inner, ArrayType):
                 return inner.elem
             raise CMinusError("sizeof: indexing a non-pointer", expr.line)
         if isinstance(expr, ast.AddrOf):
-            return PointerType(self._static_type(expr.target))
+            return PointerType(self.static_type(expr.target))
         if isinstance(expr, ast.Member):
-            base = self._static_type(expr.base)
+            base = self.static_type(expr.base)
             struct = base.pointee if isinstance(base, PointerType) else base
             if isinstance(struct, StructType):
                 try:
@@ -1093,666 +625,480 @@ class _Compiler:
             raise CMinusError("sizeof: member of a non-struct", expr.line)
         return INT
 
-    # --------------------------------------------------------------- lvalues
+    # ----------------------------------------------------------- lvalues
 
-    def compile_lvalue_of(self, expr: ast.Expr) -> tuple[EvalFn, CType]:
-        """Closure returning the ADDRESS of ``expr``.  Mirrors
-        ``Interpreter.lvalue`` — which does NOT tick."""
-        if isinstance(expr, ast.Ident):
-            found = self.lookup(expr.name)
+    def lv(self, e: ast.Expr) -> tuple[str, CType]:
+        """Emit ``e``'s address.  Mirrors ``Interpreter.lvalue``, which
+        does not tick."""
+        if isinstance(e, ast.Ident):
+            found = self.lookup(e.name)
             if found is None:
-                return (self._raise_lvalue(
-                    f"undefined variable '{expr.name}'", expr.line), INT)
-            kind, idx, ctype = found
-            if kind == "local":
-                def run_l(rt: "CompiledEngine", frame: Any) -> int:
-                    return frame[idx]
-                return run_l, ctype
-
-            def run_g(rt: "CompiledEngine", frame: Any) -> int:
-                return rt.globals[idx]
-            return run_g, ctype
-        if isinstance(expr, ast.Deref):
-            ev_ptr, ptype = self.compile_eval(expr.ptr)
+                return self.fail(f"undefined variable '{e.name}'",
+                                 e.line), INT
+            return found
+        if isinstance(e, ast.Deref):
+            ptr, ptype = self.ev(e.ptr)
             if not isinstance(ptype, PointerType):
-                return (self._raise_after(ev_ptr, "dereference of non-pointer",
-                                          expr.line), INT)
-            return ev_ptr, ptype.pointee
-        if isinstance(expr, ast.Index):
-            ev_base, btype = self.compile_eval(expr.base)
-            ev_idx, _ = self.compile_eval(expr.index)
+                return self.fail("dereference of non-pointer", e.line), INT
+            return ptr, ptype.pointee
+        if isinstance(e, ast.Index):
+            base, btype = self.ev(e.base)
+            idx, _ = self.ev(e.index)
             if not isinstance(btype, PointerType):
-                def run_bad(rt: "CompiledEngine", frame: Any) -> int:
-                    ev_base(rt, frame)
-                    ev_idx(rt, frame)
-                    rt.flush()
-                    raise CMinusError("indexing a non-pointer", expr.line)
-                return run_bad, INT
-            elem = btype.pointee
-            esize = elem.size
+                return self.fail("indexing a non-pointer", e.line), INT
+            return (f"({self.name(base)} + {self.name(idx)} * "
+                    f"{btype.pointee.size})"), btype.pointee
+        if isinstance(e, ast.Member):
+            return self.member_lv(e)
+        if isinstance(e, ast.Check):
+            if isinstance(e.inner, ast.Index):
+                return self.checked_index(e)
+            addr, ctype = self.lv(e.inner)
+            addr = self.name(addr)
+            self.check_deref(e, addr)
+            return addr, ctype
+        return self.fail(f"{type(e).__name__} is not an lvalue", e.line), INT
 
-            def run_idx(rt: "CompiledEngine", frame: Any) -> int:
-                base = ev_base(rt, frame)
-                idx = ev_idx(rt, frame)
-                return base + idx * esize
-
-            return run_idx, elem
-        if isinstance(expr, ast.Member):
-            return self._member_lvalue(expr)
-        if isinstance(expr, ast.Check):
-            if isinstance(expr.inner, ast.Index):
-                return self._checked_index_lvalue(expr)
-            lv_cl, ctype = self.compile_lvalue_of(expr.inner)
-            check = self._make_deref_check(expr)
-
-            def run_chk(rt: "CompiledEngine", frame: Any) -> int:
-                addr = lv_cl(rt, frame)
-                check(rt, addr)
-                return addr
-
-            return run_chk, ctype
-        return (self._raise_lvalue(
-            f"{type(expr).__name__} is not an lvalue", expr.line), INT)
-
-    # compile_lvalue: alias used where the tree-walker calls self.lvalue(e)
-    compile_lvalue = compile_lvalue_of
-
-    def _member_lvalue(self, expr: ast.Member) -> tuple[EvalFn, CType]:
-        if expr.arrow:
-            ev_base, btype = self.compile_eval(expr.base)
+    def member_lv(self, e: ast.Member) -> tuple[str, CType]:
+        if e.arrow:
+            base, btype = self.ev(e.base)
             if not (isinstance(btype, PointerType)
                     and isinstance(btype.pointee, StructType)):
-                return (self._raise_after(ev_base, "-> on a non-struct-pointer",
-                                          expr.line), INT)
+                return self.fail("-> on a non-struct-pointer", e.line), INT
             struct = btype.pointee
-            base_cl = ev_base
         else:
-            base_cl, bt = self.compile_lvalue_of(expr.base)
+            base, bt = self.lv(e.base)
             if not isinstance(bt, StructType):
-                return (self._raise_after(base_cl, ". on a non-struct value",
-                                          expr.line), INT)
+                return self.fail(". on a non-struct value", e.line), INT
             struct = bt
         try:
-            offset, ftype = struct.field(expr.field_name)
+            offset, ftype = struct.field(e.field_name)
         except KeyError as exc:
-            return (self._raise_after(base_cl, str(exc), expr.line), INT)
-        if offset == 0:
-            return base_cl, ftype
+            return self.fail(str(exc), e.line), INT
+        return (f"({self.name(base)} + {offset})" if offset else base), ftype
 
-        def run(rt: "CompiledEngine", frame: Any) -> int:
-            return base_cl(rt, frame) + offset
+    # ------------------------------------------------------------ checks
 
-        return run, ftype
+    def check_call(self, node: ast.Check, call: str) -> None:
+        """A deref/index check: ``enabled`` is read live from the node,
+        so dynamic deinstrumentation applies before the recompile."""
+        self.uses.add("cr")
+        self.emit(f"if {self.gen.const(node)}.enabled and cr is not None: "
+                  f"{self.charge()}rt.flush(); {call}{self.restore()}")
 
-    # ---------------------------------------------------------------- checks
+    def check_deref(self, node: ast.Check, addr: str) -> None:
+        self.check_call(node, f"cr.check_deref({addr}, {node.access_size}, "
+                              f"{node.site!r})")
 
-    def _make_deref_check(self, node: ast.Check
-                          ) -> Callable[["CompiledEngine", int], None]:
-        """(rt, addr) -> None executing the baked deref check.  The
-        ``enabled`` flag is read from the live AST node so dynamic
-        deinstrumentation takes effect even before the recompile its
-        generation bump triggers."""
-        access_size = node.access_size
-        site = node.site
-
-        def check(rt: "CompiledEngine", addr: int) -> None:
-            if node.enabled:
-                cr = rt.check_runtime
-                if cr is not None:
-                    rt.flush()
-                    cr.check_deref(addr, access_size, site)
-
-        return check
-
-    def _checked_index_lvalue(self, node: ast.Check) -> tuple[EvalFn, CType]:
-        """Mirror of ``Interpreter._checked_index_lvalue``: evaluate base and
-        index exactly once, then validate with intended-referent
+    def checked_index(self, node: ast.Check) -> tuple[str, CType]:
+        """Mirror of ``Interpreter._checked_index_lvalue``: base and index
+        are evaluated once, then checked with intended-referent
         semantics."""
         inner = node.inner
-        assert isinstance(inner, ast.Index)
-        ev_base, btype = self.compile_eval(inner.base)
-        ev_idx, _ = self.compile_eval(inner.index)
+        base, btype = self.ev(inner.base)
+        idx, _ = self.ev(inner.index)
         if not isinstance(btype, PointerType):
-            line = inner.line
+            return self.fail("indexing a non-pointer", inner.line), INT
+        base = self.name(base)
+        addr = self.name(f"{base} + {self.name(idx)} * {btype.pointee.size}")
+        self.check_call(node, f"cr.check_index({base}, {addr}, "
+                              f"{node.access_size}, {node.site!r})")
+        return addr, btype.pointee
 
-            def run_bad(rt: "CompiledEngine", frame: Any) -> int:
-                ev_base(rt, frame)
-                ev_idx(rt, frame)
-                rt.flush()
-                raise CMinusError("indexing a non-pointer", line)
+    def ev_Check(self, e: ast.Check) -> tuple[str, CType]:
+        if e.kind == "arith":
+            return self.arith_check(e)
+        if isinstance(e.inner, ast.Index):
+            return self.via(*self.checked_index(e))
+        addr, ctype = self.lv(e.inner)
+        addr = self.name(addr)
+        self.check_deref(e, addr)
+        return self.via(addr, ctype)
 
-            return run_bad, INT
-        elem = btype.pointee
-        esize = elem.size
-        access_size = node.access_size
-        site = node.site
+    def arith_check(self, e: ast.Check) -> tuple[str, CType]:
+        value, ctype = self.ev(e.inner)
+        t = self.tmp()
+        self.emit(f"{t} = {value}")
+        self.uses.add("cr")
+        self.emit(f"if {self.gen.const(e)}.enabled and cr is not None:")
+        k0 = self.k
+        self.ind += 1
+        base = self.arith_base(e.inner)
+        self.flush(f"rt.flush(); {t} = cr.check_arith({base}, {t}, "
+                   f"{e.site!r})")
+        self.sync(k0)
+        self.ind -= 1
+        return t, ctype
 
-        def run(rt: "CompiledEngine", frame: Any) -> int:
-            base = ev_base(rt, frame)
-            idx = ev_idx(rt, frame)
-            addr = base + idx * esize
-            if node.enabled:
-                cr = rt.check_runtime
-                if cr is not None:
-                    rt.flush()
-                    cr.check_index(base, addr, access_size, site)
-            return addr
-
-        return run, elem
-
-    def _compile_check(self, expr: ast.Check) -> tuple[EvalFn, CType]:
-        if expr.kind == "arith":
-            return self._compile_arith_check(expr)
-        # deref-kind Check wrapping a load
-        if isinstance(expr.inner, ast.Index):
-            lv_cl, ctype = self._checked_index_lvalue(expr)
-        else:
-            inner_lv, ctype = self.compile_lvalue_of(expr.inner)
-            check = self._make_deref_check(expr)
-
-            def lv_cl(rt: "CompiledEngine", frame: Any,
-                      _lv: EvalFn = inner_lv,
-                      _check: Callable[["CompiledEngine", int], None] = check
-                      ) -> int:
-                addr = _lv(rt, frame)
-                _check(rt, addr)
-                return addr
-        return self._eval_via_lvalue(lv_cl, ctype)
-
-    def _compile_arith_check(self, expr: ast.Check) -> tuple[EvalFn, CType]:
-        ev_inner, ctype = self.compile_eval(expr.inner)
-        site = expr.site
-        inner = expr.inner
-        base_fn: Callable[["CompiledEngine", Any], int]
+    def arith_base(self, inner: ast.Expr) -> str:
+        """Mirror of ``Interpreter._arith_base``: re-evaluate the operands
+        (ticks and side effects included); the first pointer wins."""
+        t = self.tmp()
         if isinstance(inner, ast.BinOp):
-            sides = []
-            for side in (inner.left, inner.right):
-                ev_side, stype = self.compile_eval(side)
-                sides.append((ev_side, isinstance(stype, PointerType)))
-            side_specs = tuple(sides)
-
-            def base_fn(rt: "CompiledEngine", frame: Any) -> int:
-                # mirror of _arith_base: re-evaluate operands (including
-                # their side effects and ticks), first pointer wins
-                for ev_side, is_ptr in side_specs:
-                    try:
-                        v = ev_side(rt, frame)
-                    except CMinusError:
-                        continue
-                    if is_ptr:
-                        return v
-                return 0
+            self.emit(f"{t} = None")
+            if self.try_side(inner.left, t):
+                self.emit(f"if {t} is None:")
+                self.ind += 1
+                self.try_side(inner.right, t)
+                self.ind -= 1
+            else:
+                self.try_side(inner.right, t)
+            self.emit(f"if {t} is None: {t} = 0")
         elif isinstance(inner, (ast.PostIncDec, ast.UnOp)):
             target = getattr(inner, "target", None) or getattr(inner,
                                                                "operand")
-            ev_t, ttype = self.compile_eval(target)
-            t_is_ptr = isinstance(ttype, PointerType)
-
-            def base_fn(rt: "CompiledEngine", frame: Any) -> int:
-                v = ev_t(rt, frame)
-                return v if t_is_ptr else 0
+            v, vtype = self.ev(target)
+            self.emit(f"{t} = {v if isinstance(vtype, PointerType) else 0}")
         else:
-            def base_fn(rt: "CompiledEngine", frame: Any) -> int:
-                return 0
-        node = expr
+            self.emit(f"{t} = 0")
+        return t
 
-        def run(rt: "CompiledEngine", frame: Any) -> int:
-            rt.pending += 1
-            value = ev_inner(rt, frame)
-            if node.enabled:
-                cr = rt.check_runtime
-                if cr is not None:
-                    base = base_fn(rt, frame)
-                    rt.flush()
-                    value = cr.check_arith(base, value, site)
-            return value
+    def try_side(self, side: ast.Expr, t: str) -> bool:
+        """One operand of :meth:`arith_base`; a ``CMinusError`` moves on
+        to the next.  Every raise site zeroes ``p``, so the handler
+        starts with nothing pending."""
+        self.sync()
+        self.emit("try:")
+        self.ind += 1
+        self.blocks += 1
+        v, vtype = self.ev(side)
+        is_ptr = isinstance(vtype, PointerType)
+        if is_ptr:
+            self.emit(f"{t} = {v}")
+        self.sync()
+        if self.lines[-1].strip() == "try:":
+            self.emit("pass")
+        self.ind -= 1
+        self.blocks -= 1
+        self.emit("except CMinusError: pass")
+        return is_ptr
 
-        return run, ctype
+    # -------------------------------------------------------- statements
 
-    # ------------------------------------------------------------ statements
+    def stmt(self, s: ast.Stmt) -> None:
+        if self.too_deep() and isinstance(s, (ast.Block, ast.If, ast.While,
+                                              ast.For)):
+            self.outline_stmt(s)
+            return
+        self.stmt_tick()
+        method = getattr(self, f"st_{type(s).__name__}", None)
+        if method is None:
+            self.fail(f"cannot execute {type(s).__name__}", s.line)
+        else:
+            method(s)
 
-    def compile_stmt(self, stmt: ast.Stmt) -> StmtFn:
-        """Every statement closure opens with the exact tree-walker
-        sequence: tick, then ``step_hook`` (flushing first so the hook sees
-        an up-to-date clock)."""
-        if isinstance(stmt, ast.Block):
-            return self.compile_block(stmt, new_scope=True)
-        if isinstance(stmt, ast.VarDecl):
-            return self._compile_vardecl(stmt)
-        if isinstance(stmt, ast.ExprStmt):
-            if isinstance(stmt.expr, ast.Assign):
-                fused = self._compile_assign_stmt(stmt.expr)
-                if fused is not None:
-                    return fused
-            ev, _ = self.compile_eval(stmt.expr)
+    def stmt_tick(self) -> None:
+        """Every statement's tick, then ``step_hook`` on a charged clock."""
+        self.k += 1
+        self.uses.add("sh")
+        self.emit(f"if sh is not None: {self.charge()}rt.flush(); sh()"
+                  f"{self.restore()}")
 
-            def run_expr(rt: "CompiledEngine", frame: Any) -> None:
-                rt.pending += 1
-                sh = rt.step_hook
-                if sh is not None:
-                    n = rt.pending
-                    if n:
-                        ops = rt.ops_executed + n
-                        if ops > rt._ops_cap:
-                            rt.flush()
-                        rt.pending = 0
-                        rt.ops_executed = ops
-                        b = rt._on_op_batch
-                        if b is not None:
-                            b(n)
-                    sh()
-                ev(rt, frame)
+    def sub(self, s: ast.Stmt) -> None:
+        """A statement that runs on some paths only."""
+        self.stmt(s)
+        if isinstance(s, ast.VarDecl):
+            self.unbound.append(self.scopes[-1][s.name][0])
 
-            return run_expr
-        if isinstance(stmt, ast.If):
-            return self._compile_if(stmt)
-        if isinstance(stmt, ast.While):
-            return self._compile_while(stmt)
-        if isinstance(stmt, ast.For):
-            return self._compile_for(stmt)
-        if isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                ev_val, _ = self.compile_eval(stmt.value)
+    def open_scope(self) -> None:
+        self.emit("S.append([])")
+        self.ctx.append(("scope",))
 
-                def run_ret(rt: "CompiledEngine", frame: Any) -> None:
-                    rt.pending += 1
-                    sh = rt.step_hook
-                    if sh is not None:
-                        n = rt.pending
-                        if n:
-                            ops = rt.ops_executed + n
-                            if ops > rt._ops_cap:
-                                rt.flush()
-                            rt.pending = 0
-                            rt.ops_executed = ops
-                            b = rt._on_op_batch
-                            if b is not None:
-                                b(n)
-                        sh()
-                    raise _Return(ev_val(rt, frame))
+    def close_scope(self) -> None:
+        self.ctx.pop()
+        self.exit_scopes(1)
 
-                return run_ret
+    def exit_scopes(self, n: int) -> None:
+        for _ in range(n):
+            self.flush("rt.exit_scope(S.pop())")
 
-            def run_ret0(rt: "CompiledEngine", frame: Any) -> None:
-                rt.pending += 1
-                sh = rt.step_hook
-                if sh is not None:
-                    n = rt.pending
-                    if n:
-                        ops = rt.ops_executed + n
-                        if ops > rt._ops_cap:
-                            rt.flush()
-                        rt.pending = 0
-                        rt.ops_executed = ops
-                        b = rt._on_op_batch
-                        if b is not None:
-                            b(n)
-                    sh()
-                raise _Return(0)
-
-            return run_ret0
-        if isinstance(stmt, ast.Break):
-            def run_brk(rt: "CompiledEngine", frame: Any) -> None:
-                rt.pending += 1
-                sh = rt.step_hook
-                if sh is not None:
-                    n = rt.pending
-                    if n:
-                        ops = rt.ops_executed + n
-                        if ops > rt._ops_cap:
-                            rt.flush()
-                        rt.pending = 0
-                        rt.ops_executed = ops
-                        b = rt._on_op_batch
-                        if b is not None:
-                            b(n)
-                    sh()
-                raise _Break()
-
-            return run_brk
-        if isinstance(stmt, ast.Continue):
-            def run_cont(rt: "CompiledEngine", frame: Any) -> None:
-                rt.pending += 1
-                sh = rt.step_hook
-                if sh is not None:
-                    n = rt.pending
-                    if n:
-                        ops = rt.ops_executed + n
-                        if ops > rt._ops_cap:
-                            rt.flush()
-                        rt.pending = 0
-                        rt.ops_executed = ops
-                        b = rt._on_op_batch
-                        if b is not None:
-                            b(n)
-                    sh()
-                raise _Continue()
-
-            return run_cont
-        msg = f"cannot execute {type(stmt).__name__}"
-        line = stmt.line
-
-        def run_bad(rt: "CompiledEngine", frame: Any) -> None:
-            rt.pending += 1
-            sh = rt.step_hook
-            if sh is not None:
-                n = rt.pending
-                if n:
-                    ops = rt.ops_executed + n
-                    if ops > rt._ops_cap:
-                        rt.flush()
-                    rt.pending = 0
-                    rt.ops_executed = ops
-                    b = rt._on_op_batch
-                    if b is not None:
-                        b(n)
-                sh()
-            rt.flush()
-            raise CMinusError(msg, line)
-
-        return run_bad
-
-    def compile_block(self, block: ast.Block, *, new_scope: bool) -> StmtFn:
+    def st_Block(self, b: ast.Block, new_scope: bool = True) -> None:
         if new_scope:
             self.scopes.append({})
-        try:
-            stmts = tuple(self.compile_stmt(s) for s in block.stmts)
-        finally:
-            if new_scope:
-                self.scopes.pop()
-        has_decls = any(isinstance(s, ast.VarDecl) for s in block.stmts)
-        if not has_decls:
-            def run_plain(rt: "CompiledEngine", frame: Any) -> None:
-                rt.pending += 1
-                sh = rt.step_hook
-                if sh is not None:
-                    n = rt.pending
-                    if n:
-                        ops = rt.ops_executed + n
-                        if ops > rt._ops_cap:
-                            rt.flush()
-                        rt.pending = 0
-                        rt.ops_executed = ops
-                        b = rt._on_op_batch
-                        if b is not None:
-                            b(n)
-                    sh()
-                for s in stmts:
-                    s(rt, frame)
-
-            return run_plain
-
-        def run(rt: "CompiledEngine", frame: Any) -> None:
-            rt.pending += 1
-            sh = rt.step_hook
-            if sh is not None:
-                n = rt.pending
-                if n:
-                    ops = rt.ops_executed + n
-                    if ops > rt._ops_cap:
-                        rt.flush()
-                    rt.pending = 0
-                    rt.ops_executed = ops
-                    b = rt._on_op_batch
-                    if b is not None:
-                        b(n)
-                sh()
-            allocs: list[tuple[int, int]] = []
-            prev = rt.allocs
-            rt.allocs = allocs
-            try:
-                for s in stmts:
-                    s(rt, frame)
-            finally:
-                rt.allocs = prev
-                rt.flush()
-                vh = rt.var_hooks
-                if vh is not None and allocs:
-                    vh.on_scope_exit([a for a, _ in allocs])
-                for addr, size in reversed(allocs):
-                    rt.mem.free_stack(addr, size)
-
-        return run
-
-    def _compile_vardecl(self, decl: ast.VarDecl) -> StmtFn:
-        ctype = decl.ctype
-        # bind the slot BEFORE compiling the initializer — the tree-walker
-        # installs the scope binding before evaluating init, so `int x = x;`
-        # reads the freshly-declared x
-        slot = self.declare(decl.name, ctype)
-        size = max(ctype.size, 1)
-        zero = b"\0" * size
-        name = decl.name
-        line = decl.line
-        bad_init = (decl.init is not None
-                    and isinstance(ctype, (ArrayType, StructType)))
-        init_cl: EvalFn | None = None
-        if decl.init is not None and not bad_init:
-            init_cl, _ = self.compile_eval(decl.init)
-        store_size = ctype.size
-        store_mask = (1 << (store_size * 8)) - 1
-
-        def run(rt: "CompiledEngine", frame: Any) -> None:
-            rt.pending += 1
-            sh = rt.step_hook
-            if sh is not None:
-                n = rt.pending
-                if n:
-                    ops = rt.ops_executed + n
-                    if ops > rt._ops_cap:
-                        rt.flush()
-                    rt.pending = 0
-                    rt.ops_executed = ops
-                    b = rt._on_op_batch
-                    if b is not None:
-                        b(n)
-                sh()
-            rt.flush()
-            addr = rt.mem.alloc_stack(size)
-            rt.allocs.append((addr, size))
-            frame[slot] = addr
-            vh = rt.var_hooks
-            if vh is not None:
-                vh.on_decl(name, addr, ctype, f"{rt.filename}:{line}")
-            if bad_init:
-                raise CMinusError(
-                    "array/struct initializers are not supported", line)
-            if init_cl is not None:
-                value = init_cl(rt, frame) & store_mask
-                if rt.ops_executed + rt.pending > rt._ops_cap:
-                    rt.flush()
-                if not rt.store(addr, value, store_size):
-                    rt.store_slow(addr, value, store_size)
-            else:
-                rt.mem.write(addr, zero)
-
-        return run
-
-    def _compile_if(self, stmt: ast.If) -> StmtFn:
-        ev_cond, _ = self.compile_eval(stmt.cond)
-        then_cl = self.compile_stmt(stmt.then)
-        orelse_cl = (self.compile_stmt(stmt.orelse)
-                     if stmt.orelse is not None else None)
-
-        def run(rt: "CompiledEngine", frame: Any) -> None:
-            rt.pending += 1
-            sh = rt.step_hook
-            if sh is not None:
-                n = rt.pending
-                if n:
-                    ops = rt.ops_executed + n
-                    if ops > rt._ops_cap:
-                        rt.flush()
-                    rt.pending = 0
-                    rt.ops_executed = ops
-                    b = rt._on_op_batch
-                    if b is not None:
-                        b(n)
-                sh()
-            if ev_cond(rt, frame):
-                then_cl(rt, frame)
-            elif orelse_cl is not None:
-                orelse_cl(rt, frame)
-
-        return run
-
-    def _compile_while(self, stmt: ast.While) -> StmtFn:
-        ev_cond, _ = self.compile_eval(stmt.cond)
-        body_cl = self.compile_stmt(stmt.body)
-
-        def run(rt: "CompiledEngine", frame: Any) -> None:
-            rt.pending += 1
-            sh = rt.step_hook
-            if sh is not None:
-                n = rt.pending
-                if n:
-                    ops = rt.ops_executed + n
-                    if ops > rt._ops_cap:
-                        rt.flush()
-                    rt.pending = 0
-                    rt.ops_executed = ops
-                    b = rt._on_op_batch
-                    if b is not None:
-                        b(n)
-                sh()
-            while True:
-                if rt.max_ops is not None:
-                    # flush per iteration so a pure-compute runaway loop
-                    # still trips ExecLimits at exactly the right op
-                    rt.flush()
-                if not ev_cond(rt, frame):
-                    break
-                try:
-                    body_cl(rt, frame)
-                except _Break:
-                    break
-                except _Continue:
-                    continue
-
-        return run
-
-    def _compile_for(self, stmt: ast.For) -> StmtFn:
-        self.scopes.append({})
-        try:
-            init_cl = (self.compile_stmt(stmt.init)
-                       if stmt.init is not None else None)
-            cond_cl = (self.compile_eval(stmt.cond)[0]
-                       if stmt.cond is not None else None)
-            body_cl = self.compile_stmt(stmt.body)
-            step_cl = (self.compile_eval(stmt.step)[0]
-                       if stmt.step is not None else None)
-        finally:
+        declaring = _declares(b.stmts)
+        if declaring:
+            self.open_scope()
+        for s in b.stmts:
+            self.stmt(s)
+        if declaring:
+            self.close_scope()
+        if new_scope:
             self.scopes.pop()
-        header_allocs = isinstance(stmt.init, ast.VarDecl)
 
-        def loop(rt: "CompiledEngine", frame: Any) -> None:
-            if init_cl is not None:
-                init_cl(rt, frame)
-            while True:
-                if rt.max_ops is not None:
-                    rt.flush()
-                if cond_cl is not None and not cond_cl(rt, frame):
-                    break
-                try:
-                    body_cl(rt, frame)
-                except _Break:
-                    break
-                except _Continue:
-                    pass
-                if step_cl is not None:
-                    step_cl(rt, frame)
+    def st_VarDecl(self, d: ast.VarDecl) -> None:
+        ctype = d.ctype
+        self.gen.n += 1
+        a = f"v{self.gen.n}"
+        # bound before the initializer runs: `int x = x;` reads the new x
+        self.scopes[-1][d.name] = (a, ctype)
+        size = max(ctype.size, 1)
+        self.uses.update(("vh", "mem"))
+        self.flush(f"rt.flush(); {a} = mem.alloc_stack({size}); "
+                   f"S[-1].append(({a}, {size}))")
+        self.emit(f"if vh is not None: vh.on_decl({d.name!r}, {a}, "
+                  f"{self.gen.const(ctype)}, rt.filename + ':{d.line}')")
+        if d.init is None:
+            self.emit(f"mem.write({a}, {bytes(size)!r})")
+        elif isinstance(ctype, (ArrayType, StructType)):
+            self.fail("array/struct initializers are not supported", d.line)
+        else:
+            value, _ = self.ev(d.init)
+            value = self.name(f"{value} & {_mask(ctype)}")
+            self.limit()
+            self.store(a, value, ctype.size)
 
-        if not header_allocs:
-            def run_plain(rt: "CompiledEngine", frame: Any) -> None:
-                rt.pending += 1
-                sh = rt.step_hook
-                if sh is not None:
-                    n = rt.pending
-                    if n:
-                        ops = rt.ops_executed + n
-                        if ops > rt._ops_cap:
-                            rt.flush()
-                        rt.pending = 0
-                        rt.ops_executed = ops
-                        b = rt._on_op_batch
-                        if b is not None:
-                            b(n)
-                    sh()
-                loop(rt, frame)
+    def st_ExprStmt(self, s: ast.ExprStmt) -> None:
+        self.ev(s.expr)
 
-            return run_plain
+    def st_If(self, s: ast.If) -> None:
+        cond, _ = self.ev(s.cond)
+        k0 = self.k
+        self.emit(f"if {self.test(cond)}:")
+        self.ind += 1
+        self.sub(s.then)
+        self.sync(k0)
+        self.ind -= 1
+        if s.orelse is not None:
+            self.emit("else:")
+            self.ind += 1
+            self.sub(s.orelse)
+            self.sync(k0)
+            self.ind -= 1
 
-        def run(rt: "CompiledEngine", frame: Any) -> None:
-            rt.pending += 1
-            sh = rt.step_hook
-            if sh is not None:
-                n = rt.pending
-                if n:
-                    ops = rt.ops_executed + n
-                    if ops > rt._ops_cap:
-                        rt.flush()
-                    rt.pending = 0
-                    rt.ops_executed = ops
-                    b = rt._on_op_batch
-                    if b is not None:
-                        b(n)
-                sh()
-            allocs: list[tuple[int, int]] = []
-            prev = rt.allocs
-            rt.allocs = allocs
-            try:
-                loop(rt, frame)
-            finally:
-                rt.allocs = prev
-                rt.flush()
-                vh = rt.var_hooks
-                if vh is not None and allocs:
-                    vh.on_scope_exit([a for a, _ in allocs])
-                for addr, size in reversed(allocs):
-                    rt.mem.free_stack(addr, size)
+    def loop(self, cond: ast.Expr | None, body: ast.Stmt,
+             step: ast.Expr | None) -> None:
+        """``while True`` with the op-limit test at its head, so a loop
+        without memory accesses still stops at the exact op."""
+        self.sync()
+        self.emit("while True:")
+        self.ind += 1
+        self.blocks += 1
+        self.ctx.append(("loop", step))
+        self.limit()
+        if cond is not None:
+            c, _ = self.ev(cond)
+            self.emit(f"if not ({self.test(c)}): "
+                      f"{f'p += {self.k}; ' if self.k else ''}break")
+        self.sub(body)
+        if step is not None:
+            self.ev(step)
+        self.sync()
+        self.ctx.pop()
+        self.ind -= 1
+        self.blocks -= 1
 
-        return run
+    def st_While(self, s: ast.While) -> None:
+        self.loop(s.cond, s.body, None)
+
+    def st_For(self, s: ast.For) -> None:
+        self.scopes.append({})
+        declaring = _declares((s.init, s.body))
+        if declaring:
+            self.open_scope()
+        if s.init is not None:
+            self.stmt(s.init)
+        self.loop(s.cond, s.body, s.step)
+        if declaring:
+            self.close_scope()
+        self.scopes.pop()
+
+    def st_Return(self, s: ast.Return) -> None:
+        value = self.ev(s.value)[0] if s.value is not None else "0"
+        self.ret(value)
+
+    def ret(self, value: str) -> None:
+        """Return; the function's ``finally`` exits the open scopes."""
+        self.sync()
+        if self.helper:
+            self.escapes.add("return")
+            self.emit(f"return p, {value}")
+        else:
+            self.emit(f"return {value}")
+
+    def st_Break(self, s: ast.Break) -> None:
+        self.jump("break")
+
+    def st_Continue(self, s: ast.Continue) -> None:
+        self.jump("continue")
+
+    def jump(self, kind: str) -> None:
+        """Exit the scopes inside the target loop, then jump; ``continue``
+        in a ``for`` runs the step first."""
+        exits = 0
+        for entry in reversed(self.ctx):
+            if entry[0] == "scope":
+                exits += 1
+                continue
+            self.exit_scopes(exits)
+            if entry[0] == "loop":
+                if kind == "continue" and entry[1] is not None:
+                    self.ev(entry[1])
+                self.sync()
+                self.emit(kind)
+            else:
+                self.sync()
+                self.escapes.add(kind)
+                self.emit(f"return p, {'_BRK' if kind == 'break' else '_CONT'}")
+            return
+        self.flush(f"raise {'_Break' if kind == 'break' else '_Continue'}()")
+
+    # ---------------------------------------------------------- outlining
+
+    def helper_call(self, build: Callable[["_Fn"], None]
+                    ) -> tuple[str, "_Fn"]:
+        """Move code into a helper function ``(rt, S, p, *visible) -> (p,
+        result)``; returns the result's name.  Keeps deep C nesting
+        inside CPython's per-function limits."""
+        fn = _Fn(self.gen, [dict(scope) for scope in self.scopes],
+                 helper=True)
+        build(fn)
+        name = self.gen.helper(fn, self.visible())
+        t = self.tmp()
+        args = "".join(f", {a}" for a in self.visible())
+        # the helper takes over the pending count; zeroed here first, so
+        # an error in it is never charged twice
+        self.emit(f"q = {self.pend()}; p = 0; p, {t} = {name}(rt, S, q{args})")
+        self.k = 0
+        return t, fn
+
+    def outline_expr(self, e: ast.Expr) -> tuple[str, CType]:
+        typed: list[CType] = []
+
+        def build(fn: _Fn) -> None:
+            value, ctype = fn.ev(e)
+            typed.append(ctype)
+            fn.sync()
+            fn.emit(f"return p, {value}")
+
+        t, _ = self.helper_call(build)
+        return t, typed[0]
+
+    def outline_stmt(self, s: ast.Stmt) -> None:
+        def build(fn: _Fn) -> None:
+            fn.stmt(s)
+            fn.sync()
+            fn.emit("return p, None")
+
+        t, fn = self.helper_call(build)
+        if not fn.escapes:
+            return
+        self.emit(f"if {t} is not None:")
+        self.ind += 1
+        for kind, marker in (("break", "_BRK"), ("continue", "_CONT")):
+            if kind in fn.escapes:
+                self.emit(f"if {t} is {marker}:")
+                self.ind += 1
+                self.jump(kind)
+                self.ind -= 1
+        if "return" in fn.escapes:
+            self.ret(t)
+        self.ind -= 1
+        self.k = 0
 
 
-# ----------------------------------------------------------- program compile
+class _Gen:
+    """Generates and ``exec``s the Python source of one program."""
 
-def compile_program(program: ast.Program) -> CompiledProgram:
-    """Lower ``program`` (at its current generation) to closures."""
+    def __init__(self, compiled: CompiledProgram, filename: str):
+        self.compiled = compiled
+        self.label = (f"cminus:{filename}" if filename != "<cminus>"
+                      else "cminus")
+        #: the generated code's globals, shared by all its functions
+        self.ns: dict[str, Any] = {
+            "CMinusError": CMinusError, "_invoke": _invoke,
+            "_Break": _Break, "_Continue": _Continue,
+            "_BRK": _BRK, "_CONT": _CONT}
+        self._consts: dict[int, str] = {}
+        #: C global name -> (index, ctype)
+        self.globals: dict[str, tuple[int, CType]] = {}
+        self.n = 0                  # name counter: t<n>, v<n>, _h<n>
+        self._helpers: list[str] = []
+
+    def const(self, obj: Any) -> str:
+        """A name for ``obj`` in the generated code's globals."""
+        name = self._consts.get(id(obj))
+        if name is None:
+            name = f"K{len(self._consts)}"
+            self._consts[id(obj)] = name
+            self.ns[name] = obj
+        return name
+
+    @staticmethod
+    def _text(name: str, params: list[str], fn: _Fn, body: list[str]
+              ) -> str:
+        lines = [f"def {name}({', '.join(params)}):"]
+        lines += [f"    {n} = 0" for n in fn.unbound]
+        lines += [f"    {n} = {expr}" for n, expr in _BINDINGS
+                  if n in fn.uses]
+        return "\n".join(lines + body) + "\n"
+
+    def helper(self, fn: _Fn, visible: list[str]) -> str:
+        self.n += 1
+        name = f"_h{self.n}"
+        self._helpers.append(self._text(name, ["rt", "S", "p"] + visible,
+                                        fn, fn.lines))
+        return name
+
+    def _exec(self, source: str, what: str, name: str) -> Callable:
+        exec(compile(source, f"<{self.label}:{what}>", "exec"), self.ns)
+        return self.ns[name]
+
+    def function(self, cf: CompiledFunction, fdef: ast.FuncDef) -> None:
+        params: dict[str, tuple[str, CType]] = {}
+        args = []
+        for param in fdef.params:
+            self.n += 1
+            args.append(f"v{self.n}")
+            params[param.name] = (args[-1], param.ctype)
+            cf.params.append(_ParamSpec(param.name, param.ctype, param.line))
+        fn = _Fn(self, [params], helper=False)
+        fn.stmt_tick()
+        # the body shares the parameters' scope, as in Interpreter.call
+        fn.st_Block(fdef.body, new_scope=False)
+        fn.sync()
+        fn.emit("return 0")
+        name = f"_c_{cf.name}"
+        body = (["    p = 0", "    S = []", "    try:"] + fn.lines
+                + ["    finally:", "        rt.pending += p",
+                   "        while S:", "            rt.exit_scope(S.pop())"])
+        cf.source = "".join(self._helpers) + self._text(
+            name, ["rt"] + args, fn, body)
+        self._helpers = []
+        cf.fn = self._exec(cf.source, cf.name, name)
+
+    def global_init(self, init: ast.Expr, what: str, index: int
+                    ) -> Callable:
+        fn = _Fn(self, [{}], helper=True)
+        value, _ = fn.ev(init)
+        fn.sync()
+        fn.emit(f"return p, {value}")
+        name = f"_g{index}"
+        source = "".join(self._helpers) + self._text(
+            name, ["rt", "S", "p"], fn, fn.lines)
+        self._helpers = []
+        return self._exec(source, what, name)
+
+
+def compile_program(program: ast.Program,
+                    filename: str = "<cminus>") -> CompiledProgram:
+    """Generate ``program`` (at its current generation) as Python."""
     compiled = CompiledProgram(program)
-    compiler = _Compiler(program, compiled)
-    # Function shells first so Call closures can bind them directly even
-    # for mutual recursion.
+    gen = _Gen(compiled, filename)
+    # function shells first, so calls can name them before they exist
     for name, fdef in program.funcs.items():
         compiled.funcs[name] = CompiledFunction(name, fdef.line)
-    # Globals: indices assigned in declaration order; each initializer is
-    # compiled with the bindings declared so far (plus its own, matching
-    # the tree-walker's bind-then-eval order).
+    # globals in declaration order; each initializer sees the globals
+    # declared so far and itself, as in the tree-walker
     for decl in program.globals:
         idx = len(compiled.globals_spec)
-        compiler.global_index[decl.name] = (idx, decl.ctype)
-        init_cl: EvalFn | None = None
-        if decl.init is not None:
-            compiler.scopes = [{}]
-            compiler.nslots = 0
-            init_cl = compiler.compile_eval(decl.init)[0]
+        gen.globals[decl.name] = (idx, decl.ctype)
+        init = (gen.global_init(decl.init, decl.name, idx)
+                if decl.init is not None else None)
         compiled.globals_spec.append(
-            _GlobalSpec(decl.name, decl.ctype, idx, decl.line, init_cl))
-    # Function bodies.
+            _GlobalSpec(decl.name, decl.ctype, idx, decl.line, init))
     for name, fdef in program.funcs.items():
-        cf = compiled.funcs[name]
-        compiler.scopes = [{}]
-        compiler.nslots = 0
-        for param in fdef.params:
-            slot = compiler.declare(param.name, param.ctype)
-            cf.params.append(_ParamSpec(param.name, param.ctype, slot,
-                                        param.line))
-        # the body block shares the parameter scope (new_scope=False),
-        # exactly like Interpreter.call
-        cf.body = compiler.compile_block(fdef.body, new_scope=False)
-        cf.nslots = compiler.nslots
+        gen.function(compiled.funcs[name], fdef)
     return compiled
-
-
 # ------------------------------------------------------------------ the cache
 
 class CodeCache:
@@ -1795,7 +1141,11 @@ class CodeCache:
     def compiles(self) -> int:
         return self._compiles.value
 
-    def lookup(self, program: ast.Program) -> CompiledProgram:
+    def lookup(self, program: ast.Program,
+               filename: str = "<cminus>") -> CompiledProgram:
+        """The compiled code of ``program``'s current generation.  On a
+        miss ``filename`` labels the generated code objects; it is not
+        part of the key."""
         gen = generation_of(program)
         key = id(program)
         entry = self._entries.get(key)
@@ -1810,7 +1160,7 @@ class CodeCache:
                 self._invalidations.inc()
             del self._entries[key]
         self._misses.inc()
-        compiled = compile_program(program)
+        compiled = compile_program(program, filename)
         self._compiles.inc()
         if len(self._entries) >= self.max_entries:
             self._entries.pop(next(iter(self._entries)))
@@ -1839,7 +1189,7 @@ class CodeCache:
 # ------------------------------------------------------------------ the engine
 
 class CompiledEngine:
-    """Drop-in replacement for :class:`Interpreter` over compiled code.
+    """Drop-in replacement for :class:`Interpreter` over generated code.
 
     Same constructor surface plus:
 
@@ -1872,8 +1222,8 @@ class CompiledEngine:
         self.var_hooks = var_hooks
         self.limits = limits or ExecLimits()
         self.max_ops = self.limits.max_ops
-        # closures compare against an always-int cap so the unlimited case
-        # costs one comparison, not an extra None test
+        # generated code compares against a numeric cap, so the unlimited
+        # case costs one comparison, not an extra None test
         self._ops_cap = (self.max_ops if self.max_ops is not None
                          else float("inf"))
         self.filename = filename
@@ -1883,7 +1233,6 @@ class CompiledEngine:
         self.load = mem.try_read_int
         self.store = mem.try_write_int
         self.strings: dict[int, int] = {}
-        self.allocs: list[tuple[int, int]] = []
         self._cache = cache
         self._tracer = tracer
         if on_op_batch is None and on_op is not None:
@@ -1894,8 +1243,8 @@ class CompiledEngine:
                     op()
         self._on_op_batch = on_op_batch
         if compiled is None:
-            compiled = (cache.lookup(program) if cache is not None
-                        else compile_program(program))
+            compiled = (cache.lookup(program, filename) if cache is not None
+                        else compile_program(program, filename))
         if compiled.program is not program:
             raise CMinusError("compiled code belongs to a different program")
         if compiled.generation != generation_of(program):
@@ -1946,6 +1295,36 @@ class CompiledEngine:
         self.flush()
         self.mem.write(addr, value.to_bytes(size, "little"))
 
+    def exit_scope(self, allocs: list[tuple[int, int]]) -> None:
+        """Leave a C block: charge the pending ops, then run the var hooks
+        and pop its stack slots, innermost first.  The hooks and pops run
+        even when the charge trips the op limit, as in the tree-walker,
+        where the limit raises inside the block."""
+        try:
+            self.flush()
+        finally:
+            if allocs:
+                vh = self.var_hooks
+                if vh is not None:
+                    vh.on_scope_exit([a for a, _ in allocs])
+                free = self.mem.free_stack
+                for addr, size in reversed(allocs):
+                    free(addr, size)
+
+    def intern_string(self, key: int, raw: bytes) -> int:
+        """Place a string literal in memory on its first evaluation."""
+        addr = self.mem.malloc(len(raw))
+        self.mem.write(addr, raw)
+        self.strings[key] = addr
+        return addr
+
+    def call_extern(self, name: str, *args: int) -> int:
+        ext = self.externs.get(name)
+        if ext is None:
+            raise CMinusError(f"undefined function '{name}'", 0)
+        result = ext(*args)
+        return int(result) if result is not None else 0
+
     # --------------------------------------------------------------- plumbing
 
     def _init_globals(self) -> None:
@@ -1957,7 +1336,8 @@ class CompiledEngine:
                 self.var_hooks.on_decl(spec.name, addr, spec.ctype,
                                        f"{self.filename}:{spec.line}")
             if spec.init is not None:
-                value = spec.init(self, ()) & spec.store_mask
+                self.pending, value = spec.init(self, [], 0)
+                value &= spec.store_mask
                 if self.ops_executed + self.pending > self._ops_cap:
                     self.flush()
                 if not self.store(addr, value, spec.store_size):
@@ -1970,8 +1350,9 @@ class CompiledEngine:
         """The program was rewritten under us (generation bumped):
         recompile (or fetch fresh code from the cache) before running."""
         cache = self._cache
-        compiled = (cache.lookup(self.program) if cache is not None
-                    else compile_program(self.program))
+        compiled = (cache.lookup(self.program, self.filename)
+                    if cache is not None
+                    else compile_program(self.program, self.filename))
         if len(compiled.globals_spec) != len(self.globals):
             raise CMinusError(
                 "program globals changed under a live engine")
@@ -1987,11 +1368,7 @@ class CompiledEngine:
             compiled = self._refresh()
         cf = compiled.funcs.get(name)
         if cf is None:
-            ext = self.externs.get(name)
-            if ext is None:
-                raise CMinusError(f"undefined function '{name}'", 0)
-            result = ext(*args)
-            return int(result) if result is not None else 0
+            return self.call_extern(name, *args)
         tracer = self._tracer
         if tracer is not None and tracer.enabled:
             tracer.begin(f"cminus:{name}", "cminus", file=self.filename)

@@ -59,8 +59,8 @@ class CosyKernelExtension:
                  verifier=None, engine: str = "compiled"):
         self.kernel = kernel
         self.protection = protection
-        #: C-minus execution engine for CALLF ops: "compiled" (closure
-        #: compiler + kernel.code_cache) or "tree" (the oracle interpreter)
+        #: C-minus execution engine for CALLF ops: "compiled" (generated
+        #: code + kernel.code_cache) or "tree" (the oracle interpreter)
         self.engine = engine
         self.watchdog = CosyWatchdog(kernel, max_kernel_cycles)
         self.watchdog.arm()

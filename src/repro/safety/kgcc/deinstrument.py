@@ -62,7 +62,7 @@ class DynamicDeinstrumenter:
     def _set_enabled(self, site: str, enabled: bool) -> None:
         for check in self.report.nodes_at(site):
             check.enabled = enabled
-        # compiled closures read Check.enabled live, so the toggle takes
+        # generated code reads Check.enabled live, so the toggle takes
         # effect immediately — but the generation bump still records that
         # cached code was built against a different check configuration
         if self.report.program is not None:

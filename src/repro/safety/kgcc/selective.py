@@ -129,7 +129,7 @@ def apply_rules(program: ast.Program, report: InstrumentationReport,
             if keep:
                 result.checks_kept += 1
                 result.kept_sites.add(node.site)
-    # check toggles change what compiled closures must bake in
+    # check toggles change what the generated code must contain
     bump_generation(program)
     for i, rule in enumerate(rules):
         if i not in matched:

@@ -23,7 +23,7 @@ import numpy as np
 from repro.cminus import UserMemAccess, parse
 from repro.cminus.compile import CompiledEngine
 from repro.core.cosy import CosyGCC, CosyKernelExtension, CosyLib
-from repro.kernel.clock import Mode
+from repro.kernel.clock import USER
 from repro.kernel.vfs.file import O_CREAT, O_RDONLY, O_WRONLY
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -83,7 +83,7 @@ class RecordStore:
         charge = kernel.clock.charge
         self._interp = CompiledEngine(
             parse(_CHECKSUM_FUNC), self._mem,
-            on_op_batch=lambda n: charge(n * cminus_op, Mode.USER),
+            on_op_batch=lambda n: charge(n * cminus_op, USER),
             cache=kernel.code_cache)
 
     def _process(self, rec: bytes) -> int:

@@ -1,0 +1,51 @@
+"""Run each C-minus case on both engines and require they agree."""
+
+from __future__ import annotations
+
+from typing import Callable
+
+import pytest
+
+from repro.cminus import CompiledEngine, Interpreter, UserMemAccess, parse
+from repro.errors import ReproError
+from repro.kernel import Kernel
+from repro.kernel.fs import RamfsSuperBlock
+
+
+def _run_once(cls, source: str, fn: str, args: tuple, build: Callable):
+    """One engine on a fresh kernel whose ``on_op`` charges the clock:
+    (result or exception, clock, ops_executed)."""
+    k = Kernel()
+    k.mount_root(RamfsSuperBlock(k))
+    mem = UserMemAccess(k, k.spawn("cminus"))
+    program = parse(source)
+    cminus_op = k.costs.cminus_op
+    engine = cls(program, mem, on_op=lambda: k.clock.charge_system(cminus_op),
+                 **build(k, mem, program))
+    try:
+        outcome = engine.call(fn, *args)
+    except ReproError as exc:
+        outcome = exc
+    return outcome, k.clock.now, engine.ops_executed
+
+
+@pytest.fixture
+def run_both() -> Callable:
+    """``run_both(build, source, fn, *args)``: run the case on the
+    tree-walker and on the compiled engine.  ``build(kernel, mem,
+    program)`` returns each engine's extra keyword arguments.  The
+    result or exception type, the clock and ``ops_executed`` must
+    match; returns the result, or raises the tree-walker's exception."""
+
+    def run(build: Callable, source: str, fn: str = "main", *args: int):
+        tree = _run_once(Interpreter, source, fn, args, build)
+        comp = _run_once(CompiledEngine, source, fn, args, build)
+        kinds = [type(o) if isinstance(o, ReproError) else o
+                 for o in (tree[0], comp[0])]
+        assert kinds[0] == kinds[1], (tree, comp)
+        assert tree[1:] == comp[1:], (tree, comp)
+        if isinstance(tree[0], ReproError):
+            raise tree[0]
+        return tree[0]
+
+    return run

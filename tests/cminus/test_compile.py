@@ -1,8 +1,8 @@
-"""The closure-compiled C-minus engine against the tree-walking oracle.
+"""The compiled C-minus engine against the tree-walking oracle.
 
 The tree-walker charges one ``cminus_op`` per AST tick as it goes; the
-compiled engine batches pending ops and charges them at flush points
-(memory accesses, statement boundaries, calls).  Everything observable —
+generated code counts pending ops in a local and charges them at flush
+points (slow memory accesses, checks, hooks, calls).  Everything observable —
 return values, memory, the simulated clock, op counts at the instant a
 limit trips — must be bit-identical, or batching has changed semantics.
 """
@@ -253,3 +253,107 @@ def test_instrumentation_bumps_generation():
     gen = generation_of(program)
     instrument(program)
     assert generation_of(program) > gen
+
+
+# ------------------------------------------------ shapes the generator risks
+
+def _nested_loops(depth: int, inner: str) -> str:
+    body = inner
+    for d in reversed(range(depth)):
+        bound = 2 if d < 3 else 1
+        body = (f"for (int i{d} = 0; i{d} < {bound}; i{d}++) "
+                f"{{ int d{d} = i{d} + {d}; {body} }}")
+    return f"int main() {{ int s = 0; {body} return s; }}"
+
+
+@pytest.mark.parametrize("depth,inner", [
+    (12, "s += d11;"),
+    # deeper than one Python function may nest: break, continue and
+    # return leave the cut-out parts
+    (40, "if (i0 == 1) continue; s += d39; if (s > 60) break;"),
+    (40, "s += d0 + d39; if (i1 == 1) return s;"),
+], ids=["12", "40-break-continue", "40-return"])
+def test_deeply_nested_loops(depth, inner):
+    """Nested loops whose bodies declare run identically on both
+    engines, however deep the parser lets them go."""
+    src = _nested_loops(depth, inner)
+    tree = _run_engine("tree", src, "main")
+    comp = _run_engine("compiled", src, "main")
+    assert tree[0][0] == "ok"
+    assert tree == comp
+
+
+def test_deeply_nested_expression():
+    src = ("int main() { int x = 1; return "
+           + "x && (" * 90 + "x" + ")" * 90 + "; }")
+    tree = _run_engine("tree", src, "main")
+    assert tree == _run_engine("compiled", src, "main")
+    assert tree[0] == ("ok", 1)
+
+
+HOOKED_SRC = """
+int g = 5;
+
+int fill(int *a, int n) {
+    for (int i = 0; i < n; i++) a[i] = i * g;
+    return n;
+}
+
+int main() {
+    int a[8];
+    int *p = a;
+    fill(p, 8);
+    int s = 0;
+    for (int i = 0; i < 8; i++) { s += *(p + i); }
+    return s;
+}
+"""
+
+
+def _hooked_run(cls, program, report, hooks: set, cache=None):
+    """One engine with the given hooks on a fresh kernel: (result,
+    clock, ops, clock stamps at every statement)."""
+    k, mem = _fresh()
+    stamps: list[int] = []
+    kwargs = {}
+    if "step" in hooks:
+        kwargs["step_hook"] = lambda: stamps.append(k.clock.now)
+    if "limit" in hooks:
+        kwargs["limits"] = ExecLimits(max_ops=150)
+    if "checks" in hooks:
+        runtime = KgccRuntime(k, skip_names=report.unregistered)
+        kwargs.update(check_runtime=runtime, var_hooks=runtime)
+    if cache is not None:
+        kwargs["cache"] = cache
+    engine = cls(program, mem,
+                 on_op=lambda: k.clock.charge(k.costs.cminus_op, Mode.SYSTEM),
+                 **kwargs)
+    try:
+        outcome = ("ok", engine.call("main"))
+    except CMinusError as exc:
+        outcome = ("err", str(exc))
+    return outcome, k.clock.now, engine.ops_executed, stamps
+
+
+def test_one_cached_program_serves_every_hook_mix():
+    """Hooks are read when the code runs, not when it is generated: one
+    cached program matches the tree-walker under every mix of hooks."""
+    program = parse(HOOKED_SRC)
+    report = instrument(program)
+    cache = CodeCache()
+    mixes = [set(), {"step"}, {"limit"}, {"checks"},
+             {"step", "limit", "checks"}]
+    for hooks in mixes:
+        tree = _hooked_run(Interpreter, program, report, hooks)
+        comp = _hooked_run(CompiledEngine, program, report, hooks, cache)
+        assert tree == comp, hooks
+        assert bool(tree[3]) == ("step" in hooks)
+    assert (cache.misses, cache.hits) == (1, 4)
+
+
+def test_generated_source_is_kept_and_named():
+    program = parse(WORK_SRC)
+    compiled = compile_program(program, "work.c")
+    mix = compiled.funcs["mix"]
+    assert "def _c_mix(rt, " in mix.source
+    assert mix.fn.__code__.co_filename == "<cminus:work.c:mix>"

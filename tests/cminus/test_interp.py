@@ -1,4 +1,9 @@
-"""C-subset interpreter: semantics over real simulated memory."""
+"""C-subset semantics over real simulated memory.
+
+Each ``run`` executes the case on the tree-walker and on the compiled
+engine (see ``conftest.py``) and requires the same result, clock and op
+count from both.
+"""
 
 import pytest
 
@@ -9,17 +14,17 @@ from repro.kernel.fs import RamfsSuperBlock
 
 
 @pytest.fixture
-def run():
-    """Returns run(source, fn='main', *args) -> int."""
-    k = Kernel()
-    k.mount_root(RamfsSuperBlock(k))
-    task = k.spawn("cminus")
-    mem = UserMemAccess(k, task)
+def run(run_both):
+    """Returns run(source, fn='main', *args) -> int.  ``externs`` may be
+    a function returning the table, called once per engine."""
 
     def _run(source: str, fn: str = "main", *args: int,
              externs=None, limits=None) -> int:
-        interp = Interpreter(parse(source), mem, externs=externs, limits=limits)
-        return interp.call(fn, *args)
+        def build(k, mem, program):
+            table = externs() if callable(externs) else externs
+            return dict(externs=table, limits=limits)
+
+        return run_both(build, source, fn, *args)
 
     return _run
 
@@ -201,13 +206,19 @@ def test_sizeof(run):
 def test_externs_called(run):
     calls = []
 
-    def record(x):
-        calls.append(x)
-        return x * 2
+    def externs():
+        log = []
+        calls.append(log)
+
+        def record(x):
+            log.append(x)
+            return x * 2
+
+        return {"host": record}
 
     assert run("int main() { return host(21); }", "main",
-               externs={"host": record}) == 42
-    assert calls == [21]
+               externs=externs) == 42
+    assert calls == [[21], [21]]     # once on each engine
 
 
 def test_division_by_zero_raises(run):

@@ -1,33 +1,28 @@
-"""struct support: layout, member access, KGCC interaction."""
+"""struct support: layout, member access, KGCC interaction.
+
+Each ``run`` executes the case on both engines (see ``conftest.py``).
+"""
 
 import pytest
 
-from repro.cminus import Interpreter, UserMemAccess, parse
+from repro.cminus import parse
 from repro.cminus.ctypes import StructType, CHAR, INT
 from repro.errors import BoundsError, CMinusError, InvalidPointer
-from repro.kernel import Kernel
-from repro.kernel.fs import RamfsSuperBlock
 from repro.safety.kgcc import KgccRuntime, instrument
 
 
 @pytest.fixture
-def run():
-    k = Kernel()
-    k.mount_root(RamfsSuperBlock(k))
-    task = k.spawn("structs")
-    mem = UserMemAccess(k, task)
-
+def run(run_both):
     def _run(source, fn="main", *args, checked=False):
-        program = parse(source)
-        if checked:
+        def build(k, mem, program):
+            if not checked:
+                return dict(externs={"malloc": mem.malloc, "free": mem.free})
             report = instrument(program)
             runtime = KgccRuntime(k, skip_names=report.unregistered)
-            kwargs = dict(check_runtime=runtime, var_hooks=runtime,
-                          externs=runtime.make_externs(mem))
-        else:
-            kwargs = dict(externs={"malloc": mem.malloc, "free": mem.free})
-        result = Interpreter(program, mem, **kwargs).call(fn, *args)
-        return result
+            return dict(check_runtime=runtime, var_hooks=runtime,
+                        externs=runtime.make_externs(mem))
+
+        return run_both(build, source, fn, *args)
 
     return _run
 

@@ -4,9 +4,11 @@ The tree-walking interpreter is the oracle.  For randomly generated
 programs both engines must agree on *everything observable*: the return
 value, the final physical-memory image, the fault raised (type, message,
 and the clock at the instant it fires), KGCC check outcomes, the
-simulated cycle count, the TLB's counters and LRU order, and the clock at
-every access that leaves the TLB-hit fast path.  Any divergence means the
-closure compiler or its batched accounting changed semantics.
+simulated cycle count, the TLB's counters and LRU order, the clock at
+every access that leaves the TLB-hit fast path, and the clock at every
+statement.  Any divergence means the source generator or its batched
+accounting changed semantics; the failure message prints the Python the
+compiled engine ran.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cminus import (CompiledEngine, ExecLimits, Interpreter,
-                          UserMemAccess, parse)
+                          UserMemAccess, compile_program, parse)
 from repro.errors import ReproError
 from repro.kernel import Kernel
 from repro.kernel.clock import Mode
@@ -24,19 +26,29 @@ from repro.safety.kgcc import KgccRuntime, instrument
 
 # ----------------------------------------------------------- program maker
 
-_BINOPS = ["+", "-", "*", "&", "|", "^", "<", ">", "==", "!=", "<=", ">="]
+_BINOPS = ["+", "-", "*", "/", "%", "&", "|", "^", "<", ">", "==", "!=",
+           "<=", ">=", "&&", "||"]
+_UNOPS = ["-", "!", "~"]
 
 
 @st.composite
-def _exprs(draw, names, depth=0):
-    """An int-valued expression over ``names`` (always-defined scalars)."""
+def _exprs(draw, names, wr=(), depth=0):
+    """An int-valued expression over ``names`` (always-defined scalars);
+    prefix ``++``/``--`` step only the writable ``wr``."""
     if depth >= 3 or draw(st.booleans()):
         if names and draw(st.booleans()):
             return draw(st.sampled_from(names))
         return str(draw(st.integers(min_value=0, max_value=1000)))
+    kind = draw(st.sampled_from(["bin"] * 4 + ["un"] + (["pre"] if wr else [])))
+    if kind == "un":
+        operand = draw(_exprs(names, wr, depth=depth + 1))
+        return f"({draw(st.sampled_from(_UNOPS))}{operand})"
+    if kind == "pre":
+        step = draw(st.sampled_from(["++", "--"]))
+        return f"({step}{draw(st.sampled_from(wr))})"
     op = draw(st.sampled_from(_BINOPS))
-    left = draw(_exprs(names, depth=depth + 1))
-    right = draw(_exprs(names, depth=depth + 1))
+    left = draw(_exprs(names, wr, depth=depth + 1))
+    right = draw(_exprs(names, wr, depth=depth + 1))
     if op in ("/", "%"):
         # guarded divide: the divisor literal is never zero
         right = str(draw(st.integers(min_value=1, max_value=99)))
@@ -44,54 +56,100 @@ def _exprs(draw, names, depth=0):
 
 
 @st.composite
-def _stmts(draw, names, ro=(), depth=0):
+def _stmts(draw, names, ro=(), depth=0, arr="a", in_loop=False, calls=()):
     """One statement.  ``names`` are writable scalars; ``ro`` holds loop
-    induction variables — readable only, so every loop terminates."""
+    counters, readable only, so every loop terminates.  ``arr`` points
+    at 8 ints; ``calls`` are the helper functions it may call."""
     rd = list(names) + list(ro)
-    kind = draw(st.sampled_from(
-        ["assign", "aug", "array", "if", "loop", "postinc"]
-        if depth < 2 else ["assign", "aug", "array", "postinc"]))
+    kinds = ["assign", "assign", "aug", "aug", "array", "postinc",
+             "preinc", "return"]
+    if depth < 2:
+        kinds += ["if", "for", "while", "block"]
+    if in_loop:
+        kinds += ["jump", "jump"]
+    if calls:
+        kinds += ["call"]
+    kind = draw(st.sampled_from(kinds))
+    target = draw(st.sampled_from(names))
+
+    def expr():
+        return draw(_exprs(rd, names))
+
+    def body(extra_ro=(), loop=in_loop, more=()):
+        return " ".join(draw(st.lists(
+            _stmts(list(names) + list(more), tuple(ro) + extra_ro,
+                   depth + 1, arr, loop, calls), min_size=1, max_size=3)))
+
     if kind == "assign":
-        return f"{draw(st.sampled_from(names))} = {draw(_exprs(rd))};"
+        return f"{target} = {expr()};"
     if kind == "aug":
-        op = draw(st.sampled_from(["+=", "-=", "*=", "^="]))
-        return f"{draw(st.sampled_from(names))} {op} {draw(_exprs(rd))};"
+        op = draw(st.sampled_from(["+=", "-=", "*=", "^=", "/=", "%="]))
+        value = (str(draw(st.integers(min_value=1, max_value=9)))
+                 if op in ("/=", "%=") else expr())
+        return f"{target} {op} {value};"
     if kind == "postinc":
-        return f"{draw(st.sampled_from(names))}{draw(st.sampled_from(['++', '--']))};"
+        return f"{target}{draw(st.sampled_from(['++', '--']))};"
+    if kind == "preinc":
+        return f"{draw(st.sampled_from(['++', '--']))}{target};"
     if kind == "array":
         idx = draw(st.integers(min_value=0, max_value=7))
         if draw(st.booleans()):
-            return f"a[{idx}] = {draw(_exprs(rd))};"
-        return f"{draw(st.sampled_from(names))} ^= a[{idx}];"
+            return f"{arr}[{idx}] = {expr()};"
+        return f"{target} ^= {arr}[{idx}];"
+    if kind == "return":
+        return f"if ({expr()}) return {expr()};"
+    if kind == "jump":
+        return f"if ({expr()}) {draw(st.sampled_from(['break', 'continue']))};"
+    if kind == "call":
+        ptr = draw(st.sampled_from([n for n in names if n.isidentifier()]))
+        return (f"{target} = {draw(st.sampled_from(calls))}"
+                f"(&{ptr}, {arr}, {expr()});")
     if kind == "if":
-        cond = draw(_exprs(rd))
-        body = draw(_stmts(names, ro, depth=depth + 1))
+        cond = expr()
+        then = body()
         if draw(st.booleans()):
-            alt = draw(_stmts(names, ro, depth=depth + 1))
-            return f"if ({cond}) {{ {body} }} else {{ {alt} }}"
-        return f"if ({cond}) {{ {body} }}"
-    # loop: the induction variable is read-only inside the body
-    n = draw(st.integers(min_value=0, max_value=6))
-    var = f"i{depth}"
-    inner = " ".join(draw(st.lists(
-        _stmts(names, tuple(ro) + (var,), depth=depth + 1),
-        min_size=1, max_size=3)))
-    return f"for (int {var} = 0; {var} < {n}; {var}++) {{ {inner} }}"
+            return f"if ({cond}) {{ {then} }} else {{ {body()} }}"
+        return f"if ({cond}) {{ {then} }}"
+    if kind == "block":
+        var = f"b{depth}"
+        return f"{{ int {var} = {expr()}; {body(more=(var,))} }}"
+    n = draw(st.integers(min_value=0, max_value=5))
+    var = f"i{depth}" if kind == "for" else f"w{depth}"
+    if kind == "for":
+        return (f"for (int {var} = 0; {var} < {n}; {var}++) "
+                f"{{ {body((var,), True)} }}")
+    # while: the counter steps first, so `continue` cannot skip it
+    return (f"{{ int {var} = 0; while ({var} < {n}) "
+            f"{{ {var}++; {body((var,), True)} }} }}")
+
+
+@st.composite
+def _helpers(draw, name):
+    """A function taking pointers into its caller's frame."""
+    body = " ".join(draw(st.lists(
+        _stmts(["t", "(*q)", "v"], arr="arr"), min_size=1, max_size=4)))
+    return (f"int {name}(int *q, int *arr, int v) {{ int t = v; {body} "
+            f"return t ^ (*q); }}")
 
 
 @st.composite
 def programs(draw):
+    calls = tuple(f"h{i}" for i in range(draw(st.integers(0, 2))))
+    helpers = " ".join(draw(_helpers(h)) for h in calls)
     names = ["x", "y", "z"]
     inits = " ".join(
         f"int {n} = {draw(st.integers(min_value=-50, max_value=50))};"
         for n in names)
-    body = " ".join(draw(st.lists(_stmts(names), min_size=1, max_size=6)))
+    body = " ".join(draw(st.lists(_stmts(names, calls=calls),
+                                  min_size=1, max_size=6)))
     return f"""
-    int g = 0;
+    int g = {draw(st.integers(min_value=-50, max_value=50))};
+    int g2 = g * 3 - 1;
+    {helpers}
     int main() {{
         {inits}
         int a[8];
-        for (int j = 0; j < 8; j++) a[j] = j * 3;
+        for (int j = 0; j < 8; j++) a[j] = j * 3 + g2;
         {body}
         g = x ^ y ^ z;
         int s = 0;
@@ -104,9 +162,11 @@ def programs(draw):
 # ---------------------------------------------------------------- fixtures
 
 def _observe(engine: str, src: str, *, max_ops=None, checked=False,
-             flush_tlb=False):
+             flush_tlb=False, stamp=False):
     """Run one engine on a fresh kernel and capture everything observable.
 
+    ``stamp`` installs a step hook recording the clock at every statement,
+    where CoSy's watchdog preempts.
     ``translations`` holds ``(clock, vaddr, access)`` at every
     ``MMU.translate`` entry: every access that missed the TLB, faulted or
     straddled a page, where the tracer's ``mem:tlb_miss``/``mem:fault``
@@ -136,11 +196,21 @@ def _observe(engine: str, src: str, *, max_ops=None, checked=False,
     def on_op():
         k.clock.charge(k.costs.cminus_op, Mode.SYSTEM)
 
+    stamps = []
+
+    def step_hook():
+        if stamp:
+            stamps.append(k.clock.now)
+        if flush_tlb:
+            k.mmu.flush_tlb()
+
     cls = Interpreter if engine == "tree" else CompiledEngine
-    interp = cls(program, mem, on_op=on_op,
-                 step_hook=k.mmu.flush_tlb if flush_tlb else None,
-                 limits=ExecLimits(max_ops=max_ops), **kwargs)
+    interp = None
     try:
+        # global initializers run here, and may trip an op limit
+        interp = cls(program, mem, on_op=on_op,
+                     step_hook=step_hook if stamp or flush_tlb else None,
+                     limits=ExecLimits(max_ops=max_ops), **kwargs)
         outcome = ("ok", interp.call("main"))
     except ReproError as exc:
         outcome = (type(exc).__name__, str(exc))
@@ -151,53 +221,66 @@ def _observe(engine: str, src: str, *, max_ops=None, checked=False,
     return {
         "outcome": outcome,
         "clock": k.clock.now,
-        "ops": interp.ops_executed,
+        "ops": interp.ops_executed if interp is not None else None,
         "memory": memory,
         "checks": checks,
         "translations": translations,
         "tlb": (k.mmu.tlb_hits, k.mmu.tlb_misses, list(k.mmu._tlb)),
+        "stamps": stamps,
     }
+
+
+def _generated(src: str, checked: bool = False) -> str:
+    """The Python the compiled engine ran, for a failure message."""
+    program = parse(src)
+    if checked:
+        instrument(program)
+    return "\n".join(cf.source
+                     for cf in compile_program(program).funcs.values())
+
+
+def _agree(src: str, **kwargs) -> dict:
+    """Both engines' observations must match; returns the tree-walker's."""
+    tree = _observe("tree", src, **kwargs)
+    comp = _observe("compiled", src, **kwargs)
+    assert tree == comp, _generated(src, kwargs.get("checked", False))
+    return tree
 
 
 # -------------------------------------------------------------- properties
 
-@given(programs())
+@given(programs(), st.booleans())
 @settings(max_examples=50, deadline=None)
-def test_engines_agree_on_everything(src):
-    assert _observe("tree", src) == _observe("compiled", src)
+def test_engines_agree_on_everything(src, stamp):
+    tree = _agree(src, stamp=stamp)
+    assert bool(tree["stamps"]) == stamp
 
 
-@given(programs(), st.integers(min_value=1, max_value=400))
+@given(programs(), st.integers(min_value=1, max_value=400), st.booleans())
 @settings(max_examples=30, deadline=None)
-def test_engines_agree_under_op_limits(src, max_ops):
+def test_engines_agree_under_op_limits(src, max_ops, stamp):
     """Op limits trip at the identical op, clock, and memory image."""
-    tree = _observe("tree", src, max_ops=max_ops)
-    comp = _observe("compiled", src, max_ops=max_ops)
-    assert tree == comp
-    if tree["outcome"][0] == "CMinusError":
+    tree = _agree(src, max_ops=max_ops, stamp=stamp)
+    if tree["outcome"][0] == "CMinusError" and tree["ops"] is not None:
         assert tree["ops"] == max_ops + 1
 
 
-@given(programs())
+@given(programs(), st.booleans())
 @settings(max_examples=25, deadline=None)
-def test_engines_agree_on_check_outcomes(src):
+def test_engines_agree_on_check_outcomes(src, stamp):
     """KGCC-instrumented runs: same check counts at the same sites."""
-    tree = _observe("tree", src, checked=True)
-    comp = _observe("compiled", src, checked=True)
-    assert tree == comp
+    tree = _agree(src, checked=True, stamp=stamp)
     assert tree["checks"][0] > 0
 
 
-@given(programs(), st.booleans())
+@given(programs(), st.booleans(), st.booleans())
 @settings(max_examples=120, deadline=None)
-def test_slow_path_sees_the_tree_walkers_clock(src, checked):
+def test_slow_path_sees_the_tree_walkers_clock(src, checked, stamp):
     """With the TLB flushed at every statement, loads and stores miss
     mid-expression: the compiled engine must charge its pending ops
     before each one, so every miss sees the tree-walker's clock, and
     both engines leave the TLB in the same state."""
-    tree = _observe("tree", src, checked=checked, flush_tlb=True)
-    comp = _observe("compiled", src, checked=checked, flush_tlb=True)
-    assert tree == comp
+    tree = _agree(src, checked=checked, flush_tlb=True, stamp=stamp)
     assert len(tree["translations"]) > 1
 
 
@@ -217,9 +300,7 @@ def test_division_faults_are_identical(num, trip):
         return s;
     }}
     """
-    tree = _observe("tree", src)
-    comp = _observe("compiled", src)
-    assert tree == comp
+    tree = _agree(src)
     assert tree["outcome"][0] == "CMinusError"
     assert "division by zero" in tree["outcome"][1]
 
@@ -236,7 +317,5 @@ def test_bounds_faults_are_identical(oob):
         return a[0];
     }}
     """
-    tree = _observe("tree", src, checked=True)
-    comp = _observe("compiled", src, checked=True)
-    assert tree == comp
+    tree = _agree(src, checked=True)
     assert tree["outcome"][0] in ("BoundsError", "InvalidPointer")
