@@ -82,6 +82,39 @@ def _truncate(value: int, ctype: CType) -> int:
     return value
 
 
+_INT_OPS: dict[str, Callable[[int, int], int]] = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: int(a / b),           # C truncates toward zero
+    "%": lambda a, b: a - int(a / b) * b,
+    "&": lambda a, b: a & b,
+    "|": lambda a, b: a | b,
+    "^": lambda a, b: a ^ b,
+    "<<": lambda a, b: a << (b & 63),
+    ">>": lambda a, b: a >> (b & 63),
+    "<": lambda a, b: 1 if a < b else 0,
+    ">": lambda a, b: 1 if a > b else 0,
+    "<=": lambda a, b: 1 if a <= b else 0,
+    ">=": lambda a, b: 1 if a >= b else 0,
+    "==": lambda a, b: 1 if a == b else 0,
+    "!=": lambda a, b: 1 if a != b else 0,
+    "&&": lambda a, b: 1 if (a and b) else 0,
+    "||": lambda a, b: 1 if (a or b) else 0,
+}
+
+
+def int_binop(op: str, a: int, b: int) -> int:
+    """C semantics of the binary operator ``op`` on two ``int`` values.
+
+    The result wraps to ``int`` (64-bit two's complement), shift counts
+    are masked with ``& 63``, division and modulo truncate toward zero,
+    and comparisons and ``&&``/``||`` yield 0 or 1.  A zero divisor
+    raises ZeroDivisionError and an unknown operator KeyError.
+    """
+    return _truncate(_INT_OPS[op](a, b), INT)
+
+
 class Interpreter:
     """Executes a parsed :class:`~repro.cminus.ast_nodes.Program`."""
 
@@ -411,51 +444,27 @@ class Interpreter:
                line: int) -> tuple[int, CType]:
         lptr = isinstance(lt, PointerType)
         rptr = isinstance(rt, PointerType)
-        if op == "+":
+        if op == "+" and (lptr or rptr):
             if lptr and rptr:
                 raise CMinusError("cannot add two pointers", line)
             if lptr:
                 return (lv + rv * lt.pointee.size) & _WORD_MASK, lt
+            return (rv + lv * rt.pointee.size) & _WORD_MASK, rt
+        if op == "-" and lptr:
             if rptr:
-                return (rv + lv * rt.pointee.size) & _WORD_MASK, rt
-            return _truncate(lv + rv, INT), INT
-        if op == "-":
-            if lptr and rptr:
                 if lt.pointee.size != rt.pointee.size:
                     raise CMinusError("pointer subtraction type mismatch", line)
                 return (lv - rv) // max(lt.pointee.size, 1), INT
-            if lptr:
-                return (lv - rv * lt.pointee.size) & _WORD_MASK, lt
-            return _truncate(lv - rv, INT), INT
-        if op in ("==", "!=", "<", ">", "<=", ">="):
-            result = {
-                "==": lv == rv, "!=": lv != rv, "<": lv < rv,
-                ">": lv > rv, "<=": lv <= rv, ">=": lv >= rv,
-            }[op]
-            return (1 if result else 0), INT
-        if lptr or rptr:
+            return (lv - rv * lt.pointee.size) & _WORD_MASK, lt
+        if (lptr or rptr) and op not in ("-", "==", "!=", "<", ">", "<=", ">="):
             raise CMinusError(f"invalid pointer operand to '{op}'", line)
-        if op == "*":
-            return _truncate(lv * rv, INT), INT
-        if op == "/":
-            if rv == 0:
-                raise CMinusError("division by zero", line)
-            return _truncate(int(lv / rv), INT), INT  # C truncates toward zero
-        if op == "%":
-            if rv == 0:
-                raise CMinusError("modulo by zero", line)
-            return _truncate(lv - int(lv / rv) * rv, INT), INT
-        if op == "&":
-            return _truncate(lv & rv, INT), INT
-        if op == "|":
-            return _truncate(lv | rv, INT), INT
-        if op == "^":
-            return _truncate(lv ^ rv, INT), INT
-        if op == "<<":
-            return _truncate(lv << (rv & 63), INT), INT
-        if op == ">>":
-            return _truncate(lv >> (rv & 63), INT), INT
-        raise CMinusError(f"unknown operator '{op}'", line)
+        try:
+            return int_binop(op, lv, rv), INT
+        except ZeroDivisionError:
+            raise CMinusError("division by zero" if op == "/"
+                              else "modulo by zero", line) from None
+        except KeyError:
+            raise CMinusError(f"unknown operator '{op}'", line) from None
 
     def _eval_UnOp(self, e: ast.UnOp) -> tuple[int, CType]:
         if e.op in ("++", "--"):

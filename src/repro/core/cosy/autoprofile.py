@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from repro.cminus import ast_nodes as ast
 from repro.cminus.parser import parse
 from repro.core.cosy.cosy_gcc import CosyGCC, _RegionCompiler
+from repro.core.cosy.kernel_ext import COMPOUND_SYSCALLS
 from repro.errors import CosyError
-from repro.kernel.syscalls.table import SYSCALL_NRS
 
 #: assumed trip count for loops whose bound is not a literal
 DEFAULT_LOOP_WEIGHT = 64
@@ -63,7 +63,7 @@ def _syscall_weight(node: ast.Node, multiplier: float,
                     profile: dict[int, int] | None) -> float:
     """Estimated syscall invocations under ``node``."""
     weight = 0.0
-    if isinstance(node, ast.Call) and node.func in SYSCALL_NRS:
+    if isinstance(node, ast.Call) and node.func in COMPOUND_SYSCALLS:
         if profile is not None:
             weight += profile.get(node.line, 1)
         else:

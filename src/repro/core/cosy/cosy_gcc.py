@@ -29,9 +29,11 @@ What Cosy-GCC does, mirroring the paper:
 * **language subset** — "we limited Cosy to the execution of only a subset
   of C in the kernel"; anything outside the subset raises
   :class:`UnsupportedConstruct` (int arithmetic, loops, conditionals,
-  syscalls, and calls to local helper functions are in; pointers beyond
-  buffer references are out — helpers that need them run as isolated user
-  functions via CALLF instead);
+  the syscalls the kernel extension can run — its
+  :data:`~repro.core.cosy.kernel_ext.COMPOUND_SYSCALLS` — and calls to
+  local helper functions are in; pointers beyond buffer references are
+  out — helpers that need them run as isolated user functions via CALLF
+  instead);
 * **inputs** — variables defined before the region are bound at run time
   by Cosy-Lib into reserved prologue MOV ops.
 """
@@ -45,9 +47,9 @@ from repro.cminus.compile import program_fingerprint
 from repro.cminus.ctypes import ArrayType, PointerType
 from repro.cminus.parser import parse
 from repro.core.cosy.compound import CompoundBuilder, encode_compound
+from repro.core.cosy.kernel_ext import COMPOUND_SYSCALLS
 from repro.core.cosy.ops import Arg, MATH_OPS, Op
 from repro.errors import CosyError
-from repro.kernel.syscalls.table import SYSCALL_NRS
 
 RETURN_SLOT_NAME = "__return"
 
@@ -178,7 +180,7 @@ class _RegionCompiler:
         return offset, len(text.encode())
 
     def _is_syscall(self, name: str) -> bool:
-        return name in SYSCALL_NRS
+        return name in COMPOUND_SYSCALLS
 
     def _is_local_func(self, name: str) -> bool:
         return name in self.program.funcs and name != self.fdef.name
@@ -441,7 +443,8 @@ class _RegionCompiler:
                 self.builder.ops[idx], expr.func)
             return Arg.slot(dst)
         raise UnsupportedConstruct(
-            f"call to unknown function '{expr.func}' (line {expr.line})")
+            f"call to '{expr.func}' (line {expr.line}) is neither a compound "
+            f"syscall nor a local function")
 
 
 class _TaggedCallf(Op):

@@ -8,10 +8,14 @@ Execution model:
 
 * the whole compound enters the kernel through **one** trap (the
   ``cosy_exec`` syscall), so N operations cost one boundary crossing;
-* syscall operations invoke the *same handlers* a normal process reaches
-  through the dispatcher — every fd/permission/path check still runs — but
-  data moves through the shared buffer at in-kernel memcpy cost instead of
-  uaccess cost (the zero-copy saving);
+* syscall operations run the *same kernel bodies* a normal process reaches
+  through the dispatcher (the ``ksys_*`` and ``do_*`` methods of
+  :mod:`repro.kernel.syscalls`), so every argument/fd/permission/path
+  check still runs and fails with the same errno; only the copy differs:
+  data moves through the shared buffer at in-kernel memcpy cost instead
+  of uaccess cost (the zero-copy saving).  :data:`COMPOUND_SYSCALLS` is
+  the one table of syscalls a compound may run; Cosy-GCC and autoprofile
+  read it too;
 * every operation is a preemption point, which arms the kernel-time
   watchdog against infinite loops;
 * user functions (CALLF ops) run under segment isolation per the
@@ -20,24 +24,25 @@ Execution model:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.cminus import ast_nodes as ast
 from repro.cminus.compile import bump_generation
+from repro.cminus.interp import int_binop
 from repro.core.cosy.compound import (CompoundFault, CompoundStatus,
                                       decode_compound)
 from repro.core.cosy.ops import Arg, ArgKind, MATH_OP_NAMES, Op, OpCode
 from repro.core.cosy.safety import CosyProtection, CosyWatchdog, FunctionIsolation
 from repro.core.cosy.shared_buffer import SharedBuffer
-from repro.errors import (CosyError, EBADF, ENOMEM, Errno, OutOfMemory,
-                          raise_errno)
+from repro.errors import CosyError, ENOMEM, Errno, OutOfMemory
 from repro.kernel.clock import Mode
-from repro.kernel.syscalls.table import syscall_name
-from repro.kernel.vfs.file import O_APPEND
+from repro.kernel.syscalls.table import syscall_name, syscall_nr
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.core import Kernel
+    from repro.kernel.net.syscalls import SocketLayer
     from repro.kernel.process import Task
+    from repro.kernel.syscalls import SyscallInterface
 
 #: default kernel-time budget for one compound: ~200 ms at 1.7 GHz.
 DEFAULT_MAX_KERNEL_CYCLES = 340_000_000
@@ -183,30 +188,27 @@ class CosyKernelExtension:
 
     # ------------------------------------------------------------ op bodies
 
-    def _resolve(self, arg: Arg, slots: list[int]) -> int:
-        if arg.kind is ArgKind.LIT:
-            return arg.value
-        if arg.kind is ArgKind.SLOT:
-            return slots[arg.value]
-        raise CosyError("shared-buffer arg used where a scalar is expected")
-
     def _exec_op(self, op: Op, pc: int, slots: list[int],
                  shared: SharedBuffer, isolation: FunctionIsolation) -> int:
         if op.opcode is OpCode.MOV:
-            slots[op.dst] = self._resolve(op.args[0], slots)
+            slots[op.dst] = _resolve(op.args[0], slots)
             return pc + 1
         if op.opcode is OpCode.MATH:
             name = MATH_OP_NAMES.get(op.extra)
             if name is None:
                 raise CosyError(f"bad math opcode {op.extra}")
-            a = self._resolve(op.args[0], slots)
-            b = self._resolve(op.args[1], slots)
-            slots[op.dst] = _math(name, a, b)
+            a = _resolve(op.args[0], slots)
+            b = _resolve(op.args[1], slots)
+            try:
+                slots[op.dst] = int_binop(name, a, b)
+            except ZeroDivisionError:
+                what = "division" if name == "/" else "modulo"
+                raise CosyError(f"{what} by zero in compound") from None
             return pc + 1
         if op.opcode is OpCode.JMP:
             return op.extra
         if op.opcode is OpCode.JZ:
-            cond = self._resolve(op.args[0], slots)
+            cond = _resolve(op.args[0], slots)
             return op.extra if cond == 0 else pc + 1
         if op.opcode is OpCode.SYSCALL:
             slots[op.dst] = self._exec_syscall(op, slots, shared)
@@ -215,7 +217,7 @@ class CosyKernelExtension:
             reg = self._functions.get(op.extra)
             if reg is None:
                 raise CosyError(f"CALLF to unregistered function {op.extra}")
-            args = [self._resolve(a, slots) if a.kind is not ArgKind.SHARED
+            args = [_resolve(a, slots) if a.kind is not ArgKind.SHARED
                     else a.value for a in op.args]
             trust = self.trust_manager
             mode = trust.protection_for(op.extra) if trust is not None else None
@@ -237,130 +239,136 @@ class CosyKernelExtension:
 
     def _exec_syscall(self, op: Op, slots: list[int],
                       shared: SharedBuffer) -> int:
-        """Invoke one syscall op through the normal handlers, zero-copy."""
+        """Run one syscall op through the classic kernel body, zero-copy."""
         kernel = self.kernel
-        sys = kernel.sys
-        name = syscall_name(op.extra)
         kernel.clock.charge(kernel.costs.syscall_dispatch, Mode.SYSTEM)
-        args = op.args
+        run = _SYSCALLS_BY_NR.get(op.extra)
+        if run is None:
+            raise CosyError(f"syscall '{syscall_name(op.extra)}' is not "
+                            "available in compounds")
+        return run(kernel.sys, _OpArgs(op, slots, shared))
 
-        def scalar(i: int) -> int:
-            return self._resolve(args[i], slots)
 
-        def shared_ref(i: int) -> tuple[int, int]:
-            a = args[i]
-            if a.kind is not ArgKind.SHARED:
-                raise CosyError(f"{name}: arg {i} must be a shared-buffer ref")
-            return a.value, a.aux
+def _resolve(arg: Arg, slots: list[int]) -> int:
+    if arg.kind is ArgKind.LIT:
+        return arg.value
+    if arg.kind is ArgKind.SLOT:
+        return slots[arg.value]
+    raise CosyError("shared-buffer arg used where a scalar is expected")
 
-        def path_arg(i: int) -> str:
-            off, length = shared_ref(i)
-            # C-string semantics: stop at the first NUL so a reused request
-            # region (e.g. the Cosy HTTP server's) tolerates stale tails.
-            return shared.read_kernel(off, length).split(b"\0", 1)[0].decode()
 
-        if name == "open":
-            return sys._open_nocopy(path_arg(0), scalar(1),
-                                    scalar(2) if len(args) > 2 else 0o644)
-        if name == "close":
-            return sys.do_close(scalar(0))
-        if name == "read":
-            fd = scalar(0)
-            off, _ = shared_ref(1)
-            count = scalar(2)
-            file = sys._file_for(fd)
-            file.check_readable()
-            data = file.inode.read(file.pos, count)
-            file.pos += len(data)
-            shared.write_kernel(off, data)
-            return len(data)
-        if name == "write":
-            fd = scalar(0)
-            off, _ = shared_ref(1)
-            count = scalar(2)
-            data = shared.read_kernel(off, count)
-            file = sys._file_for(fd)
-            file.check_writable()
-            pos = file.inode.size if (file.flags & O_APPEND) else file.pos
-            n = file.inode.write(pos, data)
-            file.pos = pos + n
-            return n
-        if name == "pread":
-            fd, count, fpos = scalar(0), scalar(2), scalar(3)
-            off, _ = shared_ref(1)
-            file = sys._file_for(fd)
-            file.check_readable()
-            data = file.inode.read(fpos, count)
-            shared.write_kernel(off, data)
-            return len(data)
-        if name == "pwrite":
-            fd, count, fpos = scalar(0), scalar(2), scalar(3)
-            off, _ = shared_ref(1)
-            data = shared.read_kernel(off, count)
-            file = sys._file_for(fd)
-            file.check_writable()
-            return file.inode.write(fpos, data)
-        if name == "lseek":
-            return sys.do_lseek(scalar(0), scalar(1), scalar(2))
-        if name == "getpid":
-            return sys.do_getpid()
-        if name == "stat":
-            path = path_arg(0)
-            off, _ = shared_ref(1)
-            dentry = kernel.vfs.path_walk(path, kernel.current.cwd)
-            kernel.clock.charge(kernel.costs.stat_fill, Mode.SYSTEM)
-            shared.write_kernel(off, dentry.inode.getattr().pack())
-            return 0
-        if name == "fstat":
-            fd = scalar(0)
-            off, _ = shared_ref(1)
-            file = sys._file_for(fd)
-            kernel.clock.charge(kernel.costs.stat_fill, Mode.SYSTEM)
-            shared.write_kernel(off, file.inode.getattr().pack())
-            return 0
-        if name == "unlink":
-            kernel.vfs.unlink(path_arg(0), kernel.current.cwd)
-            return 0
-        if name == "mkdir":
-            kernel.vfs.mkdir(path_arg(0), kernel.current.cwd)
-            return 0
-        if name == "rmdir":
-            kernel.vfs.rmdir(path_arg(0), kernel.current.cwd)
-            return 0
-        if name == "ftruncate":
-            return sys.do_ftruncate(scalar(0), scalar(1))
-        if name == "getdents":
-            fd = scalar(0)
-            off, length = shared_ref(1)
-            entries = sys._file_for(fd)  # validate fd first
-            if not entries.inode.is_dir:
-                raise_errno(EBADF, "getdents on non-directory")
-            batch = []
-            used = 0
-            all_entries = entries.inode.readdir()
-            for e in all_entries[entries.pos:]:
-                raw = _pack_dirent(e)
-                if used + len(raw) > length:
-                    break
-                kernel.clock.charge(kernel.costs.dirent_emit, Mode.SYSTEM)
-                batch.append(raw)
-                used += len(raw)
-            entries.pos += len(batch)
-            if batch:
-                shared.write_kernel(off, b"".join(batch))
-            return used
-        if name in ("accept", "sendfile", "shutdown"):
-            # Network handlers are installed by repro.kernel.net.SocketLayer;
-            # compounds can only reach them once the stack is loaded.
-            handler = getattr(sys, f"do_{name}", None)
-            if handler is None:
-                raise CosyError(f"{name}: socket layer is not loaded")
-            if name == "accept":
-                return handler(scalar(0))
-            if name == "sendfile":
-                return handler(scalar(0), scalar(1), scalar(2), scalar(3))
-            return handler(scalar(0), scalar(1))
-        raise CosyError(f"syscall '{name}' is not available in compounds")
+class _OpArgs:
+    """The arguments of one SYSCALL op: scalars are literals or slots,
+    buffers and paths are references into the shared buffer."""
+
+    __slots__ = ("op", "slots", "shared")
+
+    def __init__(self, op: Op, slots: list[int], shared: SharedBuffer):
+        self.op = op
+        self.slots = slots
+        self.shared = shared
+
+    def __len__(self) -> int:
+        return len(self.op.args)
+
+    def scalar(self, i: int) -> int:
+        return _resolve(self.op.args[i], self.slots)
+
+    def ref(self, i: int) -> tuple[int, int]:
+        """``(offset, length)`` of a shared-buffer argument."""
+        a = self.op.args[i]
+        if a.kind is not ArgKind.SHARED:
+            raise CosyError(f"{syscall_name(self.op.extra)}: arg {i} must "
+                            "be a shared-buffer ref")
+        return a.value, a.aux
+
+    def path(self, i: int) -> str:
+        off, length = self.ref(i)
+        # C-string semantics: stop at the first NUL so a reused request
+        # region (e.g. the Cosy HTTP server's) tolerates stale tails.
+        return self.shared.read_kernel(off, length).split(b"\0", 1)[0].decode()
+
+
+# One function per compound syscall: the classic kernel body, with the
+# shared buffer in place of uaccess.  Each copy sits where the classic
+# handler's uaccess copy sits: reads copy out after the position update,
+# writes copy in once the file is known to be writable.
+
+def _read(sys: "SyscallInterface", a: _OpArgs,
+          offset: int | None = None) -> int:
+    off, _ = a.ref(1)
+    data = sys.ksys_read(a.scalar(0), a.scalar(2), offset)
+    a.shared.write_kernel(off, data)
+    return len(data)
+
+
+def _write(sys: "SyscallInterface", a: _OpArgs,
+           offset: int | None = None) -> int:
+    off, _ = a.ref(1)
+    count = a.scalar(2)
+    return sys.ksys_write(a.scalar(0), count,
+                          lambda: a.shared.read_kernel(off, count), offset)
+
+
+def _stat(sys: "SyscallInterface", a: _OpArgs) -> int:
+    path = a.path(0)
+    off, _ = a.ref(1)
+    a.shared.write_kernel(off, sys.ksys_stat(path).pack())
+    return 0
+
+
+def _fstat(sys: "SyscallInterface", a: _OpArgs) -> int:
+    off, _ = a.ref(1)
+    a.shared.write_kernel(off, sys.ksys_fstat(a.scalar(0)).pack())
+    return 0
+
+
+def _getdents(sys: "SyscallInterface", a: _OpArgs) -> int:
+    """Packs linux_dirent64 records; returns the bytes filled."""
+    off, length = a.ref(1)
+    entries = sys.ksys_getdents(
+        a.scalar(0), length,
+        lambda out, used: a.shared.write_kernel(
+            off, b"".join(e.pack() for e in out)))
+    return sum(e.encoded_size() for e in entries)
+
+
+def _net(sys: "SyscallInterface") -> "SocketLayer":
+    """The socket layer, which compounds reach only once it is loaded."""
+    stack = sys.kernel.socket_layer
+    if stack is None:
+        raise CosyError("socket layer is not loaded")
+    return stack
+
+
+#: The syscalls a compound may run, by name, and how each runs.
+COMPOUND_SYSCALLS: dict[str, Callable[["SyscallInterface", _OpArgs], int]] = {
+    "open": lambda sys, a: sys.ksys_open(
+        a.path(0), a.scalar(1), a.scalar(2) if len(a) > 2 else 0o644),
+    "close": lambda sys, a: sys.do_close(a.scalar(0)),
+    "read": _read,
+    "write": _write,
+    "pread": lambda sys, a: _read(sys, a, a.scalar(3)),
+    "pwrite": lambda sys, a: _write(sys, a, a.scalar(3)),
+    "lseek": lambda sys, a: sys.do_lseek(a.scalar(0), a.scalar(1),
+                                         a.scalar(2)),
+    "getpid": lambda sys, a: sys.do_getpid(),
+    "stat": _stat,
+    "fstat": _fstat,
+    "unlink": lambda sys, a: sys.ksys_unlink(a.path(0)),
+    "mkdir": lambda sys, a: sys.ksys_mkdir(a.path(0)),
+    "rmdir": lambda sys, a: sys.ksys_rmdir(a.path(0)),
+    "ftruncate": lambda sys, a: sys.do_ftruncate(a.scalar(0), a.scalar(1)),
+    "getdents": _getdents,
+    "accept": lambda sys, a: _net(sys).do_accept(a.scalar(0)),
+    "sendfile": lambda sys, a: _net(sys).do_sendfile(
+        a.scalar(0), a.scalar(1), a.scalar(2), a.scalar(3)),
+    "shutdown": lambda sys, a: _net(sys).do_shutdown(a.scalar(0),
+                                                     a.scalar(1)),
+}
+
+_SYSCALLS_BY_NR = {syscall_nr(name): run
+                   for name, run in COMPOUND_SYSCALLS.items()}
 
 
 def _op_label(op: Op) -> str:
@@ -370,54 +378,3 @@ def _op_label(op: Op) -> str:
     if op.opcode is OpCode.CALLF:
         return f"callf#{op.extra}"
     return op.opcode.name.lower()
-
-
-def _pack_dirent(entry) -> bytes:
-    name_bytes = entry.name.encode()
-    return (entry.ino.to_bytes(8, "little")
-            + bytes([entry.dtype, len(name_bytes)]) + name_bytes)
-
-
-def _math(op: str, a: int, b: int) -> int:
-    """C-semantics integer math shared with the interpreter."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0:
-            raise CosyError("division by zero in compound")
-        return int(a / b)
-    if op == "%":
-        if b == 0:
-            raise CosyError("modulo by zero in compound")
-        return a - int(a / b) * b
-    if op == "<":
-        return 1 if a < b else 0
-    if op == ">":
-        return 1 if a > b else 0
-    if op == "<=":
-        return 1 if a <= b else 0
-    if op == ">=":
-        return 1 if a >= b else 0
-    if op == "==":
-        return 1 if a == b else 0
-    if op == "!=":
-        return 1 if a != b else 0
-    if op == "&":
-        return a & b
-    if op == "|":
-        return a | b
-    if op == "^":
-        return a ^ b
-    if op == "<<":
-        return a << (b & 63)
-    if op == ">>":
-        return a >> (b & 63)
-    if op == "&&":
-        return 1 if (a and b) else 0
-    if op == "||":
-        return 1 if (a or b) else 0
-    raise CosyError(f"unknown math op {op}")

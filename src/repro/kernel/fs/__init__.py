@@ -5,6 +5,7 @@
   with a buffer cache; stands in for the paper's Ext2/Ext3/Reiserfs targets.
 * :mod:`wrapfs` — the stackable pass-through filesystem the Kefence and
   KGCC evaluations instrument.
+* :mod:`libfs` — the directory operations ramfs and ext2 share.
 """
 
 from repro.kernel.fs.disk import Disk, BufferCache

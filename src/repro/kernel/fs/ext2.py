@@ -12,125 +12,30 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.errors import (EEXIST, EISDIR, ENOENT, ENOSPC, ENOTDIR, ENOTEMPTY,
-                          raise_errno)
+from repro.errors import EISDIR, ENOSPC, raise_errno
 from repro.kernel.clock import Mode
 from repro.kernel.fs.disk import BLOCK_SIZE, BufferCache, Disk
+from repro.kernel.fs.libfs import MemDirInode
 from repro.kernel.locks import SpinLock
-from repro.kernel.vfs.inode import DT_DIR, DT_REG, DirEntry, Inode
-from repro.kernel.vfs.stat import S_IFDIR, S_IFREG
+from repro.kernel.vfs.inode import Inode
+from repro.kernel.vfs.stat import S_IFDIR
 from repro.kernel.vfs.super import SuperBlock
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.core import Kernel
 
 
-class Ext2Inode(Inode):
+class Ext2Inode(MemDirInode):
     """An inode whose file data lives in disk blocks."""
 
     def __init__(self, sb: "Ext2SuperBlock", ino: int, mode: int):
         super().__init__(sb, ino, mode)
-        self.blocks_list: list[int] = [] if self.is_reg else []
-        self.entries: dict[str, Ext2Inode] | None = {} if self.is_dir else None
+        self.blocks_list: list[int] = []
         self.ext2_sb: "Ext2SuperBlock" = sb
 
-    # -------------------------------------------------- directory operations
-
-    def _require_dir(self) -> dict[str, "Ext2Inode"]:
-        if self.entries is None:
-            raise_errno(ENOTDIR, f"inode {self.ino} is not a directory")
-        return self.entries
-
-    def _charge_dirop(self) -> None:
-        self.sb.kernel.clock.charge(self.sb.kernel.costs.block_map, Mode.SYSTEM)
-
-    def lookup(self, name: str) -> "Ext2Inode | None":
-        self._charge_dirop()
-        return self._require_dir().get(name)
-
-    def create(self, name: str, mode: int) -> "Ext2Inode":
-        entries = self._require_dir()
-        if name in entries:
-            raise_errno(EEXIST, name)
-        self._charge_dirop()
-        inode = Ext2Inode(self.ext2_sb, self.sb.alloc_ino(), mode | S_IFREG)
-        self.sb.register_inode(inode)
-        entries[name] = inode
-        self.touch_mtime()
-        return inode
-
-    def mkdir(self, name: str) -> "Ext2Inode":
-        entries = self._require_dir()
-        if name in entries:
-            raise_errno(EEXIST, name)
-        self._charge_dirop()
-        inode = Ext2Inode(self.ext2_sb, self.sb.alloc_ino(), S_IFDIR | 0o755)
-        self.sb.register_inode(inode)
-        entries[name] = inode
-        self.nlink += 1
-        self.touch_mtime()
-        return inode
-
-    def unlink(self, name: str) -> None:
-        entries = self._require_dir()
-        child = entries.get(name)
-        if child is None:
-            raise_errno(ENOENT, name)
-        if child.is_dir:
-            raise_errno(EISDIR, name)
-        self._charge_dirop()
-        del entries[name]
-        child.nlink -= 1
-        if child.nlink == 0:
-            self.sb.drop_inode(child)
-        self.touch_mtime()
-
-    def rmdir(self, name: str) -> None:
-        entries = self._require_dir()
-        child = entries.get(name)
-        if child is None:
-            raise_errno(ENOENT, name)
-        if not child.is_dir:
-            raise_errno(ENOTDIR, name)
-        if child.entries:
-            raise_errno(ENOTEMPTY, name)
-        self._charge_dirop()
-        del entries[name]
-        self.nlink -= 1
-        self.sb.drop_inode(child)
-        self.touch_mtime()
-
-    def rename(self, old_name: str, new_dir: Inode, new_name: str) -> None:
-        entries = self._require_dir()
-        child = entries.get(old_name)
-        if child is None:
-            raise_errno(ENOENT, old_name)
-        if not isinstance(new_dir, Ext2Inode):
-            raise_errno(ENOTDIR, "cross-filesystem rename")
-        self._charge_dirop()
-        target = new_dir._require_dir()
-        existing = target.get(new_name)
-        if existing is not None and existing.is_dir:
-            raise_errno(EISDIR, new_name)
-        del entries[old_name]
-        if existing is not None:
-            existing.nlink -= 1
-            if existing.nlink == 0:
-                self.sb.drop_inode(existing)
-        target[new_name] = child
-        self.touch_mtime()
-        new_dir.touch_mtime()
-
-    def readdir(self) -> list[DirEntry]:
-        entries = self._require_dir()
-        # Reading a directory touches its blocks (one per ~128 entries).
-        nblocks = max(1, (len(entries) + 127) // 128)
-        for _ in range(nblocks):
-            self._charge_dirop()
-        return [
-            DirEntry(name, child.ino, DT_DIR if child.is_dir else DT_REG)
-            for name, child in entries.items()
-        ]
+    def charge_dirop(self, nblocks: int = 1) -> None:
+        self.sb.kernel.clock.charge(self.sb.kernel.costs.block_map * nblocks,
+                                    Mode.SYSTEM)
 
     # -------------------------------------------------------- data operations
 

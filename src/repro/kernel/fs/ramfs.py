@@ -9,109 +9,22 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.errors import EEXIST, EISDIR, ENOENT, ENOTDIR, ENOTEMPTY, raise_errno
+from repro.errors import EISDIR, raise_errno
 from repro.kernel.clock import Mode
-from repro.kernel.vfs.inode import DT_DIR, DT_REG, DirEntry, Inode
-from repro.kernel.vfs.stat import S_IFDIR, S_IFREG
+from repro.kernel.fs.libfs import MemDirInode
+from repro.kernel.vfs.stat import S_IFDIR
 from repro.kernel.vfs.super import SuperBlock
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.core import Kernel
 
 
-class RamfsInode(Inode):
+class RamfsInode(MemDirInode):
     """An inode whose data/children live in Python memory."""
 
     def __init__(self, sb: "RamfsSuperBlock", ino: int, mode: int):
         super().__init__(sb, ino, mode)
         self.data = bytearray() if self.is_reg else None
-        self.entries: dict[str, RamfsInode] | None = {} if self.is_dir else None
-
-    # -------------------------------------------------- directory operations
-
-    def _require_dir(self) -> dict[str, "RamfsInode"]:
-        if self.entries is None:
-            raise_errno(ENOTDIR, f"inode {self.ino} is not a directory")
-        return self.entries
-
-    def lookup(self, name: str) -> "RamfsInode | None":
-        return self._require_dir().get(name)
-
-    def create(self, name: str, mode: int) -> "RamfsInode":
-        entries = self._require_dir()
-        if name in entries:
-            raise_errno(EEXIST, name)
-        inode = RamfsInode(self.sb, self.sb.alloc_ino(), mode | S_IFREG)
-        self.sb.register_inode(inode)
-        entries[name] = inode
-        self.touch_mtime()
-        return inode
-
-    def mkdir(self, name: str) -> "RamfsInode":
-        entries = self._require_dir()
-        if name in entries:
-            raise_errno(EEXIST, name)
-        inode = RamfsInode(self.sb, self.sb.alloc_ino(), S_IFDIR | 0o755)
-        self.sb.register_inode(inode)
-        entries[name] = inode
-        self.nlink += 1
-        self.touch_mtime()
-        return inode
-
-    def unlink(self, name: str) -> None:
-        entries = self._require_dir()
-        child = entries.get(name)
-        if child is None:
-            raise_errno(ENOENT, name)
-        if child.is_dir:
-            raise_errno(EISDIR, name)
-        del entries[name]
-        child.nlink -= 1
-        if child.nlink == 0:
-            self.sb.drop_inode(child)
-        self.touch_mtime()
-
-    def rmdir(self, name: str) -> None:
-        entries = self._require_dir()
-        child = entries.get(name)
-        if child is None:
-            raise_errno(ENOENT, name)
-        if not child.is_dir:
-            raise_errno(ENOTDIR, name)
-        if child.entries:
-            raise_errno(ENOTEMPTY, name)
-        del entries[name]
-        self.nlink -= 1
-        self.sb.drop_inode(child)
-        self.touch_mtime()
-
-    def rename(self, old_name: str, new_dir: Inode, new_name: str) -> None:
-        entries = self._require_dir()
-        child = entries.get(old_name)
-        if child is None:
-            raise_errno(ENOENT, old_name)
-        if not isinstance(new_dir, RamfsInode):
-            raise_errno(ENOTDIR, "cross-filesystem rename")
-        target_entries = new_dir._require_dir()
-        # An existing regular-file target is replaced, as rename(2) specifies.
-        existing = target_entries.get(new_name)
-        if existing is not None and existing.is_dir:
-            raise_errno(EISDIR, new_name)
-        del entries[old_name]
-        if existing is not None:
-            existing.nlink -= 1
-            if existing.nlink == 0:
-                self.sb.drop_inode(existing)
-        target_entries[new_name] = child
-        self.touch_mtime()
-        new_dir.touch_mtime()
-
-    def readdir(self) -> list[DirEntry]:
-        entries = self._require_dir()
-        return [
-            DirEntry(name, child.ino, DT_DIR if child.is_dir else DT_REG)
-            for name, child in entries.items()
-        ]
 
     # -------------------------------------------------------- data operations
 

@@ -73,9 +73,8 @@ class ConsolidatedMixin:
                     child = dentry.inode.lookup(entry.name)
             if child is None:  # raced with a concurrent unlink
                 continue
-            self.kernel.clock.charge(costs.dirent_emit + costs.stat_fill,
-                                     Mode.SYSTEM)
-            out.append((entry, child.getattr()))
+            self.kernel.clock.charge(costs.dirent_emit, Mode.SYSTEM)
+            out.append((entry, self.stat_fill(child)))  # type: ignore[attr-defined]
             used += need
         if out:
             self.ucopy.charge_to_user(used)  # type: ignore[attr-defined]
@@ -87,12 +86,12 @@ class ConsolidatedMixin:
         if offset < 0:
             raise_errno(EINVAL, "negative offset")
         self.ucopy.charge_from_user(len(path) + 1)  # type: ignore[attr-defined]
-        fd = self._open_nocopy(path, O_RDONLY)  # type: ignore[attr-defined]
+        fd = self.ksys_open(path, O_RDONLY)  # type: ignore[attr-defined]
         try:
-            file = self._file_for(fd)  # type: ignore[attr-defined]
             if count < 0:
-                count = max(0, file.inode.size - offset)
-            data = file.inode.read(offset, count)
+                size = self._file_for(fd).inode.size  # type: ignore[attr-defined]
+                count = max(0, size - offset)
+            data = self.ksys_read(fd, count, offset)  # type: ignore[attr-defined]
             self.ucopy.charge_to_user(len(data))  # type: ignore[attr-defined]
             return data
         finally:
@@ -110,12 +109,10 @@ class ConsolidatedMixin:
             flags |= O_TRUNC
         if append:
             flags |= O_APPEND
-        fd = self._open_nocopy(path, flags)  # type: ignore[attr-defined]
+        fd = self.ksys_open(path, flags)  # type: ignore[attr-defined]
         try:
-            self.ucopy.charge_from_user(len(data))  # type: ignore[attr-defined]
-            file = self._file_for(fd)  # type: ignore[attr-defined]
-            pos = file.inode.size if append else 0
-            return file.inode.write(pos, data)
+            return self.ksys_write(  # type: ignore[attr-defined]
+                fd, len(data), self._from_user(data))  # type: ignore[attr-defined]
         finally:
             self.do_close(fd)  # type: ignore[attr-defined]
 
@@ -123,9 +120,7 @@ class ConsolidatedMixin:
                       ) -> tuple[int, Stat]:
         """open + fstat, returning the open fd along with the attributes."""
         self.ucopy.charge_from_user(len(path) + 1)  # type: ignore[attr-defined]
-        fd = self._open_nocopy(path, flags)  # type: ignore[attr-defined]
-        file = self._file_for(fd)  # type: ignore[attr-defined]
-        self.kernel.clock.charge(self.kernel.costs.stat_fill, Mode.SYSTEM)
-        st = file.inode.getattr()
+        fd = self.ksys_open(path, flags)  # type: ignore[attr-defined]
+        st = self.ksys_fstat(fd)  # type: ignore[attr-defined]
         self.ucopy.charge_to_user(STAT_SIZE)  # type: ignore[attr-defined]
         return fd, st

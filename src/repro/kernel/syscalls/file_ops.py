@@ -1,20 +1,26 @@
 """File syscall handlers (the ``do_*`` bodies run in kernel mode).
 
-Handlers never charge trap/stub costs themselves — the dispatcher does —
-so the Cosy kernel extension (§2.3) can invoke the same handlers directly
-and legitimately skip the boundary costs: "the system call invocation by
-the Cosy kernel module is the same as a normal process and hence all the
-necessary checks are performed."
+Handlers never charge trap/stub costs themselves — the dispatcher does.
+Each data-moving handler is split in two: a ``ksys_*`` kernel body (the
+argument checks, the fd lookup and access-mode check, the inode call, the
+position update, ``stat_fill``) and the boundary copy its entry path adds
+around it.  The classic ``do_*`` handler adds uaccess; the consolidated
+calls copy a path once; a Cosy compound (§2.3) copies through its shared
+buffer and a uring SQE through its ring, both at memcpy cost.  Every path
+thus runs the same checks: "the system call invocation by the Cosy kernel
+module is the same as a normal process and hence all the necessary checks
+are performed."
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import EBADF, EINVAL, EISDIR, ENOENT, Errno, raise_errno
 from repro.kernel.clock import Mode
 from repro.kernel.vfs.file import (File, O_ACCMODE, O_APPEND, O_CREAT, O_RDONLY,
                                    O_TRUNC, O_WRONLY, SEEK_CUR, SEEK_END, SEEK_SET)
+from repro.kernel.vfs.inode import Inode
 from repro.kernel.vfs.stat import S_IFREG, STAT_SIZE, Stat
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -30,11 +36,10 @@ class FileOpsMixin:
 
     def do_open(self, path: str, flags: int = O_RDONLY, mode: int = 0o644) -> int:
         self.ucopy.charge_from_user(len(path) + 1)
-        return self._open_nocopy(path, flags, mode)
+        return self.ksys_open(path, flags, mode)
 
-    def _open_nocopy(self, path: str, flags: int, mode: int = 0o644) -> int:
-        """Open without the path-copy charge (shared with consolidated calls,
-        which copy the path exactly once for the whole compound)."""
+    def ksys_open(self, path: str, flags: int, mode: int = 0o644) -> int:
+        """open(2) in kernel mode, without the path copy."""
         task = self.kernel.current
         vfs = self.kernel.vfs
         try:
@@ -85,41 +90,65 @@ class FileOpsMixin:
             raise_errno(EBADF, f"fd {fd}")
         return file
 
-    def do_read(self, fd: int, count: int) -> bytes:
-        if count < 0:
-            raise_errno(EINVAL, "negative read count")
+    def ksys_read(self, fd: int, count: int,
+                  offset: int | None = None) -> bytes:
+        """read(2), or pread(2) at ``offset``, in kernel mode.
+
+        Without ``offset`` the read starts at, and advances, the file
+        position.  The caller copies the returned bytes out.
+        """
+        if count < 0 or (offset is not None and offset < 0):
+            raise_errno(EINVAL, "negative count/offset")
         file = self._file_for(fd)
         file.check_readable()
+        if offset is not None:
+            return file.inode.read(offset, count)
         data = file.inode.read(file.pos, count)
         file.pos += len(data)
-        self.ucopy.charge_to_user(len(data))
         return data
 
-    def do_write(self, fd: int, data: bytes) -> int:
+    def ksys_write(self, fd: int, count: int, copy_in: Callable[[], bytes],
+                   offset: int | None = None) -> int:
+        """write(2), or pwrite(2) at ``offset``, in kernel mode.
+
+        ``copy_in`` fetches the ``count`` bytes to write; it runs once the
+        file is known to be writable.  Without ``offset`` the write lands
+        at the file position (at the end under O_APPEND) and advances it.
+        """
+        if count < 0 or (offset is not None and offset < 0):
+            raise_errno(EINVAL, "negative count/offset")
         file = self._file_for(fd)
         file.check_writable()
-        self.ucopy.charge_from_user(len(data))
+        data = copy_in()
+        if offset is not None:
+            return file.inode.write(offset, data)
         pos = file.inode.size if (file.flags & O_APPEND) else file.pos
         n = file.inode.write(pos, data)
         file.pos = pos + n
         return n
 
+    def _from_user(self, data: bytes) -> Callable[[], bytes]:
+        """The copy-in of a classic write: ``data`` crosses the boundary."""
+        def copy_in() -> bytes:
+            self.ucopy.charge_from_user(len(data))
+            return data
+        return copy_in
+
+    def do_read(self, fd: int, count: int) -> bytes:
+        data = self.ksys_read(fd, count)
+        self.ucopy.charge_to_user(len(data))
+        return data
+
+    def do_write(self, fd: int, data: bytes) -> int:
+        return self.ksys_write(fd, len(data), self._from_user(data))
+
     def do_pread(self, fd: int, count: int, offset: int) -> bytes:
-        if count < 0 or offset < 0:
-            raise_errno(EINVAL, "negative count/offset")
-        file = self._file_for(fd)
-        file.check_readable()
-        data = file.inode.read(offset, count)
+        data = self.ksys_read(fd, count, offset)
         self.ucopy.charge_to_user(len(data))
         return data
 
     def do_pwrite(self, fd: int, data: bytes, offset: int) -> int:
-        if offset < 0:
-            raise_errno(EINVAL, "negative offset")
-        file = self._file_for(fd)
-        file.check_writable()
-        self.ucopy.charge_from_user(len(data))
-        return file.inode.write(offset, data)
+        return self.ksys_write(fd, len(data), self._from_user(data), offset)
 
     def do_lseek(self, fd: int, offset: int, whence: int = SEEK_SET) -> int:
         file = self._file_for(fd)
@@ -138,19 +167,27 @@ class FileOpsMixin:
 
     # ------------------------------------------------------------- metadata
 
+    def stat_fill(self, inode: Inode) -> Stat:
+        """Fill a stat record for ``inode``."""
+        self.kernel.clock.charge(self.kernel.costs.stat_fill, Mode.SYSTEM)
+        return inode.getattr()
+
+    def ksys_stat(self, path: str) -> Stat:
+        """stat(2) in kernel mode, without the path copy."""
+        return self.stat_fill(
+            self.kernel.vfs.path_walk(path, self.kernel.current.cwd).inode)
+
+    def ksys_fstat(self, fd: int) -> Stat:
+        return self.stat_fill(self._file_for(fd).inode)
+
     def do_stat(self, path: str) -> Stat:
         self.ucopy.charge_from_user(len(path) + 1)
-        task = self.kernel.current
-        dentry = self.kernel.vfs.path_walk(path, task.cwd)
-        self.kernel.clock.charge(self.kernel.costs.stat_fill, Mode.SYSTEM)
-        st = dentry.inode.getattr()
+        st = self.ksys_stat(path)
         self.ucopy.charge_to_user(STAT_SIZE)
         return st
 
     def do_fstat(self, fd: int) -> Stat:
-        file = self._file_for(fd)
-        self.kernel.clock.charge(self.kernel.costs.stat_fill, Mode.SYSTEM)
-        st = file.inode.getattr()
+        st = self.ksys_fstat(fd)
         self.ucopy.charge_to_user(STAT_SIZE)
         return st
 

@@ -3,8 +3,11 @@
 Public methods (``read``, ``open``, ...) are what *user programs* call; each
 pays the libc-stub cost, the trap cost, and dispatch overhead, then runs the
 ``do_*`` handler in kernel mode, emits a trace record, and hits a preemption
-point.  The ``do_*`` handlers themselves are importable by the Cosy kernel
-extension, which is how compound execution legally skips the boundary costs.
+point.  A data-moving ``do_*`` handler is a ``ksys_*`` kernel body plus its
+uaccess copy.  The other entry paths run the same bodies with their own
+copy and no trap of their own: the consolidated calls (one path copy), the
+Cosy kernel extension (shared-buffer memcpy, one ``cosy_exec`` trap per
+compound) and uring SQEs (ring memcpy).
 """
 
 from __future__ import annotations

@@ -12,11 +12,12 @@ Two syscalls get installed onto the kernel, SocketLayer-style:
     steady state entirely — a kernel-side poller consumes published SQEs
     from its own CPU, and user space only traps to unpark it.
 
-Operation dispatch reuses the existing syscall bodies (``sendfile_files``,
-``_open_nocopy``, ``do_close``, the socket inode data path), so every
-cycle an operation costs through the classic path is costed identically
-here — what uring removes is exactly the per-call trap/uaccess overhead,
-never the work.
+Operation dispatch reuses the existing syscall bodies (``ksys_read`` and
+``ksys_write`` for READ/WRITE, ``ksys_open``, ``do_close``,
+``sendfile_files``, the socket inode data path), so every check and every
+cycle an operation costs through the classic path is the same here — what
+uring removes is exactly the per-call trap/uaccess overhead, never the
+work.
 """
 
 from __future__ import annotations
@@ -460,15 +461,15 @@ class UringLayer:
 
     # ----------------------------------------------------------- execution
 
-    def _resolve(self, ring: Uring, fd: int, fixed: bool) -> File:
+    def _real_fd(self, ring: Uring, fd: int, fixed: bool) -> int:
         """Map an SQE file reference (task fd or fixed-file slot) to a
-        :class:`File` of the ring owner."""
-        if fixed:
-            real = ring.fixed_fd(fd)
-            if real < 0:
-                raise_errno(EBADF, f"empty fixed-file slot {fd}")
-            fd = real
-        return self.kernel.sys._file_for(fd)
+        descriptor of the ring owner."""
+        if not fixed:
+            return fd
+        real = ring.fixed_fd(fd)
+        if real < 0:
+            raise_errno(EBADF, f"empty fixed-file slot {fd}")
+        return real
 
     def _exec(self, ring: Uring, sqe: Sqe) -> int:
         """Dispatch one synchronous opcode; returns the CQE ``res``."""
@@ -483,34 +484,29 @@ class UringLayer:
             return sock.write(0, data)
         if op == OP_SENDFILE:
             dst = sys._file_for(sqe.fd)
-            src = self._resolve(ring, sqe.addr, fixed)
+            src = sys._file_for(self._real_fd(ring, sqe.addr, fixed))
             return self._stack().sendfile_files(dst, src, sqe.off, sqe.len)
         if op == OP_READ:
-            file = self._resolve(ring, sqe.fd, fixed)
-            file.check_readable()
-            data = file.inode.read(sqe.off, sqe.len)
+            data = sys.ksys_read(self._real_fd(ring, sqe.fd, fixed), sqe.len,
+                                 sqe.off)
             if data:
                 ring.shared.write_kernel(sqe.addr, data)
             return len(data)
         if op == OP_WRITE:
-            file = self._resolve(ring, sqe.fd, fixed)
-            file.check_writable()
-            data = ring.shared.read_kernel(sqe.addr, sqe.len)
-            return file.inode.write(sqe.off, data)
+            return sys.ksys_write(
+                self._real_fd(ring, sqe.fd, fixed), sqe.len,
+                lambda: ring.shared.read_kernel(sqe.addr, sqe.len), sqe.off)
         if op == OP_CLOSE:
+            real = self._real_fd(ring, sqe.fd, fixed)
             if fixed:
-                real = ring.fixed_fd(sqe.fd)
-                if real < 0:
-                    raise_errno(EBADF, f"empty fixed-file slot {sqe.fd}")
                 ring.fixed[sqe.fd] = -1
-                return sys.do_close(real)
-            return sys.do_close(sqe.fd)
+            return sys.do_close(real)
         if op == OP_OPENAT:
             raw = ring.shared.read_kernel(sqe.addr, sqe.len)
             path = raw.split(b"\0", 1)[0].decode()
             # no charge_from_user: the path never crosses the boundary —
             # it is already in shared memory (the Cosy saving, again)
-            new_fd = sys._open_nocopy(path, sqe.off)
+            new_fd = sys.ksys_open(path, sqe.off)
             if sqe.fd >= 0:
                 if sqe.fd >= len(ring.fixed):
                     sys.do_close(new_fd)

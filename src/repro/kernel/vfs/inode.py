@@ -12,6 +12,7 @@ per-object data, which is what the Kefence evaluation (§3.2) protects.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -26,6 +27,9 @@ if TYPE_CHECKING:  # pragma: no cover
 DT_REG = 8
 DT_DIR = 4
 
+#: the 19-byte linux_dirent64 header
+_DIRENT64 = struct.Struct("<QqHB")
+
 
 @dataclass(frozen=True)
 class DirEntry:
@@ -39,6 +43,12 @@ class DirEntry:
         """Bytes this dirent occupies in a getdents user buffer
         (fixed header of 19 bytes + name + NUL, like linux_dirent64)."""
         return 19 + len(self.name.encode()) + 1
+
+    def pack(self) -> bytes:
+        """The record of :meth:`encoded_size` bytes: d_ino, d_off (0),
+        d_reclen and d_type, then the name and its NUL."""
+        return (_DIRENT64.pack(self.ino, 0, self.encoded_size(), self.dtype)
+                + self.name.encode() + b"\0")
 
 
 class Inode:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from repro.cminus import ast_nodes as ast
 from repro.cminus.compile import bump_generation
 from repro.cminus.ctypes import ArrayType
+from repro.cminus.interp import int_binop
 
 
 @dataclass
@@ -64,9 +65,12 @@ def const_fold(expr: ast.Expr) -> int | None:
     """Evaluate ``expr`` to an int when it is a compile-time constant.
 
     Handles literals, ``sizeof`` (with a resolved type), unary minus and
-    bitwise-not, and the usual integer binary operators.  Returns ``None``
-    for anything non-constant (including division by zero, which is left
-    for the runtime to fault on).
+    bitwise-not, and the integer binary operators, with the engines' C
+    semantics (:func:`~repro.cminus.interp.int_binop`: 64-bit wraparound,
+    shift counts masked with ``& 63``), so a folded index is the index
+    the program computes.  Returns ``None`` for anything non-constant
+    (including division by zero, which is left for the runtime to fault
+    on).
     """
     if isinstance(expr, ast.Check):
         return const_fold(expr.inner)
@@ -79,9 +83,9 @@ def const_fold(expr: ast.Expr) -> int | None:
         if v is None:
             return None
         if expr.op == "-":
-            return -v
+            return int_binop("-", 0, v)
         if expr.op == "~":
-            return ~v
+            return int_binop("^", v, -1)
         if expr.op == "!":
             return 0 if v else 1
         return None
@@ -91,19 +95,8 @@ def const_fold(expr: ast.Expr) -> int | None:
         if left is None or right is None:
             return None
         try:
-            return {
-                "+": lambda: left + right,
-                "-": lambda: left - right,
-                "*": lambda: left * right,
-                "/": lambda: int(left / right),
-                "%": lambda: left - int(left / right) * right,
-                "&": lambda: left & right,
-                "|": lambda: left | right,
-                "^": lambda: left ^ right,
-                "<<": lambda: left << right,
-                ">>": lambda: left >> right,
-            }[expr.op]()
-        except (KeyError, ZeroDivisionError, ValueError):
+            return int_binop(expr.op, left, right)
+        except (KeyError, ZeroDivisionError):
             return None
     return None
 

@@ -80,3 +80,18 @@ def test_dynamic_profile_overrides_static_heuristic():
                                         min_weight=100)
     assert candidates
     assert all(c.syscall_weight >= 100 for c in candidates)
+
+
+def test_regions_with_non_compound_syscalls_are_skipped():
+    src = """
+    int main() {
+        int a = getpid();
+        int b = getpid();
+        rename("/a", "/b");
+        return a + b;
+    }
+    """
+    candidates = find_candidate_regions(src)
+    assert candidates
+    # statement 2 is the rename: no candidate may include it
+    assert all(c.end_index <= 2 for c in candidates)

@@ -179,6 +179,20 @@ def test_unknown_function_rejected():
         """)
 
 
+def test_syscall_outside_compound_table_rejected():
+    """A syscall the kernel extension cannot run fails at compile time,
+    not when the compound reaches it."""
+    with pytest.raises(UnsupportedConstruct, match="rename"):
+        _compile("""
+        int main() {
+            COSY_START();
+            int rc = rename("/a", "/b");
+            COSY_END();
+            return rc;
+        }
+        """)
+
+
 def test_helper_functions_collected():
     region = _compile("""
     int sq(int v) { return v * v; }

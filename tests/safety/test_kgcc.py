@@ -570,6 +570,25 @@ def test_static_elimination_keeps_folded_oob_index():
     assert opt.checks_after == report.checks_inserted
 
 
+def test_static_elimination_folds_with_c_wraparound(checked):
+    """The folded index is the one the engine computes: 1 << 63 wraps to
+    the most negative int, so the index is -8 and the check must stay.
+    Folding without the wrap gives 8, in bounds, and the optimized
+    program would read b[8] unchecked."""
+    src = """
+    int main() {
+        int a[16];
+        int b[16];
+        a[0] = 1;
+        b[8] = 77;
+        return a[(1 << 63) >> 60];
+    }
+    """
+    for optimize_first in (False, True):
+        with pytest.raises(BoundsError):
+            checked(src, optimize_first=optimize_first)
+
+
 def test_static_elimination_keeps_nonconstant_index():
     src = """
     int main() {
