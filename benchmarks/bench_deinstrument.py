@@ -57,8 +57,7 @@ def _measure():
     # checked, with a deinstrumenter watching
     program = parse(SRC)
     report = instrument(program)
-    runtime = KgccRuntime(kernel, mode=Mode.USER,
-                          skip_names=report.unregistered)
+    runtime = KgccRuntime(kernel, mode=Mode.USER)
     interp = Interpreter(program, mem, check_runtime=runtime,
                          var_hooks=runtime,
                          on_op=lambda: kernel.clock.charge(

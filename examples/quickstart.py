@@ -96,8 +96,8 @@ def main() -> None:
     }
     """
     program = parse(buggy)
-    report = instrument(program)
-    runtime = KgccRuntime(kernel, skip_names=report.unregistered)
+    instrument(program)
+    runtime = KgccRuntime(kernel)
     mem = UserMemAccess(kernel, kernel.current)
     try:
         Interpreter(program, mem, check_runtime=runtime,

@@ -19,7 +19,10 @@ lexer → parser → AST → tree-walking interpreter for a C subset:
 Programs execute against *simulated* memory through a
 :class:`~repro.cminus.memaccess.MemoryAccess`, so pointers are real
 simulated addresses: Kefence guard pages fault on them, segment limits
-confine them, and KGCC's splay-tree map tracks them.
+confine them, and KGCC's splay-tree map tracks them.  The scope resolver
+(:mod:`repro.cminus.resolve`) binds every name to its declaration once;
+an integer local or parameter whose address is never taken is a
+*register* and lives outside simulated memory, in both engines.
 """
 
 from repro.cminus.lexer import tokenize, Token, TokenKind

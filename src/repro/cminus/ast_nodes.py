@@ -6,14 +6,27 @@ not produced by the parser — the KGCC instrumentation pass (§3.4) wraps
 pointer operations in them, and its optimization passes remove them again;
 each carries a stable ``site`` id used for check counting and dynamic
 deinstrumentation.
+
+``Ident``, ``VarDecl`` and ``Param`` carry the side field ``binding``:
+the declaration the name denotes (None for an ``Ident`` that names no
+declaration), set by :func:`repro.cminus.resolve.resolve` and ignored by
+node equality and the program fingerprint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.cminus.ctypes import CType
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.cminus.resolve import Binding
+
+
+def _binding() -> Any:
+    """The ``binding`` side field: set by the resolver, not compared."""
+    return field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -41,6 +54,7 @@ class StrLit(Expr):
 @dataclass
 class Ident(Expr):
     name: str = ""
+    binding: Optional[Binding] = _binding()
 
 
 @dataclass
@@ -136,6 +150,7 @@ class VarDecl(Stmt):
     name: str = ""
     ctype: CType = None
     init: Optional[Expr] = None
+    binding: Binding = _binding()
 
 
 @dataclass
@@ -190,6 +205,7 @@ class Continue(Stmt):
 class Param(Node):
     name: str = ""
     ctype: CType = None
+    binding: Binding = _binding()
 
 
 @dataclass

@@ -10,9 +10,12 @@ simulator:
 
 * :func:`compile_program` generates one Python function per C function
   and ``exec``s it once.  C control flow becomes Python control flow,
-  every C variable keeps its simulated stack slot (its address is a
-  Python local), type sizes and truncation masks are literals, and KGCC
-  :class:`ast.Check` nodes become inline calls into the check runtime.
+  and names are bound by :func:`~repro.cminus.resolve.resolve`: a
+  *register* (an integer local or parameter whose address is never
+  taken) is a Python local holding its value, and every other variable
+  keeps its simulated stack slot, its address a Python local.  Type sizes
+  and truncation masks are literals, and KGCC :class:`ast.Check` nodes
+  become inline calls into the check runtime.
   ``CompiledFunction.source`` keeps the text; the code object's filename
   names the C function (``<cminus:file:func>``).
 * :class:`CompiledEngine` executes compiled code behind the same ``call``
@@ -26,7 +29,8 @@ simulator:
   segment-limit faults, TLB-miss and fault spans) reads a clock identical
   to the tree-walker's.  A scalar load or store that hits the TLB
   (``MemoryAccess.try_read_int``/``try_write_int``) neither reads nor
-  charges the clock, so only the ``ExecLimits`` test runs before it.
+  charges the clock, so only the ``ExecLimits`` test runs before it; a
+  register access is plain Python and needs not even that.
 * :class:`CodeCache` caches compiled programs keyed by (program
   fingerprint, instrumentation generation).  KGCC ``instrument`` /
   ``optimize`` / ``hotpatch`` / ``deinstrument`` and CoSy re-registration
@@ -37,46 +41,26 @@ simulator:
 
 Semantics parity contract (verified by ``tests/property/test_prop_compile``):
 return values, memory state, fault sites and messages, check verdicts,
-``ops_executed`` and charged cycle totals all match the tree-walker.  The
-single intentional divergence: the tree-walker resolves names against the
-whole dynamic scope stack (a callee can see its caller's locals); compiled
-code is lexically scoped.  Well-scoped programs — everything this repo
-executes — behave identically.
+``ops_executed`` and charged cycle totals all match the tree-walker.
 """
 
 from __future__ import annotations
 
 import hashlib
 import weakref
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.cminus import ast_nodes as ast
 from repro.cminus.ctypes import (ArrayType, CHAR, CType, INT, IntType,
                                  PointerType, StructType)
 from repro.cminus.interp import (CheckRuntime, ExecLimits, VarHooks,
-                                 _WORD_MASK)
+                                 _WORD_MASK, _truncate, c_div, c_mod)
 from repro.cminus.memaccess import MemoryAccess
+from repro.cminus.resolve import (Binding, bump_generation, generation_of,
+                                  register_of, resolve, static_type)
 from repro.errors import CMinusError
 
-_GEN_ATTR = "_cminus_generation"
 _FP_ATTR = "_cminus_fingerprint"
-
-
-# --------------------------------------------------------------- generations
-
-def generation_of(program: ast.Program) -> int:
-    """The program's instrumentation generation (0 for a fresh parse)."""
-    return getattr(program, _GEN_ATTR, 0)
-
-
-def bump_generation(program: ast.Program) -> int:
-    """Record that ``program``'s AST was mutated (instrumentation added or
-    removed, a function hot-patched, checks toggled).  Any compiled code
-    for earlier generations becomes stale and is invalidated on the next
-    cache lookup."""
-    gen = generation_of(program) + 1
-    setattr(program, _GEN_ATTR, gen)
-    return gen
 
 
 def program_fingerprint(program: ast.Program) -> str:
@@ -143,16 +127,26 @@ def _trunc(ctype: CType, v: str) -> str:
 
 
 def _declares(stmts) -> bool:
-    """Whether running ``stmts`` declares a variable in the scope around
-    them: a VarDecl not inside a further Block or For."""
+    """Whether running ``stmts`` puts a variable in memory in the scope
+    around them: a VarDecl of a non-register not inside a further Block
+    or For."""
     for s in stmts:
-        if isinstance(s, ast.VarDecl):
+        if isinstance(s, ast.VarDecl) and not s.binding.register:
             return True
         if isinstance(s, ast.If) and _declares((s.then, s.orelse)):
             return True
         if isinstance(s, ast.While) and _declares((s.body,)):
             return True
     return False
+
+
+def _written(node: ast.Node) -> ast.Expr | None:
+    """The lvalue an assignment, ``++`` or ``--`` node writes."""
+    if isinstance(node, (ast.Assign, ast.PostIncDec)):
+        return node.target
+    if isinstance(node, ast.UnOp) and node.op in ("++", "--"):
+        return node.operand
+    return None
 
 
 _COMPARE = ("==", "!=", "<", ">", "<=", ">=")
@@ -169,38 +163,39 @@ _BINDINGS = (("sh", "rt.step_hook"), ("cr", "rt.check_runtime"),
 class _GlobalSpec:
     """Everything the engine needs to materialize one global variable."""
 
-    __slots__ = ("name", "ctype", "index", "line", "alloc_size",
-                 "store_size", "store_mask", "init")
+    __slots__ = ("binding", "alloc_size", "store_size", "store_mask",
+                 "init")
 
-    def __init__(self, name: str, ctype: CType, index: int, line: int,
-                 init: Callable | None):
-        self.name = name
-        self.ctype = ctype
-        self.index = index
-        self.line = line
-        self.alloc_size = max(ctype.size, 1)
-        self.store_size = ctype.size
-        self.store_mask = _mask(ctype)
+    def __init__(self, binding: Binding, init: Callable | None):
+        self.binding = binding
+        self.alloc_size = max(binding.ctype.size, 1)
+        self.store_size = binding.ctype.size
+        self.store_mask = _mask(binding.ctype)
         #: (engine, scopes, pending) -> (pending, value)
         self.init = init
 
 
 class _ParamSpec:
-    __slots__ = ("name", "ctype", "line", "alloc_size", "store_size",
-                 "store_mask")
+    __slots__ = ("binding", "alloc_size", "store_size", "store_mask",
+                 "half")
 
-    def __init__(self, name: str, ctype: CType, line: int):
-        self.name = name
-        self.ctype = ctype
-        self.line = line
+    def __init__(self, binding: Binding):
+        ctype = binding.ctype
+        self.binding = binding
         self.alloc_size = max(ctype.size, 1)
         self.store_size = ctype.size
         self.store_mask = _mask(ctype)
+        #: a register's sign bit (0 when unsigned), which truncates the
+        #: argument; None for a parameter in memory
+        self.half = (None if not binding.register
+                     else 1 << (ctype.size * 8 - 1) if _is_signed(ctype)
+                     else 0)
 
 
 class CompiledFunction:
     """One generated function: parameter specs, the Python function
-    (engine, *param addresses) -> result, and its source text."""
+    (engine, *params) -> result, where a parameter is a register's value
+    or a variable's address, and its source text."""
 
     __slots__ = ("name", "line", "params", "fn", "source")
 
@@ -239,26 +234,26 @@ def _invoke(rt: "CompiledEngine", cf: CompiledFunction,
     rt.flush()
     mem = rt.mem
     vh = rt.var_hooks
-    addrs: list[int] = []
+    values: list[int] = []
+    frame: list[tuple[int, int]] = []
     for spec, arg in zip(cf.params, args):
+        half = spec.half
+        if half is not None:
+            values.append(((arg + half) & spec.store_mask) - half)
+            continue
         addr = mem.alloc_stack(spec.alloc_size)
-        addrs.append(addr)
+        frame.append((addr, spec.alloc_size))
+        values.append(addr)
         value = arg & spec.store_mask
         if not rt.store(addr, value, spec.store_size):
             rt.store_slow(addr, value, spec.store_size)
         if vh is not None:
-            vh.on_decl(spec.name, addr, spec.ctype,
-                       f"{rt.filename}:{spec.line}")
+            vh.on_decl(spec.binding, addr,
+                       f"{rt.filename}:{spec.binding.line}")
     try:
-        return cf.fn(rt, *addrs)
+        return cf.fn(rt, *values)
     finally:
-        try:
-            rt.flush()
-        finally:
-            if vh is not None:
-                vh.on_scope_exit(addrs)
-            for spec, addr in zip(reversed(cf.params), reversed(addrs)):
-                mem.free_stack(addr, spec.alloc_size)
+        rt.exit_scope(frame)
 
 
 # ---------------------------------------------------------------- generation
@@ -266,7 +261,8 @@ def _invoke(rt: "CompiledEngine", cf: CompiledFunction,
 class _Fn:
     """Emits one Python function: a C function, a global's initializer,
     or a statement or expression cut out of a deeply nested one (a
-    *helper*, which takes and returns the pending count).
+    *helper*, which takes and returns the pending count, and hands back
+    the registers it writes).
 
     ``k`` is the generation-time tick count: ticks counted since ``p``
     was last brought up to date.  The true pending count is always
@@ -274,11 +270,12 @@ class _Fn:
     that sum, so consecutive ticks cost nothing at run time.
     """
 
-    def __init__(self, gen: "_Gen", scopes: list[dict], *, helper: bool):
+    def __init__(self, gen: "_Gen", *, helper: bool,
+                 back: Sequence[str] = ()):
         self.gen = gen
         self.helper = helper
-        #: lexical scopes: C name -> (Python address expression, ctype)
-        self.scopes = scopes
+        #: the registers a helper hands back, after ``p`` and its result
+        self.back = "".join(f", {r}" for r in back)
         self.lines: list[str] = []
         self.ind = 1 if helper else 2     # the body of a C function is
         self.blocks = 0 if helper else 1  # inside its scope-exit try
@@ -288,8 +285,6 @@ class _Fn:
         self.uses: set[str] = set()
         #: how control left a helper: "break", "continue", "return"
         self.escapes: set[str] = set()
-        #: locals declared only on some paths, bound to 0 at entry
-        self.unbound: list[str] = []
 
     # ---------------------------------------------------------- emission
 
@@ -307,6 +302,20 @@ class _Fn:
         t = self.tmp()
         self.emit(f"{t} = {expr}")
         return t
+
+    def pin(self, value: str) -> str:
+        """``value`` in a temporary, unless it is one or a literal, so
+        that a register write evaluated after it cannot change it."""
+        if value.isdigit() or (value[0] == "t" and value[1:].isdigit()):
+            return value
+        t = self.tmp()
+        self.emit(f"{t} = {value}")
+        return t
+
+    def give(self, value: str) -> None:
+        """A helper's return: the pending count, ``value``, and the
+        registers it hands back."""
+        self.emit(f"return p, {value}{self.back}")
 
     # ---------------------------------------------------- pending ops
 
@@ -397,20 +406,35 @@ class _Fn:
 
     # ------------------------------------------------------------- names
 
-    def lookup(self, name: str) -> tuple[str, CType] | None:
-        for scope in reversed(self.scopes):
-            found = scope.get(name)
-            if found is not None:
-                return found
-        found = self.gen.globals.get(name)
-        if found is not None:
+    def var(self, e: ast.Ident) -> tuple[str, CType] | None:
+        """The Python name of ``e``'s variable, and its type: a register
+        names its value, any other variable its address."""
+        b = e.binding
+        if b is None:
+            return None
+        if b.kind == "global":
             self.uses.add("G")
-            return f"G[{found[0]}]", found[1]
-        return None
+            return f"G[{b.index}]", b.ctype
+        found = self.gen.local.get(b)
+        return None if found is None else (found, b.ctype)
 
-    def visible(self) -> list[str]:
-        return list(dict.fromkeys(a for scope in self.scopes
-                                  for a, _ in scope.values()))
+    def reg(self, e: ast.Expr) -> tuple[str, CType] | None:
+        """The Python local and type of the register ``e`` names."""
+        b = register_of(e)
+        if b is None or b not in self.gen.local:
+            return None
+        return self.gen.local[b], b.ctype
+
+    def set_reg(self, r: str, ctype: CType, value: str) -> None:
+        """Assign the register ``r``, truncating like a store."""
+        digits = value[2:-1] if value.startswith("(-") else value
+        if digits.isdigit():
+            value = str(_truncate(int(value.strip("()")), ctype))
+        elif not (ctype.size == 8 and _is_signed(ctype)
+                  and value.startswith("(((")
+                  and value.endswith(f" - {1 << 63})")):
+            value = _trunc(ctype, value)
+        self.emit(f"{r} = {value}")
 
     # ------------------------------------------------------- expressions
 
@@ -426,6 +450,14 @@ class _Fn:
                              e.line), INT
         return method(e)
 
+    def ev_then(self, e: ast.Expr, *later: ast.Expr) -> tuple[str, CType]:
+        """``ev(e)``, pinned when an operand evaluated after it writes a
+        register its value may read."""
+        value, ctype = self.ev(e)
+        if any(self.gen.writes_register(x) for x in later):
+            value = self.pin(value)
+        return value, ctype
+
     def ev_IntLit(self, e: ast.IntLit) -> tuple[str, CType]:
         return (str(e.value) if e.value >= 0 else f"({e.value})"), INT
 
@@ -439,9 +471,11 @@ class _Fn:
         return t, PointerType(CHAR)
 
     def ev_Ident(self, e: ast.Ident) -> tuple[str, CType]:
-        found = self.lookup(e.name)
+        found = self.var(e)
         if found is None:
             return self.fail(f"undefined variable '{e.name}'", e.line), INT
+        if register_of(e) is not None:
+            return found
         return self.via(*found)
 
     def ev_BinOp(self, e: ast.BinOp) -> tuple[str, CType]:
@@ -458,7 +492,7 @@ class _Fn:
             self.ind -= 1
             self.emit(f"else: {t} = {0 if e.op == '&&' else 1}")
             return t, INT
-        left, lt = self.ev(e.left)
+        left, lt = self.ev_then(e.left, e.right)
         right, rtt = self.ev(e.right)
         return self.combine(e.op, left, lt, right, rtt, e.line)
 
@@ -497,15 +531,19 @@ class _Fn:
                 what = "division" if op == "/" else "modulo"
                 self.emit(f"if {rv} == 0: {self.charge()}"
                           f"raise CMinusError('{what} by zero', {line})")
-            if op == "/":
-                return _trunc(INT, f"int({lv} / {rv})"), INT
-            return _trunc(INT, f"{lv} - int({lv} / {rv}) * {rv}"), INT
+            fn = "c_div" if op == "/" else "c_mod"
+            return _trunc(INT, f"{fn}({lv}, {rv})"), INT
         if op in ("<<", ">>"):
             return _trunc(INT, f"{lv} {op} ({rv} & 63)"), INT
         return self.fail(f"unknown operator '{op}'", line), INT
 
     def ev_UnOp(self, e: ast.UnOp) -> tuple[str, CType]:
         if e.op in ("++", "--"):
+            found = self.reg(e.operand)
+            if found is not None:
+                r, ctype = found
+                self.set_reg(r, ctype, f"{r} {e.op[0]} 1")
+                return r, ctype
             addr, ctype = self.lv(e.operand)
             new = self.step(addr, ctype, -1 if e.op == "--" else 1)[1]
             return _trunc(ctype, new), ctype
@@ -528,6 +566,13 @@ class _Fn:
         return old, new
 
     def ev_PostIncDec(self, e: ast.PostIncDec) -> tuple[str, CType]:
+        found = self.reg(e.target)
+        if found is not None:
+            r, ctype = found
+            old = self.tmp()
+            self.emit(f"{old} = {r}")
+            self.set_reg(r, ctype, f"{old} {e.op[0]} 1")
+            return old, ctype
         addr, ctype = self.lv(e.target)
         return self.step(addr, ctype, -1 if e.op == "--" else 1)[0], ctype
 
@@ -549,6 +594,14 @@ class _Fn:
         return addr, PointerType(ctype)
 
     def ev_Assign(self, e: ast.Assign) -> tuple[str, CType]:
+        found = self.reg(e.target)
+        if found is not None:
+            r, ctype = found
+            value, vtype = self.ev(e.value)
+            if e.op:
+                value = self.combine(e.op, r, ctype, value, vtype, e.line)[0]
+            self.set_reg(r, ctype, value)
+            return r, ctype
         addr, ctype = self.lv(e.target)
         if isinstance(ctype, ArrayType):
             return self.fail("cannot assign to an array", e.line), ctype
@@ -566,7 +619,8 @@ class _Fn:
         return _trunc(ctype, value), ctype
 
     def ev_Call(self, e: ast.Call) -> tuple[str, CType]:
-        args = ", ".join(self.ev(a)[0] for a in e.args)
+        args = ", ".join(self.ev_then(a, *e.args[i + 1:])[0]
+                         for i, a in enumerate(e.args))
         t = self.tmp()
         cf = self.gen.compiled.funcs.get(e.func)
         if cf is not None:
@@ -581,49 +635,12 @@ class _Fn:
             if e.ctype is not None:
                 return str(e.ctype.size), INT
             assert e.expr is not None
-            return str(self.static_type(e.expr).size), INT
+            return str(static_type(e.expr).size), INT
         except CMinusError as exc:
             msg = exc.args[0]
             if exc.line:
                 msg = msg.rsplit(" at line", 1)[0]
             return self.fail(msg, exc.line), INT
-
-    def static_type(self, expr: ast.Expr) -> CType:
-        """Generation-time mirror of ``Interpreter._static_type``."""
-        if isinstance(expr, ast.StrLit):
-            return PointerType(CHAR)
-        if isinstance(expr, ast.Ident):
-            found = self.lookup(expr.name)
-            if found is None:
-                raise CMinusError(f"undefined variable '{expr.name}'",
-                                  expr.line)
-            return found[1]
-        if isinstance(expr, ast.Deref):
-            inner = self.static_type(expr.ptr)
-            if isinstance(inner, PointerType):
-                return inner.pointee
-            if isinstance(inner, ArrayType):
-                return inner.elem
-            raise CMinusError("sizeof: dereference of non-pointer", expr.line)
-        if isinstance(expr, ast.Index):
-            inner = self.static_type(expr.base)
-            if isinstance(inner, PointerType):
-                return inner.pointee
-            if isinstance(inner, ArrayType):
-                return inner.elem
-            raise CMinusError("sizeof: indexing a non-pointer", expr.line)
-        if isinstance(expr, ast.AddrOf):
-            return PointerType(self.static_type(expr.target))
-        if isinstance(expr, ast.Member):
-            base = self.static_type(expr.base)
-            struct = base.pointee if isinstance(base, PointerType) else base
-            if isinstance(struct, StructType):
-                try:
-                    return struct.field(expr.field_name)[1]
-                except KeyError as exc:
-                    raise CMinusError(str(exc), expr.line) from exc
-            raise CMinusError("sizeof: member of a non-struct", expr.line)
-        return INT
 
     # ----------------------------------------------------------- lvalues
 
@@ -631,10 +648,13 @@ class _Fn:
         """Emit ``e``'s address.  Mirrors ``Interpreter.lvalue``, which
         does not tick."""
         if isinstance(e, ast.Ident):
-            found = self.lookup(e.name)
+            found = self.var(e)
             if found is None:
                 return self.fail(f"undefined variable '{e.name}'",
                                  e.line), INT
+            if register_of(e) is not None:
+                # no address: only ``.`` asks, and its type check fails
+                return "0", found[1]
             return found
         if isinstance(e, ast.Deref):
             ptr, ptype = self.ev(e.ptr)
@@ -642,7 +662,7 @@ class _Fn:
                 return self.fail("dereference of non-pointer", e.line), INT
             return ptr, ptype.pointee
         if isinstance(e, ast.Index):
-            base, btype = self.ev(e.base)
+            base, btype = self.ev_then(e.base, e.index)
             idx, _ = self.ev(e.index)
             if not isinstance(btype, PointerType):
                 return self.fail("indexing a non-pointer", e.line), INT
@@ -695,7 +715,7 @@ class _Fn:
         are evaluated once, then checked with intended-referent
         semantics."""
         inner = node.inner
-        base, btype = self.ev(inner.base)
+        base, btype = self.ev_then(inner.base, inner.index)
         idx, _ = self.ev(inner.index)
         if not isinstance(btype, PointerType):
             return self.fail("indexing a non-pointer", inner.line), INT
@@ -794,12 +814,6 @@ class _Fn:
         self.emit(f"if sh is not None: {self.charge()}rt.flush(); sh()"
                   f"{self.restore()}")
 
-    def sub(self, s: ast.Stmt) -> None:
-        """A statement that runs on some paths only."""
-        self.stmt(s)
-        if isinstance(s, ast.VarDecl):
-            self.unbound.append(self.scopes[-1][s.name][0])
-
     def open_scope(self) -> None:
         self.emit("S.append([])")
         self.ctx.append(("scope",))
@@ -812,9 +826,7 @@ class _Fn:
         for _ in range(n):
             self.flush("rt.exit_scope(S.pop())")
 
-    def st_Block(self, b: ast.Block, new_scope: bool = True) -> None:
-        if new_scope:
-            self.scopes.append({})
+    def st_Block(self, b: ast.Block) -> None:
         declaring = _declares(b.stmts)
         if declaring:
             self.open_scope()
@@ -822,21 +834,25 @@ class _Fn:
             self.stmt(s)
         if declaring:
             self.close_scope()
-        if new_scope:
-            self.scopes.pop()
 
     def st_VarDecl(self, d: ast.VarDecl) -> None:
-        ctype = d.ctype
+        ctype, b = d.ctype, d.binding
         self.gen.n += 1
-        a = f"v{self.gen.n}"
-        # bound before the initializer runs: `int x = x;` reads the new x
-        self.scopes[-1][d.name] = (a, ctype)
+        if b.register:
+            r = self.gen.local[b] = f"r{self.gen.n}"
+            if d.init is None or any(getattr(n, "binding", None) is b
+                                     for n in ast.walk(d.init)):
+                self.emit(f"{r} = 0")         # what ``int x = x;`` reads
+            if d.init is not None:
+                self.set_reg(r, ctype, self.ev(d.init)[0])
+            return
+        a = self.gen.local[b] = f"v{self.gen.n}"
         size = max(ctype.size, 1)
         self.uses.update(("vh", "mem"))
         self.flush(f"rt.flush(); {a} = mem.alloc_stack({size}); "
                    f"S[-1].append(({a}, {size}))")
-        self.emit(f"if vh is not None: vh.on_decl({d.name!r}, {a}, "
-                  f"{self.gen.const(ctype)}, rt.filename + ':{d.line}')")
+        self.emit(f"if vh is not None: vh.on_decl({self.gen.const(b)}, {a}, "
+                  f"rt.filename + ':{d.line}')")
         if d.init is None:
             self.emit(f"mem.write({a}, {bytes(size)!r})")
         elif isinstance(ctype, (ArrayType, StructType)):
@@ -855,13 +871,13 @@ class _Fn:
         k0 = self.k
         self.emit(f"if {self.test(cond)}:")
         self.ind += 1
-        self.sub(s.then)
+        self.stmt(s.then)
         self.sync(k0)
         self.ind -= 1
         if s.orelse is not None:
             self.emit("else:")
             self.ind += 1
-            self.sub(s.orelse)
+            self.stmt(s.orelse)
             self.sync(k0)
             self.ind -= 1
 
@@ -879,7 +895,7 @@ class _Fn:
             c, _ = self.ev(cond)
             self.emit(f"if not ({self.test(c)}): "
                       f"{f'p += {self.k}; ' if self.k else ''}break")
-        self.sub(body)
+        self.stmt(body)
         if step is not None:
             self.ev(step)
         self.sync()
@@ -891,7 +907,6 @@ class _Fn:
         self.loop(s.cond, s.body, None)
 
     def st_For(self, s: ast.For) -> None:
-        self.scopes.append({})
         declaring = _declares((s.init, s.body))
         if declaring:
             self.open_scope()
@@ -900,7 +915,6 @@ class _Fn:
         self.loop(s.cond, s.body, s.step)
         if declaring:
             self.close_scope()
-        self.scopes.pop()
 
     def st_Return(self, s: ast.Return) -> None:
         value = self.ev(s.value)[0] if s.value is not None else "0"
@@ -911,7 +925,7 @@ class _Fn:
         self.sync()
         if self.helper:
             self.escapes.add("return")
-            self.emit(f"return p, {value}")
+            self.give(value)
         else:
             self.emit(f"return {value}")
 
@@ -938,26 +952,29 @@ class _Fn:
             else:
                 self.sync()
                 self.escapes.add(kind)
-                self.emit(f"return p, {'_BRK' if kind == 'break' else '_CONT'}")
+                self.give("_BRK" if kind == "break" else "_CONT")
             return
         self.flush(f"raise {'_Break' if kind == 'break' else '_Continue'}()")
 
     # ---------------------------------------------------------- outlining
 
-    def helper_call(self, build: Callable[["_Fn"], None]
+    def helper_call(self, node: ast.Node, build: Callable[["_Fn"], None]
                     ) -> tuple[str, "_Fn"]:
-        """Move code into a helper function ``(rt, S, p, *visible) -> (p,
-        result)``; returns the result's name.  Keeps deep C nesting
-        inside CPython's per-function limits."""
-        fn = _Fn(self.gen, [dict(scope) for scope in self.scopes],
-                 helper=True)
+        """Move ``node``'s code into a helper function ``(rt, S, p,
+        *locals) -> (p, result, *registers)``; returns the result's name.
+        The helper takes the Python locals of the C variables ``node``
+        uses and hands back the registers it writes.  Keeps deep C
+        nesting inside CPython's per-function limits."""
+        used, written = self.gen.free_vars(node)
+        fn = _Fn(self.gen, helper=True, back=written)
         build(fn)
-        name = self.gen.helper(fn, self.visible())
+        name = self.gen.helper(fn, used)
         t = self.tmp()
-        args = "".join(f", {a}" for a in self.visible())
+        args = "".join(f", {a}" for a in used)
         # the helper takes over the pending count; zeroed here first, so
         # an error in it is never charged twice
-        self.emit(f"q = {self.pend()}; p = 0; p, {t} = {name}(rt, S, q{args})")
+        self.emit(f"q = {self.pend()}; p = 0; "
+                  f"p, {t}{fn.back} = {name}(rt, S, q{args})")
         self.k = 0
         return t, fn
 
@@ -968,18 +985,18 @@ class _Fn:
             value, ctype = fn.ev(e)
             typed.append(ctype)
             fn.sync()
-            fn.emit(f"return p, {value}")
+            fn.give(value)
 
-        t, _ = self.helper_call(build)
+        t, _ = self.helper_call(e, build)
         return t, typed[0]
 
     def outline_stmt(self, s: ast.Stmt) -> None:
         def build(fn: _Fn) -> None:
             fn.stmt(s)
             fn.sync()
-            fn.emit("return p, None")
+            fn.give("None")
 
-        t, fn = self.helper_call(build)
+        t, fn = self.helper_call(s, build)
         if not fn.escapes:
             return
         self.emit(f"if {t} is not None:")
@@ -1007,12 +1024,14 @@ class _Gen:
         self.ns: dict[str, Any] = {
             "CMinusError": CMinusError, "_invoke": _invoke,
             "_Break": _Break, "_Continue": _Continue,
-            "_BRK": _BRK, "_CONT": _CONT}
+            "_BRK": _BRK, "_CONT": _CONT, "c_div": c_div, "c_mod": c_mod}
         self._consts: dict[int, str] = {}
-        #: C global name -> (index, ctype)
-        self.globals: dict[str, tuple[int, CType]] = {}
-        self.n = 0                  # name counter: t<n>, v<n>, _h<n>
+        #: a local or parameter -> its Python local: ``r<n>`` holds a
+        #: register's value, ``v<n>`` a memory variable's address
+        self.local: dict[Binding, str] = {}
+        self.n = 0                  # name counter: t<n>, r<n>, v<n>, _h<n>
         self._helpers: list[str] = []
+        self._writes: dict[int, bool] = {}
 
     def const(self, obj: Any) -> str:
         """A name for ``obj`` in the generated code's globals."""
@@ -1023,19 +1042,40 @@ class _Gen:
             self.ns[name] = obj
         return name
 
+    def writes_register(self, e: ast.Expr) -> bool:
+        """Whether evaluating ``e`` may assign a register."""
+        found = self._writes.get(id(e))
+        if found is None:
+            found = self._writes[id(e)] = any(
+                register_of(_written(n)) is not None for n in ast.walk(e))
+        return found
+
+    def free_vars(self, node: ast.Node) -> tuple[list[str], list[str]]:
+        """The Python locals of the C variables declared outside ``node``
+        that it uses, and of those the registers it writes."""
+        used: dict[str, None] = {}
+        written: set[str] = set()
+        for n in ast.walk(node):
+            b = n.binding if isinstance(n, ast.Ident) else None
+            if b is not None and b in self.local:
+                used[self.local[b]] = None
+            b = register_of(_written(n))
+            if b is not None and b in self.local:
+                written.add(self.local[b])
+        return list(used), [a for a in used if a in written]
+
     @staticmethod
     def _text(name: str, params: list[str], fn: _Fn, body: list[str]
               ) -> str:
         lines = [f"def {name}({', '.join(params)}):"]
-        lines += [f"    {n} = 0" for n in fn.unbound]
         lines += [f"    {n} = {expr}" for n, expr in _BINDINGS
                   if n in fn.uses]
         return "\n".join(lines + body) + "\n"
 
-    def helper(self, fn: _Fn, visible: list[str]) -> str:
+    def helper(self, fn: _Fn, params: list[str]) -> str:
         self.n += 1
         name = f"_h{self.n}"
-        self._helpers.append(self._text(name, ["rt", "S", "p"] + visible,
+        self._helpers.append(self._text(name, ["rt", "S", "p"] + params,
                                         fn, fn.lines))
         return name
 
@@ -1044,17 +1084,16 @@ class _Gen:
         return self.ns[name]
 
     def function(self, cf: CompiledFunction, fdef: ast.FuncDef) -> None:
-        params: dict[str, tuple[str, CType]] = {}
         args = []
         for param in fdef.params:
+            b = param.binding
             self.n += 1
-            args.append(f"v{self.n}")
-            params[param.name] = (args[-1], param.ctype)
-            cf.params.append(_ParamSpec(param.name, param.ctype, param.line))
-        fn = _Fn(self, [params], helper=False)
+            args.append(f"{'r' if b.register else 'v'}{self.n}")
+            self.local[b] = args[-1]
+            cf.params.append(_ParamSpec(b))
+        fn = _Fn(self, helper=False)
         fn.stmt_tick()
-        # the body shares the parameters' scope, as in Interpreter.call
-        fn.st_Block(fdef.body, new_scope=False)
+        fn.st_Block(fdef.body)
         fn.sync()
         fn.emit("return 0")
         name = f"_c_{cf.name}"
@@ -1068,10 +1107,10 @@ class _Gen:
 
     def global_init(self, init: ast.Expr, what: str, index: int
                     ) -> Callable:
-        fn = _Fn(self, [{}], helper=True)
+        fn = _Fn(self, helper=True)
         value, _ = fn.ev(init)
         fn.sync()
-        fn.emit(f"return p, {value}")
+        fn.give(value)
         name = f"_g{index}"
         source = "".join(self._helpers) + self._text(
             name, ["rt", "S", "p"], fn, fn.lines)
@@ -1082,23 +1121,21 @@ class _Gen:
 def compile_program(program: ast.Program,
                     filename: str = "<cminus>") -> CompiledProgram:
     """Generate ``program`` (at its current generation) as Python."""
+    resolve(program)
     compiled = CompiledProgram(program)
     gen = _Gen(compiled, filename)
     # function shells first, so calls can name them before they exist
     for name, fdef in program.funcs.items():
         compiled.funcs[name] = CompiledFunction(name, fdef.line)
-    # globals in declaration order; each initializer sees the globals
-    # declared so far and itself, as in the tree-walker
     for decl in program.globals:
-        idx = len(compiled.globals_spec)
-        gen.globals[decl.name] = (idx, decl.ctype)
-        init = (gen.global_init(decl.init, decl.name, idx)
+        init = (gen.global_init(decl.init, decl.name, decl.binding.index)
                 if decl.init is not None else None)
-        compiled.globals_spec.append(
-            _GlobalSpec(decl.name, decl.ctype, idx, decl.line, init))
+        compiled.globals_spec.append(_GlobalSpec(decl.binding, init))
     for name, fdef in program.funcs.items():
         gen.function(compiled.funcs[name], fdef)
     return compiled
+
+
 # ------------------------------------------------------------------ the cache
 
 class CodeCache:
@@ -1331,10 +1368,10 @@ class CompiledEngine:
         for spec in self._compiled.globals_spec:
             self.flush()    # the last initialiser's store may have hit
             addr = self.mem.malloc(spec.alloc_size)
-            self.globals[spec.index] = addr
+            self.globals[spec.binding.index] = addr
             if self.var_hooks is not None:
-                self.var_hooks.on_decl(spec.name, addr, spec.ctype,
-                                       f"{self.filename}:{spec.line}")
+                self.var_hooks.on_decl(spec.binding, addr,
+                                       f"{self.filename}:{spec.binding.line}")
             if spec.init is not None:
                 self.pending, value = spec.init(self, [], 0)
                 value &= spec.store_mask

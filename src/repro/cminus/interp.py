@@ -1,6 +1,9 @@
 """Tree-walking interpreter for the C subset.
 
-Variables live at real simulated addresses supplied by a
+Names are resolved lexically, by :func:`repro.cminus.resolve.resolve`.
+A *register* -- an integer local or parameter whose address is never
+taken -- lives in the call's frame, outside simulated memory.  Every
+other variable lives at a real simulated address supplied by a
 :class:`~repro.cminus.memaccess.MemoryAccess`; every load and store moves
 actual bytes, so the safety tools observe genuine memory behaviour:
 Kefence's guard pages fault on overflowing pointers, segment limits stop
@@ -13,9 +16,10 @@ Hooks (all optional):
   :attr:`CostModel.cminus_op` cycles here.
 * ``step_hook()`` — called once per statement; the Cosy kernel extension
   hits its preemption point here (the watchdog of §2.3).
-* ``var_hooks`` — ``on_decl(name, addr, ctype, site)`` /
-  ``on_scope_exit(addrs)``; KGCC registers stack objects in its address
-  map through these (the compiler-inserted registrations of §3.4).
+* ``var_hooks`` — ``on_decl(binding, addr, site)`` /
+  ``on_scope_exit(addrs)`` for every variable in memory; KGCC registers
+  stack objects in its address map through these (the compiler-inserted
+  registrations of §3.4).
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from repro.cminus import ast_nodes as ast
 from repro.cminus.ctypes import (ArrayType, CHAR, CType, INT, IntType,
                                  PointerType, StructType)
 from repro.cminus.memaccess import MemoryAccess
+from repro.cminus.resolve import (Binding, register_of, resolve,
+                                  static_type)
 from repro.errors import CMinusError
 
 _WORD_MASK = (1 << 64) - 1
@@ -41,7 +47,7 @@ class CheckRuntime(Protocol):
 
 
 class VarHooks(Protocol):
-    def on_decl(self, name: str, addr: int, ctype: CType, site: str) -> None: ...
+    def on_decl(self, binding: Binding, addr: int, site: str) -> None: ...
     def on_scope_exit(self, addrs: list[int]) -> None: ...
 
 
@@ -65,12 +71,6 @@ class _ContinueSignal(Exception):
     pass
 
 
-@dataclass
-class _Binding:
-    addr: int
-    ctype: CType
-
-
 def _truncate(value: int, ctype: CType) -> int:
     """Store-width truncation with sign handling."""
     if isinstance(ctype, PointerType):
@@ -82,12 +82,23 @@ def _truncate(value: int, ctype: CType) -> int:
     return value
 
 
+def c_div(a: int, b: int) -> int:
+    """C's ``/``: the quotient truncated toward zero, in exact integers."""
+    q = abs(a) // abs(b)
+    return -q if (a < 0) != (b < 0) else q
+
+
+def c_mod(a: int, b: int) -> int:
+    """C's ``%``: ``a - (a / b) * b``, so the result has ``a``'s sign."""
+    return a - c_div(a, b) * b
+
+
 _INT_OPS: dict[str, Callable[[int, int], int]] = {
     "+": lambda a, b: a + b,
     "-": lambda a, b: a - b,
     "*": lambda a, b: a * b,
-    "/": lambda a, b: int(a / b),           # C truncates toward zero
-    "%": lambda a, b: a - int(a / b) * b,
+    "/": c_div,
+    "%": c_mod,
     "&": lambda a, b: a & b,
     "|": lambda a, b: a | b,
     "^": lambda a, b: a ^ b,
@@ -144,7 +155,12 @@ class Interpreter:
         self.limits = limits or ExecLimits()
         self.filename = filename
         self.ops_executed = 0
-        self._scopes: list[dict[str, _Binding]] = [{}]
+        resolve(program)
+        #: a global's address, by its index in ``program.globals``
+        self._globals = [0] * len(program.globals)
+        #: the running call's variables: a register's value, or the
+        #: address of a variable in memory
+        self._frame: dict[Binding, int] = {}
         self._frame_allocs: list[list[tuple[int, int]]] = []
         self._strings: dict[int, int] = {}  # id(StrLit node) -> address
         self._init_globals()
@@ -166,22 +182,20 @@ class Interpreter:
     def _init_globals(self) -> None:
         for decl in self.program.globals:
             addr = self.mem.malloc(max(decl.ctype.size, 1))
-            self._scopes[0][decl.name] = _Binding(addr, decl.ctype)
+            self._globals[decl.binding.index] = addr
             if self.var_hooks is not None:
-                self.var_hooks.on_decl(decl.name, addr, decl.ctype,
-                                       self._site(decl))
+                self.var_hooks.on_decl(decl.binding, addr, self._site(decl))
             if decl.init is not None:
                 value, _ = self.eval(decl.init)
                 self._store(addr, value, decl.ctype)
             else:
                 self.mem.write(addr, b"\0" * max(decl.ctype.size, 1))
 
-    def _lookup(self, name: str, line: int) -> _Binding:
-        for scope in reversed(self._scopes):
-            binding = scope.get(name)
-            if binding is not None:
-                return binding
-        raise CMinusError(f"undefined variable '{name}'", line)
+    @staticmethod
+    def _binding(e: ast.Ident) -> Binding:
+        if e.binding is None:
+            raise CMinusError(f"undefined variable '{e.name}'", e.line)
+        return e.binding
 
     # ----------------------------------------------------------- load/store
 
@@ -210,26 +224,30 @@ class Interpreter:
             raise CMinusError(
                 f"{name}() takes {len(func.params)} args, got {len(args)}",
                 func.line)
-        scope: dict[str, _Binding] = {}
+        resolve(self.program)   # re-binds after a generation bump
+        frame: dict[Binding, int] = {}
         allocs: list[tuple[int, int]] = []
         for param, arg in zip(func.params, args):
+            b = param.binding
+            if b.register:
+                frame[b] = _truncate(arg, b.ctype)
+                continue
             size = max(param.ctype.size, 1)
             addr = self.mem.alloc_stack(size)
             allocs.append((addr, size))
             self._store(addr, arg, param.ctype)
-            scope[param.name] = _Binding(addr, param.ctype)
+            frame[b] = addr
             if self.var_hooks is not None:
-                self.var_hooks.on_decl(param.name, addr, param.ctype,
-                                       self._site(param))
-        self._scopes.append(scope)
+                self.var_hooks.on_decl(b, addr, self._site(param))
+        caller, self._frame = self._frame, frame
         self._frame_allocs.append(allocs)
         try:
-            self.exec_stmt(func.body, new_scope=False)
+            self.exec_stmt(func.body)
             result = 0
         except _ReturnSignal as ret:
             result = ret.value
         finally:
-            self._scopes.pop()
+            self._frame = caller
             frame = self._frame_allocs.pop()
             if self.var_hooks is not None:
                 self.var_hooks.on_scope_exit([a for a, _ in frame])
@@ -239,21 +257,16 @@ class Interpreter:
 
     # ------------------------------------------------------------ statements
 
-    def exec_stmt(self, stmt: ast.Stmt, *, new_scope: bool = True) -> None:
+    def exec_stmt(self, stmt: ast.Stmt) -> None:
         self._tick()
         if self.step_hook is not None:
             self.step_hook()
         method = getattr(self, f"_exec_{type(stmt).__name__}", None)
         if method is None:
             raise CMinusError(f"cannot execute {type(stmt).__name__}", stmt.line)
-        if isinstance(stmt, ast.Block):
-            method(stmt, new_scope)
-        else:
-            method(stmt)
+        method(stmt)
 
-    def _exec_Block(self, block: ast.Block, new_scope: bool = True) -> None:
-        if new_scope:
-            self._scopes.append({})
+    def _exec_Block(self, block: ast.Block) -> None:
         allocs: list[tuple[int, int]] = []
         self._frame_allocs.append(allocs)
         try:
@@ -265,16 +278,21 @@ class Interpreter:
                 self.var_hooks.on_scope_exit([a for a, _ in allocs])
             for addr, size in reversed(allocs):
                 self.mem.free_stack(addr, size)
-            if new_scope:
-                self._scopes.pop()
 
     def _exec_VarDecl(self, decl: ast.VarDecl) -> None:
+        b = decl.binding
+        if b.register:
+            self._frame[b] = 0      # what ``int x = x;`` reads
+            if decl.init is not None:
+                value, _ = self.eval(decl.init)
+                self._frame[b] = _truncate(value, b.ctype)
+            return
         size = max(decl.ctype.size, 1)
         addr = self.mem.alloc_stack(size)
         self._frame_allocs[-1].append((addr, size))
-        self._scopes[-1][decl.name] = _Binding(addr, decl.ctype)
+        self._frame[b] = addr
         if self.var_hooks is not None:
-            self.var_hooks.on_decl(decl.name, addr, decl.ctype, self._site(decl))
+            self.var_hooks.on_decl(b, addr, self._site(decl))
         if decl.init is not None:
             if isinstance(decl.ctype, (ArrayType, StructType)):
                 raise CMinusError(
@@ -307,7 +325,6 @@ class Interpreter:
                 continue
 
     def _exec_For(self, stmt: ast.For) -> None:
-        self._scopes.append({})
         allocs: list[tuple[int, int]] = []
         self._frame_allocs.append(allocs)
         try:
@@ -332,7 +349,6 @@ class Interpreter:
                 self.var_hooks.on_scope_exit([a for a, _ in allocs])
             for addr, size in reversed(allocs):
                 self.mem.free_stack(addr, size)
-            self._scopes.pop()
 
     def _exec_Return(self, stmt: ast.Return) -> None:
         value = 0
@@ -359,8 +375,13 @@ class Interpreter:
     def lvalue(self, expr: ast.Expr) -> tuple[int, CType]:
         """Evaluate to (address, type of the object at that address)."""
         if isinstance(expr, ast.Ident):
-            binding = self._lookup(expr.name, expr.line)
-            return binding.addr, binding.ctype
+            b = self._binding(expr)
+            if b.register:
+                # no address: only ``.`` asks, and its type check fails
+                return 0, b.ctype
+            if b.kind == "global":
+                return self._globals[b.index], b.ctype
+            return self._frame[b], b.ctype
         if isinstance(expr, ast.Deref):
             ptr, ptype = self.eval(expr.ptr)
             if not isinstance(ptype, PointerType):
@@ -416,10 +437,13 @@ class Interpreter:
         return addr, PointerType(CHAR)
 
     def _eval_Ident(self, e: ast.Ident) -> tuple[int, CType]:
-        binding = self._lookup(e.name, e.line)
-        if isinstance(binding.ctype, ArrayType):
-            return binding.addr, binding.ctype.decay()
-        return self._load(binding.addr, binding.ctype), binding.ctype
+        b = self._binding(e)
+        if b.register:
+            return self._frame[b], b.ctype
+        addr, ctype = self.lvalue(e)
+        if isinstance(ctype, ArrayType):
+            return addr, ctype.decay()
+        return self._load(addr, ctype), ctype
 
     # --- operators
 
@@ -466,14 +490,25 @@ class Interpreter:
         except KeyError:
             raise CMinusError(f"unknown operator '{op}'", line) from None
 
+    def _step(self, target: ast.Expr, op: str) -> tuple[int, int, CType]:
+        """``++``/``--`` on ``target``: (old value, new value, type)."""
+        b = register_of(target)
+        if b is not None:
+            old = self._frame[b]
+            new = _truncate(old + 1 if op == "++" else old - 1, b.ctype)
+            self._frame[b] = new
+            return old, new, b.ctype
+        addr, ctype = self.lvalue(target)
+        old = self._load(addr, ctype)
+        scale = ctype.pointee.size if isinstance(ctype, PointerType) else 1
+        new = old + scale if op == "++" else old - scale
+        self._store(addr, new, ctype)
+        return old, _truncate(new, ctype), ctype
+
     def _eval_UnOp(self, e: ast.UnOp) -> tuple[int, CType]:
         if e.op in ("++", "--"):
-            addr, ctype = self.lvalue(e.operand)
-            old = self._load(addr, ctype)
-            scale = ctype.pointee.size if isinstance(ctype, PointerType) else 1
-            new = old + scale if e.op == "++" else old - scale
-            self._store(addr, new, ctype)
-            return _truncate(new, ctype), ctype
+            _, new, ctype = self._step(e.operand, e.op)
+            return new, ctype
         value, ctype = self.eval(e.operand)
         if e.op == "-":
             return _truncate(-value, INT), INT
@@ -530,6 +565,14 @@ class Interpreter:
         return self._load(addr, ctype), ctype
 
     def _eval_Assign(self, e: ast.Assign) -> tuple[int, CType]:
+        b = register_of(e.target)
+        if b is not None:
+            value, vtype = self.eval(e.value)
+            if e.op:
+                value, _ = self._binop(e.op, self._frame[b], b.ctype, value,
+                                       vtype, e.line)
+            value = self._frame[b] = _truncate(value, b.ctype)
+            return value, b.ctype
         addr, ctype = self.lvalue(e.target)
         if isinstance(ctype, ArrayType):
             raise CMinusError("cannot assign to an array", e.line)
@@ -541,11 +584,7 @@ class Interpreter:
         return _truncate(value, ctype), ctype
 
     def _eval_PostIncDec(self, e: ast.PostIncDec) -> tuple[int, CType]:
-        addr, ctype = self.lvalue(e.target)
-        old = self._load(addr, ctype)
-        scale = ctype.pointee.size if isinstance(ctype, PointerType) else 1
-        new = old + scale if e.op == "++" else old - scale
-        self._store(addr, new, ctype)
+        old, _, ctype = self._step(e.target, e.op)
         return old, ctype
 
     def _eval_Call(self, e: ast.Call) -> tuple[int, CType]:
@@ -555,42 +594,7 @@ class Interpreter:
     def _eval_SizeOf(self, e: ast.SizeOf) -> tuple[int, CType]:
         if e.ctype is not None:
             return e.ctype.size, INT
-        return self._static_type(e.expr).size, INT
-
-    def _static_type(self, expr: ast.Expr) -> CType:
-        """Best-effort static type of an expression (no evaluation)."""
-        if isinstance(expr, ast.IntLit):
-            return INT
-        if isinstance(expr, ast.StrLit):
-            return PointerType(CHAR)
-        if isinstance(expr, ast.Ident):
-            return self._lookup(expr.name, expr.line).ctype
-        if isinstance(expr, ast.Deref):
-            inner = self._static_type(expr.ptr)
-            if isinstance(inner, PointerType):
-                return inner.pointee
-            if isinstance(inner, ArrayType):
-                return inner.elem
-            raise CMinusError("sizeof: dereference of non-pointer", expr.line)
-        if isinstance(expr, ast.Index):
-            inner = self._static_type(expr.base)
-            if isinstance(inner, (PointerType,)):
-                return inner.pointee
-            if isinstance(inner, ArrayType):
-                return inner.elem
-            raise CMinusError("sizeof: indexing a non-pointer", expr.line)
-        if isinstance(expr, ast.AddrOf):
-            return PointerType(self._static_type(expr.target))
-        if isinstance(expr, ast.Member):
-            base = self._static_type(expr.base)
-            struct = base.pointee if isinstance(base, PointerType) else base
-            if isinstance(struct, StructType):
-                try:
-                    return struct.field(expr.field_name)[1]
-                except KeyError as exc:
-                    raise CMinusError(str(exc), expr.line) from exc
-            raise CMinusError("sizeof: member of a non-struct", expr.line)
-        return INT
+        return static_type(e.expr).size, INT
 
     # ------------------------------------------------------------ KGCC hooks
 

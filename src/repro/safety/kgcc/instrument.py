@@ -8,10 +8,11 @@ checks."  Here the pass wraps:
 * every side-effect-free pointer ``+``/``-`` in an ``arith`` check (which
   is where OOB peers get created),
 
-and decides, per the paper's heuristic, which stack objects need
+and reports, per the paper's heuristic, which declarations need no
 registration at all: "KGCC does not check stack objects whose addresses
-are not taken at any point in the code" — scalars that are never
-address-taken are neither registered nor checked.
+are not taken at any point in the code".  The facts come from the scope
+resolver (:mod:`repro.cminus.resolve`), and the runtime applies the same
+rule (:func:`~repro.safety.kgcc.runtime.registered`).
 
 The pass runs a lightweight flow-insensitive type inference (declared
 types only) so it knows which ``+``/``-`` expressions are pointer
@@ -23,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cminus import ast_nodes as ast
-from repro.cminus.compile import bump_generation
 from repro.cminus.ctypes import ArrayType, CType, INT, PointerType, StructType
+from repro.cminus.resolve import Binding, bump_generation, resolve
+from repro.safety.kgcc.runtime import registered
 
 
 @dataclass
@@ -35,9 +37,9 @@ class InstrumentationReport:
     deref_checks: int = 0
     arith_checks: int = 0
     sites: dict[str, list[ast.Check]] = field(default_factory=dict)
-    #: variables exempted from registration (address never taken, scalar)
-    unregistered: set[str] = field(default_factory=set)
-    registered_vars: int = 0
+    #: parameters and locals KGCC leaves unregistered: registers, and
+    #: structs whose address never escapes
+    unregistered: list[Binding] = field(default_factory=list)
     #: the instrumented program — lets check-toggling passes (dynamic
     #: deinstrumentation) bump its code-cache generation
     program: "ast.Program | None" = None
@@ -163,31 +165,9 @@ class _Instrumenter:
     # ----------------------------------------------------------- traversal
 
     def run(self) -> InstrumentationReport:
-        # Which names ever have their address taken (per whole program —
-        # conservative and simple, like the paper's whole-function test)?
-        addr_taken: set[str] = set()
-        for func in self.program.funcs.values():
-            for node in ast.walk(func.body):
-                if isinstance(node, ast.AddrOf) and isinstance(
-                        node.target, ast.Ident):
-                    addr_taken.add(node.target.name)
-                if isinstance(node, ast.Call):
-                    for a in node.args:
-                        if isinstance(a, ast.Ident):
-                            addr_taken.add(a.name)  # may escape via the call
         for func in self.program.funcs.values():
             self._types = FuncTypes(self.program, func)
             func.body = self._instr_stmt(func.body)
-        # Registration exemptions: scalar locals never address-taken.
-        for func in self.program.funcs.values():
-            for node in ast.walk(func.body):
-                if isinstance(node, ast.VarDecl):
-                    pointerish = isinstance(node.ctype,
-                                            (ArrayType, PointerType))
-                    if node.name not in addr_taken and not pointerish:
-                        self.report.unregistered.add(node.name)
-                    else:
-                        self.report.registered_vars += 1
         return self.report
 
     def _instr_stmt(self, stmt: ast.Stmt) -> ast.Stmt:
@@ -285,12 +265,13 @@ def instrument(program: ast.Program, filename: str = "<kgcc>"
     """Instrument ``program`` in place; returns the report.
 
     Pair with :class:`~repro.safety.kgcc.runtime.KgccRuntime` via the
-    interpreter's ``check_runtime=`` and ``var_hooks=`` arguments, and pass
-    ``report.unregistered`` to the runtime's skip set.
+    interpreter's ``check_runtime=`` and ``var_hooks=`` arguments.
     """
     report = _Instrumenter(program, filename).run()
     report.program = program
     # the AST changed shape: compiled code for the pre-instrumentation
     # generation is now stale
     bump_generation(program)
+    report.unregistered = [b for bindings in resolve(program).values()
+                           for b in bindings if not registered(b)]
     return report

@@ -133,8 +133,7 @@ class _ModuleEngine:
         if checked:
             report = instrument(program, filename="kgccfs.c")
             optimize(program)
-            self.runtime = KgccRuntime(kernel, mode=Mode.SYSTEM,
-                                       skip_names=report.unregistered)
+            self.runtime = KgccRuntime(kernel, mode=Mode.SYSTEM)
             self.report = report
             kwargs = dict(check_runtime=self.runtime, var_hooks=self.runtime)
         else:

@@ -10,16 +10,22 @@ Three passes over an instrumented AST:
 * :func:`eliminate_safe_static_checks` — remove deref checks that are
   provably safe at compile time: a constant (literal, ``sizeof``-derived,
   or constant-folded), in-bounds index into a local array whose address
-  never escapes.
+  never escapes, as the index base's binding declares it.
 * :func:`eliminate_verified_checks` — remove every check whose site the
   load-time verifier (:mod:`repro.safety.verifier`) proved safe by
   abstract interpretation; this subsumes the static pass on straight-line
   code and additionally handles loops, guards, and pointer arithmetic.
 * :func:`eliminate_common_checks` — CSE over checks: within straight-line
-  code, a check identical to an earlier one whose operands have not been
-  reassigned (and with no intervening call, which could free heap objects)
-  is redundant and removed.  Nested control flow is processed with fresh
-  state (conservative, always sound).
+  code, a check identical to an earlier one (variables compared by
+  binding) is redundant and removed unless, in between, a store wrote a
+  variable its operands read, a store through memory happened while its
+  operands read memory, a call ran (it could free heap objects), or a
+  block that registered objects ended.  Nested control flow is processed
+  with fresh state (conservative, always sound).
+
+Both passes read the scope resolver's bindings
+(:mod:`repro.cminus.resolve`), so a shadowing declaration can never be
+mistaken for the variable it hides.
 """
 
 from __future__ import annotations
@@ -27,9 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cminus import ast_nodes as ast
-from repro.cminus.compile import bump_generation
 from repro.cminus.ctypes import ArrayType
 from repro.cminus.interp import int_binop
+from repro.cminus.resolve import (Binding, bump_generation, resolve,
+                                  strip_checks)
+from repro.safety.kgcc.runtime import registered
 
 
 @dataclass
@@ -106,44 +114,21 @@ def eliminate_safe_static_checks(program: ast.Program,
                                  ) -> OptimizeReport:
     """Drop deref checks on provably-in-bounds constant indexing."""
     report = report or OptimizeReport(checks_before=_count_checks(program))
+    resolve(program)
+
+    def is_safe(check: ast.Check) -> bool:
+        inner = check.inner
+        if check.kind != "deref" or not isinstance(inner, ast.Index):
+            return False
+        b = getattr(inner.base, "binding", None)
+        if (b is None or b.kind != "local" or b.addr_taken or b.passed
+                or not isinstance(b.ctype, ArrayType)):
+            return False
+        index = const_fold(inner.index)
+        return index is not None and 0 <= index < b.ctype.length
+
     for func in program.funcs.values():
-        # local arrays whose address never escapes in this function
-        arrays: dict[str, int] = {}
-        escaped: set[str] = set()
-        for node in ast.walk(func.body):
-            if isinstance(node, ast.VarDecl) and isinstance(node.ctype,
-                                                            ArrayType):
-                arrays[node.name] = node.ctype.length
-            if isinstance(node, ast.AddrOf) and isinstance(node.target,
-                                                           ast.Ident):
-                escaped.add(node.target.name)
-            if isinstance(node, ast.Call):
-                for a in node.args:
-                    base = a
-                    while isinstance(base, ast.Check):
-                        base = base.inner
-                    if isinstance(base, ast.Ident):
-                        escaped.add(base.name)
-            if isinstance(node, ast.Assign) and isinstance(node.value,
-                                                           ast.Ident):
-                escaped.add(node.value.name)  # aliased through a pointer var
-
-        def is_safe(check: ast.Check) -> bool:
-            inner = check.inner
-            if check.kind != "deref" or not isinstance(inner, ast.Index):
-                return False
-            if not isinstance(inner.base, ast.Ident):
-                return False
-            index = const_fold(inner.index)
-            if index is None:
-                return False
-            name = inner.base.name
-            if name in escaped or name not in arrays:
-                return False
-            return 0 <= index < arrays[name]
-
-        removed = _replace_checks(func.body, is_safe)
-        report.checks_removed_static += removed
+        report.checks_removed_static += _replace_checks(func.body, is_safe)
     bump_generation(program)
     return report
 
@@ -183,7 +168,7 @@ def _fingerprint(expr: ast.Expr) -> str:
     if isinstance(expr, ast.StrLit):
         return f"${expr.value!r}"
     if isinstance(expr, ast.Ident):
-        return expr.name
+        return f"{expr.name}@{id(expr.binding):x}"
     if isinstance(expr, ast.BinOp):
         return f"({_fingerprint(expr.left)}{expr.op}{_fingerprint(expr.right)})"
     if isinstance(expr, ast.UnOp):
@@ -209,8 +194,32 @@ def _fingerprint(expr: ast.Expr) -> str:
     return f"?{type(expr).__name__}!"
 
 
-def _names_in(expr: ast.Expr) -> set[str]:
-    return {n.name for n in ast.walk(expr) if isinstance(n, ast.Ident)}
+def _operands(check: ast.Check) -> list[ast.Expr]:
+    """What a check's address is computed from: the base and index of an
+    ``a[i]``, the pointer of a ``*p`` or ``p->f``, the whole arithmetic."""
+    inner = check.inner
+    if check.kind == "deref":
+        if isinstance(inner, ast.Index):
+            return [inner.base, inner.index]
+        if isinstance(inner, ast.Deref):
+            return [inner.ptr]
+        if isinstance(inner, ast.Member):
+            return [inner.base]
+    return [inner]
+
+
+def _reads_memory(check: ast.Check) -> bool:
+    """Whether a store through memory may change the check's address: its
+    operands read an element, a member, a dereference or an address-taken
+    variable."""
+    for operand in _operands(check):
+        for node in ast.walk(operand):
+            if isinstance(node, (ast.Index, ast.Member, ast.Deref)):
+                return True
+            if (isinstance(node, ast.Ident) and node.binding is not None
+                    and node.binding.addr_taken):
+                return True
+    return False
 
 
 class _CseState:
@@ -218,11 +227,27 @@ class _CseState:
         self.seen: dict[str, ast.Check] = {}
         self.removed = 0
 
-    def kill_names(self, names: set[str]) -> None:
-        dead = [fp for fp in self.seen
-                if names & _names_in(self.seen[fp].inner)]
-        for fp in dead:
+    def forget(self, dead) -> None:
+        """Drop every seen check ``dead(check)`` holds for."""
+        for fp in [fp for fp, check in self.seen.items() if dead(check)]:
             del self.seen[fp]
+
+    def store(self, target: ast.Expr) -> None:
+        """A store to ``target``: a variable's own checks die, and a store
+        through memory (or to an address-taken variable, which memory may
+        alias) kills every check that reads memory."""
+        target = strip_checks(target)
+        b = target.binding if isinstance(target, ast.Ident) else None
+        if b is not None:
+            self.assigned(b)
+        if b is None or b.addr_taken:
+            self.forget(_reads_memory)
+
+    def assigned(self, b: Binding) -> None:
+        """``b`` takes a new value: the checks that read it die."""
+        self.forget(lambda check: any(
+            isinstance(n, ast.Ident) and n.binding is b
+            for n in ast.walk(check.inner)))
 
     def kill_all(self) -> None:
         self.seen.clear()
@@ -233,6 +258,7 @@ def eliminate_common_checks(program: ast.Program,
                             ) -> OptimizeReport:
     """Remove checks dominated by an identical earlier check."""
     report = report or OptimizeReport(checks_before=_count_checks(program))
+    resolve(program)
     for func in program.funcs.values():
         state = _CseState()
         _cse_stmt(func.body, state)
@@ -245,11 +271,14 @@ def _cse_stmt(stmt: ast.Stmt, state: _CseState) -> None:
     if isinstance(stmt, ast.Block):
         for s in stmt.stmts:
             _cse_stmt(s, state)
+        if any(isinstance(s, ast.VarDecl) and registered(s.binding)
+               for s in stmt.stmts):
+            state.kill_all()    # its objects are unregistered here
         return
     if isinstance(stmt, ast.VarDecl):
         if stmt.init is not None:
             stmt.init = _cse_expr(stmt.init, state)
-        state.kill_names({stmt.name})
+        state.assigned(stmt.binding)
         return
     if isinstance(stmt, ast.ExprStmt):
         stmt.expr = _cse_expr(stmt.expr, state)
@@ -308,8 +337,8 @@ def _cse_expr(expr: ast.Expr, state: _CseState) -> ast.Expr:
         return expr
     if isinstance(expr, ast.UnOp):
         expr.operand = _cse_expr(expr.operand, state)
-        if expr.op in ("++", "--") and isinstance(expr.operand, ast.Ident):
-            state.kill_names({expr.operand.name})
+        if expr.op in ("++", "--"):
+            state.store(expr.operand)
         return expr
     if isinstance(expr, ast.Deref):
         expr.ptr = _cse_expr(expr.ptr, state)
@@ -327,20 +356,10 @@ def _cse_expr(expr: ast.Expr, state: _CseState) -> ast.Expr:
     if isinstance(expr, ast.Assign):
         expr.value = _cse_expr(expr.value, state)
         expr.target = _cse_expr(expr.target, state)
-        names = set()
-        base = expr.target
-        while isinstance(base, ast.Check):
-            base = base.inner
-        if isinstance(base, ast.Ident):
-            names.add(base.name)
-        state.kill_names(names)
+        state.store(expr.target)
         return expr
     if isinstance(expr, ast.PostIncDec):
-        base = expr.target
-        while isinstance(base, ast.Check):
-            base = base.inner
-        if isinstance(base, ast.Ident):
-            state.kill_names({base.name})
+        state.store(expr.target)
         return expr
     if isinstance(expr, ast.Call):
         expr.args = [_cse_expr(a, state) for a in expr.args]

@@ -3,7 +3,10 @@
 Implements the interpreter's ``CheckRuntime`` and ``VarHooks`` protocols:
 
 * ``on_decl`` / ``on_scope_exit`` — compiler-inserted registration of
-  stack objects in the address map (and their removal at scope exit);
+  stack objects in the address map (and their removal at scope exit).
+  :func:`registered` decides from the variable's binding which ones: the
+  engines keep registers out of memory, and a struct whose address never
+  escapes needs no entry either;
 * ``check_deref`` — every load/store address must fall inside a live
   object; dereferencing an OOB peer or unknown address raises;
 * ``check_arith`` — pointer arithmetic may leave an object's bounds, but
@@ -21,8 +24,9 @@ from __future__ import annotations
 from collections import Counter
 from typing import TYPE_CHECKING
 
-from repro.cminus.ctypes import ArrayType, CType
+from repro.cminus.ctypes import ArrayType, PointerType
 from repro.cminus.memaccess import MemoryAccess
+from repro.cminus.resolve import Binding
 from repro.errors import AllocatorMisuse, BoundsError, InvalidPointer
 from repro.kernel.clock import Mode
 from repro.safety.kgcc.addrmap import MemObject, ObjectMap
@@ -31,17 +35,24 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.core import Kernel
 
 
+def registered(binding: Binding) -> bool:
+    """Whether KGCC registers the variable in its address map: every
+    global, pointer and array, and every object whose address is taken
+    or that is passed to a call.  "KGCC does not check stack objects
+    whose addresses are not taken" (§3.4); a register has no storage at
+    all."""
+    return not binding.register and (
+        binding.kind == "global" or binding.addr_taken or binding.passed
+        or isinstance(binding.ctype, (PointerType, ArrayType)))
+
+
 class KgccRuntime:
     """One runtime instance per checked program execution context."""
 
     def __init__(self, kernel: "Kernel | None" = None, *,
-                 mode: Mode = Mode.SYSTEM,
-                 skip_names: set[str] | None = None):
+                 mode: Mode = Mode.SYSTEM):
         self.kernel = kernel
         self.mode = mode
-        #: stack variables exempted from registration by the compiler's
-        #: address-never-taken heuristic (InstrumentationReport.unregistered)
-        self.skip_names = skip_names or set()
         self.map = ObjectMap(on_visit=self._charge_visits)
         # the map's containers (never reassigned): the checks consult them
         # directly, so each check is one splay lookup and one charge
@@ -87,13 +98,12 @@ class KgccRuntime:
 
     # ---------------------------------------------------------- VarHooks
 
-    def on_decl(self, name: str, addr: int, ctype: CType, site: str) -> None:
+    def on_decl(self, binding: Binding, addr: int, site: str) -> None:
         """Compiler-inserted registration of a stack object."""
-        if name in self.skip_names:
-            return  # the compiler proved this scalar needs no tracking
+        if not registered(binding):
+            return
         self._charge_register()
-        size = ctype.size if not isinstance(ctype, ArrayType) else ctype.size
-        self.map.register(addr, max(size, 1), "stack", site)
+        self.map.register(addr, max(binding.ctype.size, 1), "stack", site)
         self._addr_registered[addr] = self._addr_registered.get(addr, 0) + 1
 
     def on_scope_exit(self, addrs: list[int]) -> None:

@@ -58,9 +58,10 @@ def _fresh():
 
 
 def _run_engine(engine: str, src: str, func: str, *args,
-                max_ops: int | None = None):
+                max_ops: int | None = 200_000):
     """Run one engine on a fresh kernel; returns (result-or-exc, clock,
-    ops_executed, charged_ops)."""
+    ops_executed, charged_ops).  The default op limit is far above what
+    any case reaches, so a runaway engine fails instead of hanging."""
     k, mem = _fresh()
     program = parse(src)
     charged = 0
@@ -232,7 +233,7 @@ def test_deinstrument_sweep_stops_check_execution():
     """
     program = parse(src)
     report = instrument(program)
-    runtime = KgccRuntime(k, skip_names=report.unregistered)
+    runtime = KgccRuntime(k)
 
     def run() -> int:
         before = runtime.checks_executed
@@ -321,7 +322,7 @@ def _hooked_run(cls, program, report, hooks: set, cache=None):
     if "limit" in hooks:
         kwargs["limits"] = ExecLimits(max_ops=150)
     if "checks" in hooks:
-        runtime = KgccRuntime(k, skip_names=report.unregistered)
+        runtime = KgccRuntime(k)
         kwargs.update(check_runtime=runtime, var_hooks=runtime)
     if cache is not None:
         kwargs["cache"] = cache

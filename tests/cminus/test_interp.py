@@ -38,6 +38,31 @@ def test_arithmetic(run):
     assert run("int main() { return -7 % 3; }") == -1  # C remainder sign
 
 
+@pytest.mark.parametrize("a,b,quotient,remainder", [
+    (7, 2, 3, 1), (-7, 2, -3, -1), (7, -2, -3, 1), (-7, -2, 3, -1),
+    (0, -5, 0, 0),
+    # past 2**53, where a float quotient rounds
+    ((1 << 62) + 1, 1, (1 << 62) + 1, 0),
+    ((1 << 62) + 3, -2, -((1 << 61) + 1), 1),
+    (-(1 << 62) - 7, 1 << 40, -(1 << 22), -7),
+])
+def test_division_truncates_in_exact_integers(run, a, b, quotient,
+                                              remainder):
+    decls = f"int a = {a}; int b = {b};"
+    assert run(f"int main() {{ {decls} return a / b; }}") == quotient
+    assert run(f"int main() {{ {decls} return a % b; }}") == remainder
+
+
+def test_division_past_float_precision(run):
+    src = """
+    int main() {
+        int x = 4611686018427387905;
+        return x / 1 - 4611686018427387904;
+    }
+    """
+    assert run(src) == 1
+
+
 def test_bitwise_and_shifts(run):
     assert run("int main() { return (12 & 10) | (1 << 4); }") == 24
     assert run("int main() { return 255 >> 4; }") == 15

@@ -17,8 +17,8 @@ def run(run_both):
         def build(k, mem, program):
             if not checked:
                 return dict(externs={"malloc": mem.malloc, "free": mem.free})
-            report = instrument(program)
-            runtime = KgccRuntime(k, skip_names=report.unregistered)
+            instrument(program)
+            runtime = KgccRuntime(k)
             return dict(check_runtime=runtime, var_hooks=runtime,
                         externs=runtime.make_externs(mem))
 
@@ -174,6 +174,23 @@ def test_kgcc_member_overflow_caught(run):
     """
     with pytest.raises((BoundsError, InvalidPointer)):
         run(src, checked=True)
+
+
+def test_kgcc_registers_a_struct_whose_member_address_escapes(run):
+    """``&v.b[0]`` takes ``v``'s address, so KGCC registers ``v`` and the
+    callee's index check finds the element."""
+    src = """
+    struct s { int a; int b[2]; };
+    int f(int *p) { return p[1]; }
+    int main() {
+        struct s v;
+        v.b[0] = 3;
+        v.b[1] = 4;
+        return f(&v.b[0]);
+    }
+    """
+    assert run(src) == 4
+    assert run(src, checked=True) == 4
 
 
 def test_render_roundtrip_with_structs():

@@ -9,15 +9,22 @@ every access that leaves the TLB-hit fast path, and the clock at every
 statement.  Any divergence means the source generator or its batched
 accounting changed semantics; the failure message prints the Python the
 compiled engine ran.
+
+The programs mix registers (``int`` and ``char`` locals and parameters
+whose address is never taken) with variables in memory, shadow both in
+nested blocks, and draw literals past 2**53.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cminus import (CompiledEngine, ExecLimits, Interpreter,
                           UserMemAccess, compile_program, parse)
+from repro.cminus import compile as compile_module
 from repro.errors import ReproError
 from repro.kernel import Kernel
 from repro.kernel.clock import Mode
@@ -38,7 +45,9 @@ def _exprs(draw, names, wr=(), depth=0):
     if depth >= 3 or draw(st.booleans()):
         if names and draw(st.booleans()):
             return draw(st.sampled_from(names))
-        return str(draw(st.integers(min_value=0, max_value=1000)))
+        return str(draw(st.one_of(st.integers(min_value=0, max_value=1000),
+                                  st.integers(min_value=2**53,
+                                              max_value=2**62))))
     kind = draw(st.sampled_from(["bin"] * 4 + ["un"] + (["pre"] if wr else [])))
     if kind == "un":
         operand = draw(_exprs(names, wr, depth=depth + 1))
@@ -57,14 +66,15 @@ def _exprs(draw, names, wr=(), depth=0):
 
 @st.composite
 def _stmts(draw, names, ro=(), depth=0, arr="a", in_loop=False, calls=()):
-    """One statement.  ``names`` are writable scalars; ``ro`` holds loop
-    counters, readable only, so every loop terminates.  ``arr`` points
-    at 8 ints; ``calls`` are the helper functions it may call."""
+    """One statement.  ``names`` are writable scalars (``c...`` ones are
+    ``char``); ``ro`` holds loop counters, readable only, so every loop
+    terminates.  ``arr`` points at 8 ints; ``calls`` are the helper
+    functions it may call."""
     rd = list(names) + list(ro)
     kinds = ["assign", "assign", "aug", "aug", "array", "postinc",
              "preinc", "return"]
     if depth < 2:
-        kinds += ["if", "for", "while", "block"]
+        kinds += ["if", "for", "while", "block", "shadow"]
     if in_loop:
         kinds += ["jump", "jump"]
     if calls:
@@ -101,9 +111,10 @@ def _stmts(draw, names, ro=(), depth=0, arr="a", in_loop=False, calls=()):
     if kind == "jump":
         return f"if ({expr()}) {draw(st.sampled_from(['break', 'continue']))};"
     if kind == "call":
-        ptr = draw(st.sampled_from([n for n in names if n.isidentifier()]))
+        ints = [n for n in names if n.isidentifier() and n[0] != "c"]
         return (f"{target} = {draw(st.sampled_from(calls))}"
-                f"(&{ptr}, {arr}, {expr()});")
+                f"(&{draw(st.sampled_from(ints))}, {arr}, {expr()}, "
+                f"{expr()});")
     if kind == "if":
         cond = expr()
         then = body()
@@ -111,8 +122,17 @@ def _stmts(draw, names, ro=(), depth=0, arr="a", in_loop=False, calls=()):
             return f"if ({cond}) {{ {then} }} else {{ {body()} }}"
         return f"if ({cond}) {{ {then} }}"
     if kind == "block":
-        var = f"b{depth}"
-        return f"{{ int {var} = {expr()}; {body(more=(var,))} }}"
+        ctype, var = draw(st.sampled_from([("int", f"b{depth}"),
+                                           ("char", f"c{depth}")]))
+        return f"{{ {ctype} {var} = {expr()}; {body(more=(var,))} }}"
+    if kind == "shadow":
+        scalars = [n for n in names if n.isidentifier()]
+        if draw(st.booleans()):
+            # a new array of the same name hides the one statements index
+            return f"{{ int {arr}[8]; {body()} }}"
+        var = draw(st.sampled_from(scalars))
+        ctype = "char" if var[0] == "c" else "int"
+        return f"{{ {ctype} {var} = {expr()}; {body()} }}"
     n = draw(st.integers(min_value=0, max_value=5))
     var = f"i{depth}" if kind == "for" else f"w{depth}"
     if kind == "for":
@@ -125,20 +145,23 @@ def _stmts(draw, names, ro=(), depth=0, arr="a", in_loop=False, calls=()):
 
 @st.composite
 def _helpers(draw, name):
-    """A function taking pointers into its caller's frame."""
+    """A function taking pointers into its caller's frame, and integer
+    parameters it may write."""
     body = " ".join(draw(st.lists(
-        _stmts(["t", "(*q)", "v"], arr="arr"), min_size=1, max_size=4)))
-    return (f"int {name}(int *q, int *arr, int v) {{ int t = v; {body} "
-            f"return t ^ (*q); }}")
+        _stmts(["t", "(*q)", "v", "c"], arr="arr"), min_size=1,
+        max_size=4)))
+    return (f"int {name}(int *q, int *arr, int v, char c) {{ int t = v; "
+            f"{body} return t ^ (*q) ^ c; }}")
 
 
 @st.composite
 def programs(draw):
     calls = tuple(f"h{i}" for i in range(draw(st.integers(0, 2))))
     helpers = " ".join(draw(_helpers(h)) for h in calls)
-    names = ["x", "y", "z"]
+    names = ["x", "y", "z", "c"]
     inits = " ".join(
-        f"int {n} = {draw(st.integers(min_value=-50, max_value=50))};"
+        f"{'char' if n == 'c' else 'int'} {n} = "
+        f"{draw(st.integers(min_value=-50, max_value=50))};"
         for n in names)
     body = " ".join(draw(st.lists(_stmts(names, calls=calls),
                                   min_size=1, max_size=6)))
@@ -151,7 +174,7 @@ def programs(draw):
         int a[8];
         for (int j = 0; j < 8; j++) a[j] = j * 3 + g2;
         {body}
-        g = x ^ y ^ z;
+        g = x ^ y ^ z ^ c;
         int s = 0;
         for (int j = 0; j < 8; j++) s ^= a[j];
         return g ^ s;
@@ -161,8 +184,14 @@ def programs(draw):
 
 # ---------------------------------------------------------------- fixtures
 
-def _observe(engine: str, src: str, *, max_ops=None, checked=False,
-             flush_tlb=False, stamp=False):
+#: the op limit of a run that sets none: far above what any generated
+#: program reaches, so an engine that loops forever fails the comparison
+#: instead of hanging the suite
+PARITY_MAX_OPS = 200_000
+
+
+def _observe(engine: str, src: str, *, max_ops=PARITY_MAX_OPS,
+             checked=False, flush_tlb=False, stamp=False):
     """Run one engine on a fresh kernel and capture everything observable.
 
     ``stamp`` installs a step hook recording the clock at every statement,
@@ -189,8 +218,8 @@ def _observe(engine: str, src: str, *, max_ops=None, checked=False,
     kwargs = {}
     runtime = None
     if checked:
-        report = instrument(program)
-        runtime = KgccRuntime(k, skip_names=report.unregistered)
+        instrument(program)
+        runtime = KgccRuntime(k)
         kwargs = dict(check_runtime=runtime, var_hooks=runtime)
 
     def on_op():
@@ -254,6 +283,17 @@ def _agree(src: str, **kwargs) -> dict:
 def test_engines_agree_on_everything(src, stamp):
     tree = _agree(src, stamp=stamp)
     assert bool(tree["stamps"]) == stamp
+
+
+@given(programs(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_registers_cross_outlined_helpers(src, checked):
+    """With the nesting budget forced small, nearly every statement and
+    expression in a loop moves into a helper function, so registers pass
+    into helpers and the ones a helper writes must come back."""
+    with mock.patch.object(compile_module, "_MAX_BLOCKS", 2), \
+            mock.patch.object(compile_module, "_MAX_INDENT", 4):
+        _agree(src, checked=checked)
 
 
 @given(programs(), st.integers(min_value=1, max_value=400), st.booleans())

@@ -58,11 +58,10 @@ def _run(source: str, *, checked: bool, optimized: bool = False) -> int:
     program = parse(source)
     kwargs = {}
     if checked:
-        report = instrument(program)
+        instrument(program)
         if optimized:
             optimize(program)
-        runtime = KgccRuntime(k, mode=Mode.USER,
-                              skip_names=report.unregistered)
+        runtime = KgccRuntime(k, mode=Mode.USER)
         kwargs = dict(check_runtime=runtime, var_hooks=runtime)
     return Interpreter(program, mem, **kwargs).call("main")
 

@@ -82,12 +82,12 @@ def adversarial_programs(draw):
 def _execute_fully_checked(source: str):
     """Run ``main`` with every KGCC check live; returns the fault or None."""
     program = parse(source)
-    report = instrument(program)
+    instrument(program)
     k = Kernel()
     k.mount_root(RamfsSuperBlock(k))
     task = k.spawn("prop")
     mem = UserMemAccess(k, task)
-    runtime = KgccRuntime(k, skip_names=report.unregistered)
+    runtime = KgccRuntime(k)
     interp = Interpreter(program, mem, check_runtime=runtime,
                          var_hooks=runtime)
     try:

@@ -101,7 +101,7 @@ def test_patched_code_is_instrumented():
     """
     program = parse(src)
     report = instrument(program)
-    runtime = KgccRuntime(k, skip_names=report.unregistered)
+    runtime = KgccRuntime(k)
     interp = Interpreter(program, mem, check_runtime=runtime,
                          var_hooks=runtime)
     assert interp.call("main") == 7

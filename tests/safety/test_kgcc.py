@@ -171,8 +171,7 @@ def checked():
         report = instrument(program)
         if optimize_first:
             optimize(program)
-        runtime = KgccRuntime(k, mode=Mode.USER,
-                              skip_names=report.unregistered)
+        runtime = KgccRuntime(k, mode=Mode.USER)
         interp = Interpreter(program, mem,
                              externs=runtime.make_externs(mem),
                              check_runtime=runtime, var_hooks=runtime)
@@ -345,8 +344,9 @@ def test_unregistered_scalars_skip_registration(checked):
     """
     result, runtime, report = checked(src)
     assert result == 3
-    assert "x" in report.unregistered and "y" in report.unregistered
-    assert "a" not in report.unregistered
+    unregistered = {b.name for b in report.unregistered}
+    assert "x" in unregistered and "y" in unregistered
+    assert "a" not in unregistered
 
 
 # ---------------------------------------------------------------- optimization
@@ -428,9 +428,9 @@ def test_optimized_program_still_catches_bugs():
     }
     """
     program = parse(src)
-    report = instrument(program)
+    instrument(program)
     optimize(program)
-    runtime = KgccRuntime(k, skip_names=report.unregistered)
+    runtime = KgccRuntime(k)
     interp = Interpreter(program, mem, check_runtime=runtime,
                          var_hooks=runtime)
     assert interp.call("main", 2) == 1
@@ -455,9 +455,8 @@ def test_checked_execution_is_slower():
         program = parse(src)
         kwargs = {}
         if checked:
-            report = instrument(program)
-            runtime = KgccRuntime(k, mode=Mode.USER,
-                                  skip_names=report.unregistered)
+            instrument(program)
+            runtime = KgccRuntime(k, mode=Mode.USER)
             kwargs = dict(check_runtime=runtime, var_hooks=runtime)
         before = k.clock.now
         def on_op():
@@ -487,7 +486,7 @@ def test_deinstrumentation_disables_hot_sites():
     """
     program = parse(src)
     report = instrument(program)
-    runtime = KgccRuntime(k, skip_names=report.unregistered)
+    runtime = KgccRuntime(k)
     interp = Interpreter(program, mem, check_runtime=runtime,
                          var_hooks=runtime)
     deinst = DynamicDeinstrumenter(runtime, report, threshold=30)
@@ -506,7 +505,7 @@ def test_deinstrumentation_pin_keeps_site_active():
     mem = UserMemAccess(k, task)
     program = parse("int main() { int a[4]; a[1] = 1; return a[1]; }")
     report = instrument(program)
-    runtime = KgccRuntime(k, skip_names=report.unregistered)
+    runtime = KgccRuntime(k)
     interp = Interpreter(program, mem, check_runtime=runtime,
                          var_hooks=runtime)
     deinst = DynamicDeinstrumenter(runtime, report, threshold=1)
@@ -611,3 +610,15 @@ def test_const_fold_division_by_zero_is_not_constant():
     assert const_fold(expr) is None
     expr = ast.BinOp(op="/", left=ast.IntLit(value=-7), right=ast.IntLit(value=2))
     assert const_fold(expr) == -3  # C truncates toward zero
+
+
+def test_const_fold_divides_in_exact_integers():
+    from repro.safety.kgcc import const_fold
+    from repro.cminus import ast_nodes as ast
+    big = (1 << 62) + 1        # a float quotient would round it
+    expr = ast.BinOp(op="/", left=ast.IntLit(value=big),
+                     right=ast.IntLit(value=1))
+    assert const_fold(expr) == big
+    expr = ast.BinOp(op="%", left=ast.IntLit(value=big),
+                     right=ast.IntLit(value=-2))
+    assert const_fold(expr) == 1

@@ -90,8 +90,8 @@ def checked_run(k):
 
     def _run(source: str, fn: str = "main", *args):
         program = parse(source)
-        report = instrument(program)
-        runtime = KgccRuntime(k, skip_names=report.unregistered)
+        instrument(program)
+        runtime = KgccRuntime(k)
         interp = Interpreter(program, mem,
                              externs=runtime.make_externs(mem),
                              check_runtime=runtime, var_hooks=runtime)

@@ -26,7 +26,7 @@ def _checked_interp(program, report):
     k.mount_root(RamfsSuperBlock(k))
     task = k.spawn("sel")
     mem = UserMemAccess(k, task)
-    runtime = KgccRuntime(k, skip_names=report.unregistered)
+    runtime = KgccRuntime(k)
     interp = Interpreter(program, mem, check_runtime=runtime,
                          var_hooks=runtime)
     # two registered heap buffers to aim at
