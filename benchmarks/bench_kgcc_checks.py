@@ -73,6 +73,18 @@ EXTRA_SOURCES = [
 #: rough instruction-expansion factor of one inlined BCC-style check
 CHECK_EMITTED_OPS = 28
 
+#: KgccFs's instrumentation, one (line, kind, access size) per check.
+#: kgcc-postmark runs these checks, so a KGCC change that moves one of
+#: them, or the counts below, moves that workload's simulated cycles.
+KGCCFS_CHECKS = sorted(
+    [(line, "arith", 1) for line in (12, 14, 22, 43, 49, 62)]
+    + [(line, "deref", 1) for line in (4, 4, 5, 13, 23, 24, 27, 31, 32,
+                                       32, 35, 44, 52, 63, 69, 69)])
+#: KgccFs: locals and parameters left unregistered, checks optimize removes
+KGCCFS_UNREGISTERED, KGCCFS_REMOVED = 20, 2
+#: the whole corpus: checks inserted, removed by optimize, scalars exempted
+E9_TOTALS = (43, 10, 35)
+
 
 def _analyze(source: str):
     program = parse(source)
@@ -107,3 +119,10 @@ def test_check_statistics(run_once):
               holds=skipped_scalars > 0)
     table.print()
     assert table.all_hold
+
+    fs_report, fs_opt, _ = results[0]
+    assert sorted((c.line, c.kind, c.access_size)
+                  for c in fs_report.all_checks()) == KGCCFS_CHECKS
+    assert len(fs_report.unregistered) == KGCCFS_UNREGISTERED
+    assert fs_opt.checks_removed == KGCCFS_REMOVED
+    assert (total_inserted, total_removed, skipped_scalars) == E9_TOTALS

@@ -46,6 +46,7 @@ return values, memory state, fault sites and messages, check verdicts,
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import weakref
 from typing import Any, Callable, Sequence
@@ -64,7 +65,9 @@ _FP_ATTR = "_cminus_fingerprint"
 
 
 def program_fingerprint(program: ast.Program) -> str:
-    """Structural hash of the AST (cached per generation)."""
+    """Structural hash of the AST: the nodes' own fields, not the side
+    state resolution and generation bumps attach (cached per
+    generation)."""
     gen = generation_of(program)
     cached = getattr(program, _FP_ATTR, None)
     if cached is not None and cached[0] == gen:
@@ -72,11 +75,12 @@ def program_fingerprint(program: ast.Program) -> str:
     h = hashlib.sha256()
     for node in ast.walk(program):
         h.update(type(node).__name__.encode())
-        for key, value in vars(node).items():
+        for f in dataclasses.fields(node):
+            value = getattr(node, f.name)
             if isinstance(value, (bool, int, str)):
-                h.update(f"{key}={value};".encode())
+                h.update(f"{f.name}={value};".encode())
             elif isinstance(value, CType):
-                h.update(f"{key}={value!r};".encode())
+                h.update(f"{f.name}={value!r};".encode())
     fp = h.hexdigest()[:16]
     setattr(program, _FP_ATTR, (gen, fp))
     return fp

@@ -25,9 +25,15 @@ Each binding's facts are computed once, for every consumer:
   variable in a machine register (§3.4: "KGCC does not check stack
   objects whose addresses are not taken").
 
-Both engines read the bindings, so both are lexically scoped; KGCC reads
-the facts to decide which objects it registers and which checks it may
-remove.
+Each binding also records its ``scope`` path, so a consumer can tell
+whether one declaration's lifetime encloses another's.  :func:`type_of`
+types an expression from its bindings, the one way ``sizeof``, KGCC and
+the load-time verifier all type expressions.
+
+Both engines read the bindings, so both are lexically scoped.  KGCC
+reads them to decide which objects it registers, how wide each check is
+and which checks it may remove; the load-time verifier keys its
+abstract state, its init facts and its loop proofs by binding.
 """
 
 from __future__ import annotations
@@ -59,8 +65,8 @@ def bump_generation(program: ast.Program) -> int:
 class Binding:
     """One declaration: a global, a parameter or a local ``VarDecl``."""
 
-    __slots__ = ("name", "ctype", "kind", "line", "index", "addr_taken",
-                 "passed", "register")
+    __slots__ = ("name", "ctype", "kind", "line", "index", "scope",
+                 "addr_taken", "passed", "register")
 
     def __init__(self, name: str, ctype: CType, line: int):
         self.name = name
@@ -70,6 +76,11 @@ class Binding:
         self.kind = "local"
         #: a global's position in ``Program.globals``
         self.index = -1
+        #: the ordinals of the scopes enclosing the declaration, from its
+        #: function's top scope (``()``: a parameter, the top-level body
+        #: or a global); one scope lies inside another when its path
+        #: starts with the other's
+        self.scope: tuple[int, ...] = ()
         self.addr_taken = False
         self.passed = False
         self.register = False
@@ -91,41 +102,67 @@ def resolve(program: ast.Program) -> dict[str, list[Binding]]:
     return funcs
 
 
-def static_type(expr: ast.Expr) -> CType:
-    """The type ``sizeof`` sees for ``expr``, without evaluating it.
-    Raises :class:`CMinusError` for an expression with no such type."""
+def type_of(expr: ast.Expr) -> CType | None:
+    """``expr``'s static type, without evaluating it (None when it has
+    none), looking through KGCC checks.  Arrays decay only in pointer
+    arithmetic, which has the pointer's type; ``=``, ``op=``, ``++`` and
+    ``--`` have their target's type; every other operator, and a call,
+    is ``int``."""
+    expr = strip_checks(expr)
     if isinstance(expr, ast.StrLit):
         return PointerType(CHAR)
     if isinstance(expr, ast.Ident):
-        if expr.binding is None:
-            raise CMinusError(f"undefined variable '{expr.name}'", expr.line)
-        return expr.binding.ctype
-    if isinstance(expr, ast.Deref):
-        inner = static_type(expr.ptr)
+        return expr.binding.ctype if expr.binding is not None else None
+    if isinstance(expr, (ast.Deref, ast.Index)):
+        inner = type_of(expr.ptr if isinstance(expr, ast.Deref)
+                        else expr.base)
         if isinstance(inner, PointerType):
             return inner.pointee
-        if isinstance(inner, ArrayType):
-            return inner.elem
-        raise CMinusError("sizeof: dereference of non-pointer", expr.line)
-    if isinstance(expr, ast.Index):
-        inner = static_type(expr.base)
-        if isinstance(inner, PointerType):
-            return inner.pointee
-        if isinstance(inner, ArrayType):
-            return inner.elem
-        raise CMinusError("sizeof: indexing a non-pointer", expr.line)
+        return inner.elem if isinstance(inner, ArrayType) else None
     if isinstance(expr, ast.AddrOf):
-        return PointerType(static_type(expr.target))
+        inner = type_of(expr.target)
+        return PointerType(inner) if inner is not None else None
     if isinstance(expr, ast.Member):
-        base = static_type(expr.base)
+        base = type_of(expr.base)
         struct = base.pointee if isinstance(base, PointerType) else base
         if isinstance(struct, StructType):
             try:
                 return struct.field(expr.field_name)[1]
-            except KeyError as exc:
-                raise CMinusError(str(exc), expr.line) from exc
-        raise CMinusError("sizeof: member of a non-struct", expr.line)
+            except KeyError:
+                return None
+        return None
+    if isinstance(expr, ast.BinOp) and expr.op in ("+", "-"):
+        left, right = (_decay(type_of(expr.left)),
+                       _decay(type_of(expr.right)))
+        if isinstance(left, PointerType) and not isinstance(
+                right, PointerType):
+            return left                  # p + n, p - n
+        if expr.op == "+" and isinstance(right, PointerType) \
+                and not isinstance(left, PointerType):
+            return right                 # n + p
+        return INT                       # p - q and integers
+    if isinstance(expr, (ast.Assign, ast.PostIncDec)):
+        return type_of(expr.target)
+    if isinstance(expr, ast.UnOp) and expr.op in ("++", "--"):
+        return type_of(expr.operand)
     return INT
+
+
+def _decay(ctype: CType | None) -> CType | None:
+    return ctype.decay() if isinstance(ctype, ArrayType) else ctype
+
+
+def static_type(expr: ast.Expr) -> CType:
+    """The type ``sizeof`` sees for ``expr``: :func:`type_of`, raising
+    :class:`CMinusError` for an expression with no type."""
+    t = type_of(expr)
+    if t is None:
+        for node in ast.walk(expr):
+            if isinstance(node, ast.Ident) and node.binding is None:
+                raise CMinusError(f"undefined variable '{node.name}'",
+                                  node.line)
+        raise CMinusError("sizeof: expression has no type", expr.line)
+    return t
 
 
 def register_of(expr: ast.Expr | None) -> Binding | None:
@@ -141,14 +178,7 @@ def strip_checks(expr: ast.Expr) -> ast.Expr:
     return expr
 
 
-def _type_or_none(expr: ast.Expr) -> CType | None:
-    try:
-        return static_type(expr)
-    except CMinusError:
-        return None
-
-
-def _storage_root(expr: ast.Expr) -> Binding | None:
+def storage_root(expr: ast.Expr) -> Binding | None:
     """The variable whose storage the lvalue ``expr`` lies in, if any:
     ``x``, ``x.f``, ``a[i]`` of an array ``a``, through KGCC checks."""
     while True:
@@ -156,7 +186,7 @@ def _storage_root(expr: ast.Expr) -> Binding | None:
         if isinstance(expr, ast.Member) and not expr.arrow:
             expr = expr.base
         elif (isinstance(expr, ast.Index) and isinstance(
-                _type_or_none(strip_checks(expr.base)), ArrayType)):
+                type_of(strip_checks(expr.base)), ArrayType)):
             expr = expr.base
         elif isinstance(expr, ast.Ident):
             return expr.binding
@@ -168,6 +198,10 @@ class _Resolver:
     def __init__(self) -> None:
         self.scopes: list[dict[str, Binding]] = []
         self.bindings: list[Binding] = []
+        #: the open scopes' ordinals, and the last ordinal handed out, in
+        #: the current function
+        self.path: list[int] = []
+        self.ordinals = 0
         #: off inside ``sizeof``, which evaluates nothing
         self.facts = True
 
@@ -181,6 +215,7 @@ class _Resolver:
         for name, fdef in program.funcs.items():
             self.bindings = []
             self.scopes = [glob, {}]
+            self.path, self.ordinals = [], 0
             for param in fdef.params:
                 self.declare(param, "param")
             for s in fdef.body.stmts:
@@ -198,7 +233,7 @@ class _Resolver:
         b = decl.binding
         if b is None:
             b = decl.binding = Binding(decl.name, decl.ctype, decl.line)
-        b.kind, b.index = kind, index
+        b.kind, b.index, b.scope = kind, index, tuple(self.path)
         b.addr_taken = b.passed = False
         self.scopes[-1][decl.name] = b
         if kind != "global":
@@ -230,21 +265,30 @@ class _Resolver:
             self.expr(s.cond)
             self.scoped(s.body)
         elif isinstance(s, ast.For):
-            self.scopes.append({})
+            self.open()
             self.stmt(s.init)
             self.expr(s.cond)
             self.expr(s.step)
             self.scoped(s.body)
-            self.scopes.pop()
+            self.close()
         elif isinstance(s, ast.Return):
             self.expr(s.value)
 
     def scoped(self, *stmts: ast.Stmt | None) -> None:
         """``stmts`` in a new scope: a block's, or a sub-statement's."""
-        self.scopes.append({})
+        self.open()
         for s in stmts:
             self.stmt(s)
+        self.close()
+
+    def open(self) -> None:
+        self.scopes.append({})
+        self.ordinals += 1
+        self.path.append(self.ordinals)
+
+    def close(self) -> None:
         self.scopes.pop()
+        self.path.pop()
 
     # --------------------------------------------------------- expressions
 
@@ -271,7 +315,7 @@ class _Resolver:
             self.take(e.target)
         elif isinstance(e, ast.Member):
             # a member array or nested struct decays to its address
-            if not e.arrow and isinstance(_type_or_none(e),
+            if not e.arrow and isinstance(type_of(e),
                                           (ArrayType, StructType)):
                 self.take(e)
         elif isinstance(e, ast.Call):
@@ -282,6 +326,6 @@ class _Resolver:
 
     @staticmethod
     def take(lvalue: ast.Expr) -> None:
-        b = _storage_root(lvalue)
+        b = storage_root(lvalue)
         if b is not None:
             b.addr_taken = True

@@ -46,6 +46,7 @@ from repro.cminus import ast_nodes as ast
 from repro.cminus.compile import program_fingerprint
 from repro.cminus.ctypes import ArrayType, PointerType
 from repro.cminus.parser import parse
+from repro.cminus.resolve import resolve
 from repro.core.cosy.compound import CompoundBuilder, encode_compound
 from repro.core.cosy.kernel_ext import COMPOUND_SYSCALLS
 from repro.core.cosy.ops import Arg, MATH_OPS, Op
@@ -110,12 +111,14 @@ class CosyGCC:
             raise CosyError(f"function '{func}' not found")
         region = self._extract_region(fdef)
         if require_bounded_loops:
-            self._check_bounded(func, region)
+            self._check_bounded(program, func, region)
         return _RegionCompiler(program, fdef, region).compile()
 
     @staticmethod
-    def _check_bounded(func: str, region: list[ast.Stmt]) -> None:
+    def _check_bounded(program: ast.Program, func: str,
+                       region: list[ast.Stmt]) -> None:
         from repro.safety.verifier.termination import check_termination
+        resolve(program)
         bounds = check_termination(ast.Block(stmts=list(region), line=0))
         unbounded = [b for b in bounds if not b.bounded]
         if unbounded:

@@ -22,8 +22,7 @@ paper describes:
 from repro.safety.kgcc.splay import SplayTree
 from repro.safety.kgcc.addrmap import MemObject, OOBObject, ObjectMap
 from repro.safety.kgcc.runtime import KgccRuntime
-from repro.safety.kgcc.instrument import (instrument, FuncTypes,
-                                          InstrumentationReport)
+from repro.safety.kgcc.instrument import instrument, InstrumentationReport
 from repro.safety.kgcc.optimize import (const_fold,
                                         eliminate_safe_static_checks,
                                         eliminate_common_checks,
@@ -36,7 +35,7 @@ from repro.safety.kgcc.hotpatch import HotPatcher, PatchRecord
 
 __all__ = [
     "SplayTree", "MemObject", "OOBObject", "ObjectMap", "KgccRuntime",
-    "instrument", "FuncTypes", "InstrumentationReport",
+    "instrument", "InstrumentationReport",
     "const_fold", "eliminate_safe_static_checks", "eliminate_common_checks",
     "eliminate_verified_checks", "optimize",
     "OptimizeReport", "DynamicDeinstrumenter",

@@ -12,10 +12,11 @@ text segment."
 In this reproduction a loaded module *is* its parse tree (the interpreter
 executes the AST directly), so the mechanism the paper sketches becomes
 concrete: :class:`HotPatcher` compiles replacement source against the
-module's existing symbol table (its other functions and struct
-definitions stay visible), optionally re-runs KGCC instrumentation over
-the new body, and swaps it into the live program — the next call executes
-the new code.  Module state (globals, open resources) survives the patch,
+module's existing symbol table (its globals, other functions and struct
+definitions stay visible), swaps it into the live program and, for a
+KGCC module, instruments the new body there, its identifiers resolved
+against the live program — the next call executes the new, checked
+code.  Module state (globals, open resources) survives the patch,
 which is the whole point of patching a running kernel.
 """
 
@@ -24,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cminus import ast_nodes as ast
-from repro.cminus.compile import bump_generation
 from repro.cminus.parser import _Parser
 from repro.cminus.lexer import tokenize
+from repro.cminus.resolve import bump_generation, resolve
 from repro.errors import CMinusError
 from repro.safety.kgcc.instrument import InstrumentationReport, _Instrumenter
 
@@ -77,11 +78,11 @@ class HotPatcher:
         self._generation += 1
         record = PatchRecord(function=name, old_def=old, new_def=new_def,
                              generation=self._generation)
-        if self.report is not None:
-            record.checks_added = self._instrument_patch(new_def)
         self.program.funcs[name] = new_def
         # stale compiled code must never run the old body
         bump_generation(self.program)
+        if self.report is not None:
+            record.checks_added = self._instrument_patch(new_def)
         self.history.append(record)
         return record
 
@@ -116,19 +117,13 @@ class HotPatcher:
         return sub.funcs[expected]
 
     def _instrument_patch(self, new_def: ast.FuncDef) -> int:
-        """Run the KGCC pass over just the patched function, merging the
-        new check sites into the module's existing report."""
-        from repro.safety.kgcc.instrument import FuncTypes
-
-        # Sibling symbols and structs stay visible for type inference.
-        shim = ast.Program(funcs={new_def.name: new_def},
-                           globals=[], structs=dict(self.program.structs))
-        for fname, fdef in self.program.funcs.items():
-            shim.funcs.setdefault(fname, fdef)
-        inst = _Instrumenter(shim, f"{self.filename}:gen{self._generation}")
-        inst._types = FuncTypes(shim, new_def)
-        new_def.body = inst._instr_stmt(new_def.body)
-        report = inst.report
+        """Run the KGCC pass over the installed patch, its identifiers
+        bound in the live program, merging the new check sites into the
+        module's existing report."""
+        resolve(self.program)
+        report = _Instrumenter(f"{self.filename}:gen{self._generation}"
+                               ).run([new_def])
+        bump_generation(self.program)
         for site, nodes in report.sites.items():
             self.report.sites.setdefault(site, []).extend(nodes)
         self.report.checks_inserted += report.checks_inserted

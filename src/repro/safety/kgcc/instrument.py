@@ -14,9 +14,9 @@ are not taken at any point in the code".  The facts come from the scope
 resolver (:mod:`repro.cminus.resolve`), and the runtime applies the same
 rule (:func:`~repro.safety.kgcc.runtime.registered`).
 
-The pass runs a lightweight flow-insensitive type inference (declared
-types only) so it knows which ``+``/``-`` expressions are pointer
-arithmetic and what the access width of each dereference is.
+The pass types expressions with the resolver's ``type_of``, which reads
+each identifier's own declaration, so it knows which ``+``/``-``
+expressions are pointer arithmetic and how wide each access is.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cminus import ast_nodes as ast
-from repro.cminus.ctypes import ArrayType, CType, INT, PointerType, StructType
-from repro.cminus.resolve import Binding, bump_generation, resolve
+from repro.cminus.ctypes import PointerType
+from repro.cminus.resolve import Binding, bump_generation, resolve, type_of
 from repro.safety.kgcc.runtime import registered
 
 
@@ -51,77 +51,6 @@ class InstrumentationReport:
         return [c for nodes in self.sites.values() for c in nodes]
 
 
-class FuncTypes:
-    """name -> declared CType for one function (flow-insensitive).
-
-    Public because the load-time verifier reuses it to scale pointer
-    arithmetic and size memory accesses exactly the way this pass does.
-    """
-
-    def __init__(self, program: ast.Program, fdef: ast.FuncDef):
-        self.types: dict[str, CType] = {}
-        for decl in program.globals:
-            self.types[decl.name] = decl.ctype
-        for param in fdef.params:
-            self.types[param.name] = param.ctype
-        for node in ast.walk(fdef.body):
-            if isinstance(node, ast.VarDecl):
-                self.types[node.name] = node.ctype
-
-    def type_of(self, expr: ast.Expr) -> CType | None:
-        if isinstance(expr, ast.Ident):
-            return self.types.get(expr.name)
-        if isinstance(expr, ast.IntLit):
-            return INT
-        if isinstance(expr, ast.StrLit):
-            return PointerType()
-        if isinstance(expr, ast.Check):
-            return self.type_of(expr.inner)
-        if isinstance(expr, ast.Deref):
-            t = self.type_of(expr.ptr)
-            if isinstance(t, PointerType):
-                return t.pointee
-            if isinstance(t, ArrayType):
-                return t.elem
-            return None
-        if isinstance(expr, ast.Index):
-            t = self.type_of(expr.base)
-            if isinstance(t, PointerType):
-                return t.pointee
-            if isinstance(t, ArrayType):
-                return t.elem
-            return None
-        if isinstance(expr, ast.AddrOf):
-            inner = self.type_of(expr.target)
-            return PointerType(inner) if inner is not None else PointerType()
-        if isinstance(expr, ast.Member):
-            base = self.type_of(expr.base)
-            struct = base.pointee if isinstance(base, PointerType) else base
-            if isinstance(struct, StructType):
-                try:
-                    return struct.field(expr.field_name)[1]
-                except KeyError:
-                    return None
-            return None
-        if isinstance(expr, ast.BinOp) and expr.op in ("+", "-"):
-            lt = self.type_of(expr.left)
-            rt = self.type_of(expr.right)
-            for t in (lt, rt):
-                if isinstance(t, PointerType):
-                    return t
-                if isinstance(t, ArrayType):
-                    return t.decay()
-            return INT
-        if isinstance(expr, (ast.Assign, ast.PostIncDec, ast.UnOp)):
-            target = getattr(expr, "target", None) or getattr(expr, "operand", None)
-            return self.type_of(target) if target is not None else None
-        return INT
-
-
-#: backwards-compatible alias (pre-verifier name)
-_FuncTypes = FuncTypes
-
-
 def _side_effect_free(expr: ast.Expr) -> bool:
     if isinstance(expr, (ast.IntLit, ast.StrLit, ast.Ident)):
         return True
@@ -141,11 +70,9 @@ def _side_effect_free(expr: ast.Expr) -> bool:
 
 
 class _Instrumenter:
-    def __init__(self, program: ast.Program, filename: str):
-        self.program = program
+    def __init__(self, filename: str):
         self.filename = filename
         self.report = InstrumentationReport()
-        self._types: FuncTypes | None = None
 
     # ---------------------------------------------------------------- sites
 
@@ -164,9 +91,9 @@ class _Instrumenter:
 
     # ----------------------------------------------------------- traversal
 
-    def run(self) -> InstrumentationReport:
-        for func in self.program.funcs.values():
-            self._types = FuncTypes(self.program, func)
+    def run(self, funcs: list[ast.FuncDef]) -> InstrumentationReport:
+        """Instrument ``funcs`` of the resolved program in place."""
+        for func in funcs:
             func.body = self._instr_stmt(func.body)
         return self.report
 
@@ -206,8 +133,9 @@ class _Instrumenter:
             return stmt
         return stmt
 
-    def _access_size(self, expr: ast.Expr) -> int:
-        t = self._types.type_of(expr) if self._types is not None else None
+    @staticmethod
+    def _access_size(expr: ast.Expr) -> int:
+        t = type_of(expr)
         return t.size if t is not None and t.size > 0 else 1
 
     def _instr_expr(self, expr: ast.Expr) -> ast.Expr:
@@ -232,10 +160,9 @@ class _Instrumenter:
         if isinstance(expr, ast.BinOp):
             expr.left = self._instr_expr(expr.left)
             expr.right = self._instr_expr(expr.right)
-            if expr.op in ("+", "-") and _side_effect_free(expr):
-                t = self._types.type_of(expr) if self._types else None
-                if isinstance(t, PointerType):
-                    return self._make_check("arith", expr, 1, expr.line)
+            if expr.op in ("+", "-") and _side_effect_free(expr) \
+                    and isinstance(type_of(expr), PointerType):
+                return self._make_check("arith", expr, 1, expr.line)
             return expr
         if isinstance(expr, ast.UnOp):
             expr.operand = self._instr_expr(expr.operand)
@@ -253,6 +180,7 @@ class _Instrumenter:
             expr.value = self._instr_expr(expr.value)
             return expr
         if isinstance(expr, ast.PostIncDec):
+            expr.target = self._instr_expr(expr.target)
             return expr
         if isinstance(expr, ast.Call):
             expr.args = [self._instr_expr(a) for a in expr.args]
@@ -267,7 +195,8 @@ def instrument(program: ast.Program, filename: str = "<kgcc>"
     Pair with :class:`~repro.safety.kgcc.runtime.KgccRuntime` via the
     interpreter's ``check_runtime=`` and ``var_hooks=`` arguments.
     """
-    report = _Instrumenter(program, filename).run()
+    resolve(program)
+    report = _Instrumenter(filename).run(list(program.funcs.values()))
     report.program = program
     # the AST changed shape: compiled code for the pre-instrumentation
     # generation is now stale

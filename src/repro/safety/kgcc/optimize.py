@@ -359,6 +359,7 @@ def _cse_expr(expr: ast.Expr, state: _CseState) -> ast.Expr:
         state.store(expr.target)
         return expr
     if isinstance(expr, ast.PostIncDec):
+        expr.target = _cse_expr(expr.target, state)
         state.store(expr.target)
         return expr
     if isinstance(expr, ast.Call):

@@ -18,6 +18,12 @@ load time.  This package is that verifier for the C-minus toolchain:
 * :mod:`verify` — the abstract-interpretation driver that combines the
   domains and emits per-function verdicts.
 
+Every analysis identifies variables by the scope resolver's bindings
+(:mod:`repro.cminus.resolve`), never by name: the abstract state, the
+init facts and the loop proofs are keyed by binding, a variable's region
+is its declaration's storage, and a variable changes behind the
+analysis's back only when its binding's address is taken.
+
 Each function gets a :class:`~repro.safety.verifier.verify.Verdict`:
 ``PROVEN_SAFE`` (every dereference, index, and pointer-arithmetic site is
 proven in-bounds — its runtime checks can be dropped), ``NEEDS_CHECKS``

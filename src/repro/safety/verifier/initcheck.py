@@ -9,11 +9,13 @@ uses the result two ways:
 * dereferencing a **maybe-uninitialized** pointer is unprovable, so its
   runtime check must stay.
 
-Parameters and globals count as initialized (the caller/loader supplies
-them).  Arrays and structs are storage, not scalars — indexing an
-uninitialized array is fine (the *elements* are garbage ints, which the
-interval domain already treats as TOP), so only scalar ``int``/pointer
-declarations participate.
+Variables are the scope resolver's bindings (:mod:`repro.cminus.resolve`;
+the program must be resolved), so a declaration in an inner block never
+stands in for the one it shadows.  Parameters and globals count as
+initialized (the caller/loader supplies them).  Arrays and structs are
+storage, not scalars — indexing an uninitialized array is fine (the
+*elements* are garbage ints, which the interval domain already treats as
+TOP), so only scalar ``int``/pointer locals participate.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.cminus import ast_nodes as ast
 from repro.cminus.ctypes import ArrayType, StructType
+from repro.cminus.resolve import Binding, storage_root, strip_checks
 from repro.safety.verifier.cfg import CFG, CondJump, Ret
 
 
@@ -39,70 +42,55 @@ class InitState(enum.Enum):
 
 @dataclass
 class InitFacts:
-    """Per-function result: the init state of every scalar at every block
-    entry, plus flat per-variable summaries at their first risky use."""
+    """Per-function result: the init state of every scalar local at every
+    block entry."""
 
-    entry_states: dict[int, dict[str, InitState]] = field(default_factory=dict)
+    entry_states: dict[int, dict[Binding, InitState]] = field(
+        default_factory=dict)
 
-    def state_at(self, bid: int, name: str) -> InitState:
-        return self.entry_states.get(bid, {}).get(name, InitState.INIT)
-
-
-def scalar_decls(func: ast.FuncDef) -> set[str]:
-    names: set[str] = set()
-    for node in ast.walk(func.body):
-        if isinstance(node, ast.VarDecl) and not isinstance(
-                node.ctype, (ArrayType, StructType)):
-            names.add(node.name)
-    return names
+    def state_at(self, bid: int, binding: Binding) -> InitState:
+        return self.entry_states.get(bid, {}).get(binding, InitState.INIT)
 
 
-def _assigned_names(expr: ast.Expr | None) -> set[str]:
-    """Scalars directly assigned anywhere inside ``expr``."""
-    names: set[str] = set()
+def _scalar_local(b: Binding) -> bool:
+    return b.kind == "local" and not isinstance(b.ctype,
+                                                (ArrayType, StructType))
+
+
+def _assigned(expr: ast.Expr | None) -> set[Binding]:
+    """Scalar locals directly assigned anywhere inside ``expr``.
+
+    ``&x`` counts as an assignment of ``x``: the verifier's REJECT needs
+    "definitely uninitialized on every path", and once ``&x`` escapes
+    some alias may have initialized ``x``, so for that query marking it
+    assigned is the conservative direction.  The NEEDS_CHECKS direction
+    (maybe-uninitialized) errs toward keeping runtime checks, which is
+    also sound.
+    """
+    out: set[Binding] = set()
     if expr is None:
-        return names
+        return out
     for node in ast.walk(expr):
-        target = None
-        if isinstance(node, ast.Assign):
-            target = node.target
-        elif isinstance(node, ast.PostIncDec):
-            target = node.target
+        b: Binding | None = None
+        if isinstance(node, (ast.Assign, ast.PostIncDec)):
+            b = getattr(strip_checks(node.target), "binding", None)
         elif isinstance(node, ast.UnOp) and node.op in ("++", "--"):
-            target = node.operand
-        while isinstance(target, ast.Check):
-            target = target.inner
-        if isinstance(target, ast.Ident):
-            names.add(target.name)
-        if isinstance(node, ast.AddrOf):
-            # &x handed out: writes through the alias may initialize x —
-            # treat as assigned (sound for a *must*-uninitialized query:
-            # it can only move UNINIT toward INIT, never hide a real
-            # uninitialized use from... see note below)
-            target = node.target
-            if isinstance(target, ast.Ident):
-                names.add(target.name)
-    return names
+            b = getattr(strip_checks(node.operand), "binding", None)
+        elif isinstance(node, ast.AddrOf):
+            b = storage_root(node.target)
+        if b is not None and _scalar_local(b):
+            out.add(b)
+    return out
 
 
-# NOTE on the &x rule: the verifier's REJECT needs "definitely
-# uninitialized on every path".  Once &x escapes, some alias may have
-# initialized x, so x can no longer be *definitely* uninitialized — for
-# that query, marking it assigned is the conservative direction.  The
-# NEEDS_CHECKS direction (maybe-uninitialized) errs toward keeping runtime
-# checks, which is also sound.
-
-
-def advance_expr(state: dict[str, InitState], expr: ast.Expr | None,
-                 scalars: set[str]) -> None:
+def advance_expr(state: dict[Binding, InitState],
+                 expr: ast.Expr | None) -> None:
     """Update ``state`` in place for one evaluated expression."""
-    for name in _assigned_names(expr):
-        if name in scalars:
-            state[name] = InitState.INIT
+    for b in _assigned(expr):
+        state[b] = InitState.INIT
 
 
-def advance(state: dict[str, InitState], stmt: ast.Stmt,
-            scalars: set[str]) -> None:
+def advance(state: dict[Binding, InitState], stmt: ast.Stmt) -> None:
     """Update ``state`` in place for one straight-line statement.
 
     This is the single-statement transfer of the dataflow below; the
@@ -110,36 +98,33 @@ def advance(state: dict[str, InitState], stmt: ast.Stmt,
     check site *within* a block (block-entry facts alone are too coarse).
     """
     if isinstance(stmt, ast.VarDecl):
-        if stmt.name in scalars:
-            state[stmt.name] = (InitState.INIT if stmt.init is not None
-                                else InitState.UNINIT)
-        if stmt.init is not None:
-            advance_expr(state, stmt.init, scalars)
+        if _scalar_local(stmt.binding):
+            state[stmt.binding] = (InitState.INIT if stmt.init is not None
+                                   else InitState.UNINIT)
+        advance_expr(state, stmt.init)
     elif isinstance(stmt, ast.ExprStmt):
-        advance_expr(state, stmt.expr, scalars)
-    elif isinstance(stmt, ast.Return) and stmt.value is not None:
-        advance_expr(state, stmt.value, scalars)
+        advance_expr(state, stmt.expr)
+    elif isinstance(stmt, ast.Return):
+        advance_expr(state, stmt.value)
 
 
-def definite_init(func: ast.FuncDef, cfg: CFG) -> InitFacts:
-    """Run the must-initialized dataflow to fixpoint over ``cfg``."""
-    scalars = scalar_decls(func)
-    params = {p.name for p in func.params}
-    bottom = {name: InitState.UNINIT for name in scalars}
-
+def definite_init(cfg: CFG, bindings: list[Binding]) -> InitFacts:
+    """Run the must-initialized dataflow to fixpoint over ``cfg``, the
+    graph of a function whose bindings are ``bindings``."""
+    scalars = [b for b in bindings if _scalar_local(b)]
     facts = InitFacts()
-    entry_state = dict(bottom)
-    facts.entry_states[cfg.entry] = entry_state
+    facts.entry_states[cfg.entry] = {b: InitState.UNINIT for b in scalars}
 
-    def transfer(bid: int, state: dict[str, InitState]) -> dict[str, InitState]:
+    def transfer(bid: int, state: dict[Binding, InitState]
+                 ) -> dict[Binding, InitState]:
         out = dict(state)
         block = cfg.blocks[bid]
         for stmt in block.stmts:
-            advance(out, stmt, scalars)
+            advance(out, stmt)
         term = block.term
         cond = term.cond if isinstance(term, CondJump) else (
             term.value if isinstance(term, Ret) else None)
-        advance_expr(out, cond, scalars)
+        advance_expr(out, cond)
         return out
 
     worklist = [cfg.entry]
@@ -156,17 +141,12 @@ def definite_init(func: ast.FuncDef, cfg: CFG) -> InitFacts:
                 worklist.append(succ)
             else:
                 changed = False
-                for name in scalars:
-                    joined = prev.get(name, InitState.UNINIT).join(
-                        out_state.get(name, InitState.UNINIT))
-                    if joined is not prev.get(name):
-                        prev[name] = joined
+                for b in scalars:
+                    joined = prev.get(b, InitState.UNINIT).join(
+                        out_state.get(b, InitState.UNINIT))
+                    if joined is not prev.get(b):
+                        prev[b] = joined
                         changed = True
                 if changed:
                     worklist.append(succ)
-
-    # params and globals are always initialized; patch them in everywhere
-    for state in facts.entry_states.values():
-        for name in params:
-            state[name] = InitState.INIT
     return facts

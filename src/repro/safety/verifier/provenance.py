@@ -6,10 +6,9 @@ into each.  Regions with a known byte size (local arrays, local structs,
 globals, ``malloc`` with a constant size, string literals) support bounds
 proofs; parameters and unknown provenance never do.
 
-The domain also carries address-escape facts computed up front per
-function: a local whose address is taken (``&x``) or that is passed to a
-call can be written through an alias, so its abstract value must be
-forgotten at every call and store-through-pointer.
+A variable's region is its declaration's: it carries the scope
+resolver's :class:`~repro.cminus.resolve.Binding`, so two declarations
+of one name in sibling blocks are two regions.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.cminus import ast_nodes as ast
+from repro.cminus.resolve import Binding
 from repro.safety.verifier.intervals import Interval
 
 #: beyond this many distinct regions a pointer set degrades to unknown
@@ -32,10 +31,20 @@ class Region:
     #                           null | absolute | unknown
     name: str                 # variable name, alloc site, or literal text
     size: Optional[int] = None  # bytes; None = unknown at load time
+    #: the variable whose storage this is (local and global regions)
+    decl: Optional[Binding] = None
 
     @property
     def provable(self) -> bool:
         return self.size is not None
+
+    @property
+    def order(self) -> tuple:
+        """Sort key of a pointer's regions: the declaration's line and
+        scope path tell apart two declarations of one name."""
+        d = self.decl
+        return (self.kind, self.name, self.size or 0,
+                (d.line, d.scope) if d is not None else (0, ()))
 
     def describe(self) -> str:
         size = f"{self.size}B" if self.size is not None else "unknown size"
@@ -87,8 +96,7 @@ class PointerValue:
     def _normalize(entries: dict[Region, Interval]) -> "PointerValue":
         if len(entries) > MAX_REGIONS:
             return PointerValue.unknown()
-        ordered = tuple(sorted(entries.items(),
-                               key=lambda e: (e[0].kind, e[0].name)))
+        ordered = tuple(sorted(entries.items(), key=lambda e: e[0].order))
         return PointerValue(ordered)
 
     def join(self, other: "PointerValue") -> "PointerValue":
@@ -111,28 +119,3 @@ class PointerValue:
         """Pointer arithmetic: add ``delta`` (already scaled to bytes)."""
         return PointerValue(tuple((r, iv.add(delta))
                                   for r, iv in self.pointees))
-
-
-def escaped_names(func: ast.FuncDef) -> set[str]:
-    """Names in ``func`` whose address may be held elsewhere.
-
-    ``&x`` anywhere, or a bare identifier passed to a call (arrays decay to
-    pointers; for scalars this is conservative but cheap), or a bare
-    identifier assigned to another variable (pointer aliasing).
-    """
-    escaped: set[str] = set()
-    for node in ast.walk(func.body):
-        if isinstance(node, ast.AddrOf):
-            target = node.target
-            while isinstance(target, (ast.Index, ast.Member)):
-                target = target.base
-            if isinstance(target, ast.Ident):
-                escaped.add(target.name)
-        elif isinstance(node, ast.Call):
-            for arg in node.args:
-                base = arg
-                while isinstance(base, ast.Check):
-                    base = base.inner
-                if isinstance(base, ast.Ident):
-                    escaped.add(base.name)
-    return escaped

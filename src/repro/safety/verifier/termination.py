@@ -9,14 +9,27 @@ loop — and reports everything else as unbounded:
   **loop-invariant bound** (``i < n``, ``n > i``, ``i >= 0``, ...);
 * the induction variable is updated by a nonzero integer constant, in the
   direction that approaches the bound, by a top-level statement of the
-  loop body (or the ``for`` step) that executes on every iteration;
-* nothing else in the loop assigns the induction variable or any variable
-  the bound reads, and none of them has its address taken anywhere in the
-  function (no aliased updates behind the analysis's back).
+  loop body (or the ``for`` step) that executes on every iteration, and
+  nothing else in the loop (condition, body and step) assigns it or any
+  variable the bound reads.
+
+Three conditions make sure no update hides from that count:
+
+1. variables are the scope resolver's bindings (:mod:`repro.cminus.
+   resolve`; the code must be resolved), so a step or assignment counts
+   only for the declaration it names: a shadowing ``int i`` in the body
+   neither steps nor protects the loop's ``i``;
+2. the induction variable and every variable the bound reads are locals
+   or parameters whose address is never taken, or globals of a loop that
+   makes no call;
+3. a bound that reads memory (``a[0]``, ``*p``, ``p->len``) or calls
+   belongs to a loop that makes no call and no store through memory (or
+   to an address-taken variable).
 
 A loop that contains an unconditional top-level ``break`` or ``return``
 is bounded regardless of its condition (each iteration before it runs at
-most once).  Nested loops must all be bounded.
+most once).  A body-statement step must not be skipped by a ``continue``.
+Nested loops must all be bounded.
 """
 
 from __future__ import annotations
@@ -24,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cminus import ast_nodes as ast
+from repro.cminus.resolve import Binding, strip_checks
 
 _FLIP = {"<": ">", ">": "<", "<=": ">=", ">=": "<="}
 
@@ -38,81 +52,46 @@ class LoopBound:
     induction_var: str | None = None
 
 
-def _unwrap(expr: ast.Expr | None) -> ast.Expr | None:
-    while isinstance(expr, ast.Check):
-        expr = expr.inner
-    return expr
-
-
-def _step_of(expr: ast.Expr | None) -> tuple[str, int] | None:
-    """If ``expr`` updates a single variable by a nonzero constant, return
-    ``(name, delta)``; otherwise None."""
-    expr = _unwrap(expr)
-    if isinstance(expr, ast.PostIncDec) and isinstance(
-            _unwrap(expr.target), ast.Ident):
-        name = _unwrap(expr.target).name          # type: ignore[union-attr]
-        return name, (1 if expr.op == "++" else -1)
-    if isinstance(expr, ast.UnOp) and expr.op in ("++", "--") \
-            and isinstance(_unwrap(expr.operand), ast.Ident):
-        name = _unwrap(expr.operand).name         # type: ignore[union-attr]
-        return name, (1 if expr.op == "++" else -1)
-    if isinstance(expr, ast.Assign):
-        target = _unwrap(expr.target)
-        if not isinstance(target, ast.Ident):
-            return None
-        value = _unwrap(expr.value)
-        if expr.op in ("+", "-") and isinstance(value, ast.IntLit) \
-                and value.value != 0:
-            return target.name, (value.value if expr.op == "+"
-                                 else -value.value)
-        if expr.op == "":
-            # i = i + c  /  i = i - c
-            if isinstance(value, ast.BinOp) and value.op in ("+", "-"):
-                left, right = _unwrap(value.left), _unwrap(value.right)
-                if (isinstance(left, ast.Ident) and left.name == target.name
-                        and isinstance(right, ast.IntLit)
-                        and right.value != 0):
-                    return target.name, (right.value if value.op == "+"
-                                         else -right.value)
-                if (value.op == "+" and isinstance(right, ast.Ident)
-                        and right.name == target.name
-                        and isinstance(left, ast.IntLit)
-                        and left.value != 0):
-                    return target.name, left.value
+def _target(expr: ast.Expr | None) -> ast.Expr | None:
+    """The lvalue an assignment, ``++`` or ``--`` writes."""
+    if isinstance(expr, (ast.Assign, ast.PostIncDec)):
+        return strip_checks(expr.target)
+    if isinstance(expr, ast.UnOp) and expr.op in ("++", "--"):
+        return strip_checks(expr.operand)
     return None
 
 
-def _names_in(expr: ast.Expr | None) -> set[str]:
-    if expr is None:
-        return set()
-    return {n.name for n in ast.walk(expr) if isinstance(n, ast.Ident)}
+def _is(expr: ast.Expr, b: Binding) -> bool:
+    return isinstance(expr, ast.Ident) and expr.binding is b
 
 
-def _assigned_in(node: ast.Node | None) -> set[str]:
-    """All variables assigned (directly) anywhere under ``node``."""
-    out: set[str] = set()
-    if node is None:
-        return out
-    for n in ast.walk(node):
-        target = None
-        if isinstance(n, ast.Assign):
-            target = _unwrap(n.target)
-        elif isinstance(n, ast.PostIncDec):
-            target = _unwrap(n.target)
-        elif isinstance(n, ast.UnOp) and n.op in ("++", "--"):
-            target = _unwrap(n.operand)
-        if isinstance(target, ast.Ident):
-            out.add(target.name)
-    return out
-
-
-def _addr_taken(func_body: ast.Stmt) -> set[str]:
-    out: set[str] = set()
-    for n in ast.walk(func_body):
-        if isinstance(n, ast.AddrOf) and isinstance(
-                _unwrap(n.target), ast.Ident):
-            out.add(_unwrap(n.target).name)       # type: ignore[union-attr]
-    return out
+def _step_of(expr: ast.Expr | None) -> tuple[Binding, int] | None:
+    """If ``expr`` updates a single variable by a nonzero constant, return
+    ``(binding, delta)``; otherwise None."""
+    expr = strip_checks(expr) if expr is not None else None
+    target = _target(expr)
+    b = getattr(target, "binding", None)
+    if b is None:
+        return None
+    if isinstance(expr, (ast.PostIncDec, ast.UnOp)):
+        return b, (1 if expr.op == "++" else -1)
+    if not isinstance(expr, ast.Assign):
+        return None
+    value = strip_checks(expr.value)
+    if expr.op in ("+", "-") and isinstance(value, ast.IntLit) \
+            and value.value != 0:
+        return b, (value.value if expr.op == "+" else -value.value)
+    if expr.op == "" and isinstance(value, ast.BinOp) \
+            and value.op in ("+", "-"):
+        # i = i + c  /  i = i - c  /  i = c + i
+        left, right = strip_checks(value.left), strip_checks(value.right)
+        if _is(left, b) and isinstance(right, ast.IntLit) \
+                and right.value != 0:
+            return b, (right.value if value.op == "+" else -right.value)
+        if value.op == "+" and _is(right, b) \
+                and isinstance(left, ast.IntLit) and left.value != 0:
+            return b, left.value
+    return None
 
 
 def _has_unconditional_exit(body: ast.Stmt) -> bool:
@@ -121,13 +100,24 @@ def _has_unconditional_exit(body: ast.Stmt) -> bool:
     return any(isinstance(s, (ast.Break, ast.Return)) for s in stmts)
 
 
-def _split_cond(cond: ast.Expr) -> tuple[str, ast.Expr, ast.Expr] | None:
+def _continues(stmt: ast.Stmt | None) -> bool:
+    """Whether ``stmt`` holds a ``continue`` of the loop it lies in."""
+    if isinstance(stmt, ast.Continue):
+        return True
+    if isinstance(stmt, ast.Block):
+        return any(_continues(s) for s in stmt.stmts)
+    if isinstance(stmt, ast.If):
+        return _continues(stmt.then) or _continues(stmt.orelse)
+    return False          # a nested loop's continue is its own
+
+
+def _split_cond(cond: ast.Expr) -> tuple[str, ast.Ident, ast.Expr] | None:
     """Normalize ``cond`` to (op, Ident side, bound side) with the
     identifier on the left; returns None for unsupported shapes."""
-    cond = _unwrap(cond)
+    cond = strip_checks(cond)
     if not isinstance(cond, ast.BinOp) or cond.op not in _FLIP:
         return None
-    left, right = _unwrap(cond.left), _unwrap(cond.right)
+    left, right = strip_checks(cond.left), strip_checks(cond.right)
     if isinstance(left, ast.Ident):
         return cond.op, left, right
     if isinstance(right, ast.Ident):
@@ -135,9 +125,30 @@ def _split_cond(cond: ast.Expr) -> tuple[str, ast.Expr, ast.Expr] | None:
     return None
 
 
+def _effects(*parts: ast.Node | None
+             ) -> tuple[dict[Binding, int], bool, bool]:
+    """What running ``parts`` may change: (writes per variable, whether
+    it stores through memory or to an address-taken variable, whether it
+    calls)."""
+    writes: dict[Binding, int] = {}
+    memory = calls = False
+    for part in parts:
+        for n in ast.walk(part):
+            calls = calls or isinstance(n, ast.Call)
+            target = _target(n)
+            if target is None:
+                continue
+            b = getattr(target, "binding", None)
+            if b is not None:
+                writes[b] = writes.get(b, 0) + 1
+            if b is None or b.addr_taken:
+                memory = True
+    return writes, memory, calls
+
+
 def _check_one_loop(loop: ast.While | ast.For, body: ast.Stmt,
-                    cond: ast.Expr | None, step_expr: ast.Expr | None,
-                    addr_taken: set[str]) -> LoopBound:
+                    cond: ast.Expr | None,
+                    step_expr: ast.Expr | None) -> LoopBound:
     if _has_unconditional_exit(body):
         return LoopBound(loop.line, True, "unconditional break/return")
     if cond is None:
@@ -148,92 +159,78 @@ def _check_one_loop(loop: ast.While | ast.For, body: ast.Stmt,
             loop.line, False,
             "condition is not a comparison against a bound")
     op, var_node, bound = split
-    var = var_node.name
+    name, var = var_node.name, var_node.binding
+    if var is None:
+        return LoopBound(loop.line, False, f"'{name}' is not declared", name)
 
     # find the constant-step update of the induction variable: in the
     # `for` step, or as a top-level statement of the body
-    candidates: list[ast.Expr | None] = [step_expr]
     stmts = body.stmts if isinstance(body, ast.Block) else [body]
-    candidates += [s.expr for s in stmts if isinstance(s, ast.ExprStmt)]
-    delta = None
-    for cand in candidates:
-        step = _step_of(cand)
-        if step is not None and step[0] == var:
-            delta = step[1]
-            break
-    if delta is None:
+    candidates = [step_expr] + [s.expr for s in stmts
+                                if isinstance(s, ast.ExprStmt)]
+    steps = [(cand, step[1]) for cand in candidates
+             if (step := _step_of(cand)) is not None and step[0] is var]
+    if not steps:
         return LoopBound(loop.line, False,
-                         f"no constant-step update of '{var}' on every "
-                         f"iteration", var)
+                         f"no constant-step update of '{name}' on every "
+                         f"iteration", name)
+    cand, delta = steps[0]
+    if cand is not step_expr and _continues(body):
+        return LoopBound(loop.line, False,
+                         f"a continue may skip the update of '{name}'", name)
 
     # the step must approach the bound
     approaching = (delta > 0) if op in ("<", "<=") else (delta < 0)
     if not approaching:
         return LoopBound(loop.line, False,
-                         f"'{var}' steps by {delta:+d}, away from the "
-                         f"'{op}' bound", var)
+                         f"'{name}' steps by {delta:+d}, away from the "
+                         f"'{op}' bound", name)
 
     # neither the induction variable nor the bound may change elsewhere
-    protected = {var} | _names_in(bound)
-    assigned = _assigned_in(body)
-    if step_expr is not None:
-        assigned |= _assigned_in(step_expr)
-    extra_updates = 0
-    for cand in candidates:
-        step = _step_of(cand)
-        if step is not None and step[0] == var:
-            extra_updates += 1
-    # one sanctioned update of var; any assignment to a bound variable, or
-    # a second assignment to var beyond the sanctioned one, is disqualifying
-    if (protected - {var}) & assigned:
+    writes, stores_memory, calls = _effects(cond, body, step_expr)
+    bound_nodes = list(ast.walk(bound))
+    reads: dict[Binding, None] = {}     # in source order
+    for n in bound_nodes:
+        if isinstance(n, ast.Ident):
+            if n.binding is None:
+                return LoopBound(loop.line, False,
+                                 f"'{n.name}' is not declared", name)
+            reads[n.binding] = None
+    if any(writes.get(b) for b in reads if b is not var):
         return LoopBound(loop.line, False,
-                         "loop body modifies the bound", var)
-    var_assignments = _count_assignments(body, var) + (
-        _count_assignments_expr(step_expr, var))
-    if var_assignments > 1:
+                         "loop body modifies the bound", name)
+    if writes.get(var, 0) > 1:
         return LoopBound(loop.line, False,
-                         f"'{var}' is assigned more than once per "
-                         f"iteration", var)
-    if (protected & addr_taken):
+                         f"'{name}' is assigned more than once per "
+                         f"iteration", name)
+    for b in [var, *reads]:
+        if b.addr_taken:
+            return LoopBound(loop.line, False,
+                             "induction/bound variable has its address "
+                             "taken", name)
+        if b.kind == "global" and calls:
+            return LoopBound(loop.line, False,
+                             f"the loop makes a call, which may change "
+                             f"global '{b.name}'", name)
+    if (stores_memory or calls) and any(
+            isinstance(n, (ast.Index, ast.Deref, ast.Member, ast.Call))
+            for n in bound_nodes):
         return LoopBound(loop.line, False,
-                         "induction/bound variable has its address taken",
-                         var)
+                         "the bound reads memory the loop may change", name)
     return LoopBound(loop.line, True,
-                     f"counted loop on '{var}' (step {delta:+d})", var)
-
-
-def _count_assignments(node: ast.Node, name: str) -> int:
-    count = 0
-    for n in ast.walk(node):
-        target = None
-        if isinstance(n, ast.Assign):
-            target = _unwrap(n.target)
-        elif isinstance(n, ast.PostIncDec):
-            target = _unwrap(n.target)
-        elif isinstance(n, ast.UnOp) and n.op in ("++", "--"):
-            target = _unwrap(n.operand)
-        if isinstance(target, ast.Ident) and target.name == name:
-            count += 1
-    return count
-
-
-def _count_assignments_expr(expr: ast.Expr | None, name: str) -> int:
-    if expr is None:
-        return 0
-    return _count_assignments(expr, name)
+                     f"counted loop on '{name}' (step {delta:+d})", name)
 
 
 def check_termination(body: ast.Stmt) -> list[LoopBound]:
     """Classify every loop under ``body`` (a function body or a Cosy
-    region wrapped in a Block).  Returns one :class:`LoopBound` per loop;
-    the code is bounded iff every entry has ``bounded=True``."""
-    addr_taken = _addr_taken(body)
+    region wrapped in a Block, of a resolved program).  Returns one
+    :class:`LoopBound` per loop; the code is bounded iff every entry has
+    ``bounded=True``."""
     results: list[LoopBound] = []
     for node in ast.walk(body):
         if isinstance(node, ast.While):
-            results.append(_check_one_loop(node, node.body, node.cond,
-                                           None, addr_taken))
+            results.append(_check_one_loop(node, node.body, node.cond, None))
         elif isinstance(node, ast.For):
             results.append(_check_one_loop(node, node.body, node.cond,
-                                           node.step, addr_taken))
+                                           node.step))
     return results

@@ -31,20 +31,21 @@ that path never runs.
 from __future__ import annotations
 
 import enum
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 
 from repro.cminus import ast_nodes as ast
 from repro.cminus.ctypes import ArrayType, CType, PointerType, StructType
+from repro.cminus.resolve import (Binding, generation_of, resolve,
+                                  storage_root, strip_checks, type_of)
 from repro.safety.verifier.cfg import (BasicBlock, CondJump, Jump,
                                        build_cfg)
 from repro.safety.verifier.initcheck import (InitFacts, InitState, advance,
-                                             advance_expr, definite_init,
-                                             scalar_decls)
+                                             advance_expr, definite_init)
 from repro.safety.verifier.intervals import Interval
 from repro.safety.verifier.provenance import (NULL_REGION, PointerValue,
-                                              Region, UNKNOWN_REGION,
-                                              escaped_names)
+                                              Region, UNKNOWN_REGION)
 from repro.safety.verifier.termination import LoopBound, check_termination
 
 #: kernel-checked library routines that may themselves raise at runtime —
@@ -210,17 +211,6 @@ class VerifierReport:
 
 Value = Interval | PointerValue
 
-_FuncTypesFactory = None  # resolved lazily to avoid import cycles
-
-
-def _func_types(program: ast.Program, func: ast.FuncDef):
-    global _FuncTypesFactory
-    if _FuncTypesFactory is None:
-        from repro.safety.kgcc.instrument import FuncTypes
-        _FuncTypesFactory = FuncTypes
-    return _FuncTypesFactory(program, func)
-
-
 def _pure(expr: ast.Expr | None) -> bool:
     """Side-effect-free modulo Check wrappers (checks only observe)."""
     if expr is None:
@@ -238,127 +228,18 @@ def _contains_call(expr: ast.Expr | None) -> bool:
                                     for n in ast.walk(expr))
 
 
-def _unwrap(expr: ast.Expr | None) -> ast.Expr | None:
-    while isinstance(expr, ast.Check):
-        expr = expr.inner
-    return expr
-
-
-def _scope_info(func: ast.FuncDef, outer: set[str],
-                ) -> tuple[set[str], dict[str, list[tuple[int, ...]]]]:
-    """Scope structure of ``func``: which declarations make flat per-name
-    tracking unsound, and where each declaration lives.
-
-    Returns ``(shadowed, paths)``:
-
-    * ``shadowed`` — names declared while the same name is visible from an
-      *enclosing* scope (a param, global, or outer declaration): a later
-      read might mean either storage, so these are never tracked.  Names
-      declared several times with different shapes (type kind or size) are
-      included too — their conflated storage region would be wrong for one
-      of the declarations.  Sibling-scope redeclarations of one shape (the
-      ubiquitous back-to-back ``for (int i = ...)`` loops) are *not*
-      shadowed: at any point at most one instance is live, so flat
-      strong-update tracking is exact.
-    * ``paths`` — declaration scope paths per name (one per declaration;
-      the function's top-level scope is ``()``), used to refuse pointer
-      values that would outlive their pointee's scope.
-    """
-    shadowed: set[str] = set()
-    paths: dict[str, list[tuple[int, ...]]] = {}
-    shapes: dict[str, tuple] = {}
-    counter = [0]
-
-    def decl(d: ast.VarDecl, path: tuple[int, ...],
-             visible: frozenset[str]) -> None:
-        if d.name in visible:
-            shadowed.add(d.name)
-        shape = (type(d.ctype).__name__, getattr(d.ctype, "size", 0))
-        if shapes.setdefault(d.name, shape) != shape:
-            shadowed.add(d.name)
-        paths.setdefault(d.name, []).append(path)
-
-    def block(body: list[ast.Stmt], path: tuple[int, ...],
-              visible: frozenset[str]) -> None:
-        local: set[str] = set()
-        for s in body:
-            one(s, path, visible, local)
-
-    def nested(s: ast.Stmt | None, path: tuple[int, ...],
-               visible: frozenset[str]) -> None:
-        if s is None:
-            return
-        counter[0] += 1
-        sub = path + (counter[0],)
-        if isinstance(s, ast.Block):
-            block(s.stmts, sub, visible)
-        else:
-            one(s, sub, visible, set())
-
-    def one(s: ast.Stmt, path: tuple[int, ...],
-            visible: frozenset[str], local: set[str]) -> None:
-        if isinstance(s, ast.VarDecl):
-            decl(s, path, visible)
-            local.add(s.name)
-        elif isinstance(s, ast.Block):
-            nested(s, path, visible | frozenset(local))
-        elif isinstance(s, ast.If):
-            nested(s.then, path, visible | frozenset(local))
-            nested(s.orelse, path, visible | frozenset(local))
-        elif isinstance(s, ast.While):
-            nested(s.body, path, visible | frozenset(local))
-        elif isinstance(s, ast.For):
-            counter[0] += 1
-            sub = path + (counter[0],)
-            inner: set[str] = set()
-            if s.init is not None:
-                one(s.init, sub, visible | frozenset(local), inner)
-            nested(s.body, sub, visible | frozenset(local) | frozenset(inner))
-
-    block(func.body.stmts, (), frozenset(outer))
-    return shadowed, paths
-
-
 class _Analyzer:
     def __init__(self, program: ast.Program, func: ast.FuncDef,
-                 filename: str, trusted_externs: frozenset[str]):
+                 bindings: list[Binding], filename: str,
+                 trusted_externs: frozenset[str]):
         self.program = program
         self.func = func
         self.filename = filename
         self.trusted = trusted_externs
-        self.types = _func_types(program, func)
         self.cfg = build_cfg(func)
-        self.scalars = scalar_decls(func)
-        self.escaped = escaped_names(func)
-        self.initfacts: InitFacts = definite_init(func, self.cfg)
-
-        # names with ambiguous storage (nested shadowing of a param/global
-        # or an outer declaration, or redeclarations of different shapes)
-        # are never tracked — reads give TOP/unknown.  scope_paths records
-        # where each tracked declaration lives so pointer values never
-        # outlive their pointee's scope (see _fits_scope).
-        params = {p.name for p in func.params}
-        globals_ = {g.name for g in program.globals}
-        self.untracked, self.scope_paths = _scope_info(
-            func, params | globals_)
-        for p in func.params:
-            self.scope_paths.setdefault(p.name, [()])
-
-        # fixed storage regions: local arrays/structs/scalars and globals
-        self.decl_types: dict[str, CType] = {}
-        self.regions: dict[str, Region] = {}
-        for g in program.globals:
-            self.decl_types[g.name] = g.ctype
-            self.regions[g.name] = Region("global", g.name, g.ctype.size)
-        for node in ast.walk(func.body):
-            if isinstance(node, ast.VarDecl) and node.name not in self.untracked:
-                self.decl_types[node.name] = node.ctype
-                self.regions[node.name] = Region("local", node.name,
-                                                 node.ctype.size)
-        for p in func.params:
-            self.decl_types[p.name] = p.ctype
-            self.regions[p.name] = Region("local", p.name, p.ctype.size)
-        self.param_names = params
+        #: the function's parameters and locals, from the scope resolver
+        self.bindings = bindings
+        self.initfacts: InitFacts = definite_init(self.cfg, self.bindings)
 
         # analysis products
         self.findings: list[SiteFinding] = []
@@ -368,41 +249,48 @@ class _Analyzer:
         # collect-pass machinery
         self._collecting = False
         self._classify_enabled = True
-        self._cur_init: dict[str, InitState] = {}
+        self._cur_init: dict[Binding, InitState] = {}
         self._site_override: ast.Check | None = None
         self._last_addr: PointerValue | None = None
 
     # ----------------------------------------------------------- utilities
 
-    def _is_tracked(self, name: str) -> bool:
-        if name in self.untracked:
-            return False
-        t = self.decl_types.get(name)
-        if t is None or isinstance(t, (ArrayType, StructType)):
-            return False
-        return name in self.scalars or name in self.param_names
+    @staticmethod
+    def _tracked(b: Binding | None) -> bool:
+        """Whether the abstract state holds ``b``'s value: a local or
+        parameter that is neither an array nor a struct."""
+        return (b is not None and b.kind != "global"
+                and not isinstance(b.ctype, (ArrayType, StructType)))
+
+    def _tracked_var(self, expr: ast.Expr | None) -> Binding | None:
+        """The tracked variable ``expr`` names, through checks."""
+        b = getattr(strip_checks(expr), "binding", None) \
+            if expr is not None else None
+        return b if self._tracked(b) else None
+
+    @staticmethod
+    def _region(b: Binding) -> Region:
+        """The storage of variable ``b``."""
+        kind = "global" if b.kind == "global" else "local"
+        return Region(kind, b.name, b.ctype.size, b)
 
     def _default(self, ctype: CType | None) -> Value:
         if isinstance(ctype, (PointerType, ArrayType)):
             return PointerValue.unknown()
         return Interval.top()
 
-    def _fits_scope(self, value: Value, target_name: str) -> Value:
-        """Demote a pointer stored into ``target_name`` if any pointee is a
+    def _fits_scope(self, value: Value, target: Binding) -> Value:
+        """Demote a pointer stored into ``target`` if any pointee is a
         local whose scope does not enclose the target's scope: the pointee
         dies first, and a later dereference through the target would hit
         freed stack storage (KGCC faults it — so must never be PROVEN)."""
         if not isinstance(value, PointerValue):
             return value
-        tpaths = self.scope_paths.get(target_name) or [()]
         for region, _ in value.pointees:
-            if region.kind != "local":
-                continue
-            lpaths = self.scope_paths.get(region.name) or [()]
-            for lp in lpaths:
-                for tp in tpaths:
-                    if tp[:len(lp)] != lp:
-                        return PointerValue.unknown()
+            d = region.decl
+            if region.kind == "local" and d is not None \
+                    and target.scope[:len(d.scope)] != d.scope:
+                return PointerValue.unknown()
         return value
 
     def _coerce(self, value: Value, ctype: CType | None) -> Value:
@@ -430,32 +318,26 @@ class _Analyzer:
             for r, iv in value.pointees)
         return PointerValue(pointees)
 
-    def _havoc_calls(self, state: dict[str, Value]) -> None:
-        """At any call: escaped locals may be rewritten through aliases,
-        heap objects may be freed."""
-        for name in list(state):
-            state[name] = self._demote_freed(state[name])
-            if name in self.escaped:
-                state[name] = self._default(self.decl_types.get(name))
+    def _havoc_calls(self, state: dict[Binding, Value]) -> None:
+        """At any call: address-taken locals may be rewritten through
+        aliases, heap objects may be freed.  (A scalar passed by value
+        cannot change.)"""
+        for b in list(state):
+            state[b] = self._default(b.ctype) if b.addr_taken \
+                else self._demote_freed(state[b])
 
-    def _havoc_store(self, state: dict[str, Value],
+    def _havoc_store(self, state: dict[Binding, Value],
                      addr: PointerValue | None) -> None:
-        """A store through ``addr`` may hit any escaped scalar the pointer
-        can alias."""
-        if addr is None or addr.is_unknown:
-            names = self.escaped
+        """A store through ``addr`` may hit any address-taken variable the
+        pointer can alias."""
+        if addr is None or addr.is_unknown or any(
+                r.kind == "param" for r, _ in addr.pointees):
+            hit = [b for b in state if b.addr_taken]
         else:
-            names = set()
-            for region, _ in addr.pointees:
-                if region.kind in ("param", "unknown"):
-                    names = self.escaped
-                    break
-                if region.kind in ("local", "global") \
-                        and self._is_tracked(region.name):
-                    names.add(region.name)
-        for name in names:
-            if name in state:
-                state[name] = self._default(self.decl_types.get(name))
+            pointees = {r.decl for r, _ in addr.pointees}
+            hit = [b for b in state if b in pointees]
+        for b in hit:
+            state[b] = self._default(b.ctype)
 
     # -------------------------------------------------------------- sites
 
@@ -466,24 +348,19 @@ class _Analyzer:
                 site=site, kind=kind, line=line, status=status,
                 reason=reason, func=self.func.name))
 
-    def _uninit_state(self, ptr_expr: ast.Expr) -> InitState | None:
-        base = _unwrap(ptr_expr)
-        if isinstance(base, ast.Ident) and self._is_tracked(base.name) \
-                and isinstance(self.decl_types.get(base.name), PointerType):
-            return self._cur_init.get(base.name, InitState.INIT)
-        return None
-
     def _classify_deref(self, node: ast.Expr, addr: PointerValue | None,
                         access_size: int, site: str, line: int,
                         ptr_expr: ast.Expr) -> None:
         if not (self._collecting and self._classify_enabled):
             return
-        init = self._uninit_state(ptr_expr)
-        if init is InitState.UNINIT:
-            name = _unwrap(ptr_expr).name  # type: ignore[union-attr]
+        ptr = self._tracked_var(ptr_expr)
+        if ptr is not None and not isinstance(ptr.ctype, PointerType):
+            ptr = None
+        init = self._cur_init.get(ptr, InitState.INIT) if ptr else None
+        if ptr is not None and init is InitState.UNINIT:
             self._record(site, "deref", line, SiteStatus.VIOLATION,
-                         f"pointer '{name}' is used before initialization "
-                         f"on every path")
+                         f"pointer '{ptr.name}' is used before "
+                         f"initialization on every path")
             return
         if addr is None:
             self._record(site, "deref", line, SiteStatus.UNPROVEN,
@@ -494,10 +371,10 @@ class _Analyzer:
             statuses.append(self._judge_access(region, iv, access_size,
                                                one_past=False))
         status, reason = self._merge_judgements(statuses)
-        if status is SiteStatus.PROVEN and init is InitState.MAYBE:
-            name = _unwrap(ptr_expr).name  # type: ignore[union-attr]
+        if status is SiteStatus.PROVEN and ptr is not None \
+                and init is InitState.MAYBE:
             status, reason = SiteStatus.UNPROVEN, (
-                f"pointer '{name}' may be uninitialized on some path")
+                f"pointer '{ptr.name}' may be uninitialized on some path")
         self._record(site, "deref", line, status, reason)
 
     def _classify_arith(self, result: PointerValue | None, site: str,
@@ -559,7 +436,8 @@ class _Analyzer:
 
     # --------------------------------------------------------- evaluation
 
-    def eval(self, expr: ast.Expr | None, state: dict[str, Value]) -> Value:
+    def eval(self, expr: ast.Expr | None,
+             state: dict[Binding, Value]) -> Value:
         if expr is None:
             return Interval.top()
         method = getattr(self, "_eval_" + type(expr).__name__, None)
@@ -575,18 +453,17 @@ class _Analyzer:
         return PointerValue.to_region(region)
 
     def _eval_Ident(self, expr: ast.Ident, state) -> Value:
-        t = self.decl_types.get(expr.name)
-        if isinstance(t, (ArrayType, StructType)) \
-                and expr.name not in self.untracked:
-            return PointerValue.to_region(self.regions[expr.name])
-        if self._is_tracked(expr.name) and expr.name in state:
-            return state[expr.name]
-        return self._default(t if not isinstance(t, StructType) else None)
+        b = expr.binding
+        if b is None:
+            return Interval.top()
+        if isinstance(b.ctype, (ArrayType, StructType)):
+            return PointerValue.to_region(self._region(b))
+        return state[b] if b in state else self._default(b.ctype)
 
     def _eval_SizeOf(self, expr: ast.SizeOf, state) -> Value:
         if expr.ctype is not None:
             return Interval.const(expr.ctype.size)
-        t = self.types.type_of(expr.expr) if expr.expr is not None else None
+        t = type_of(expr.expr) if expr.expr is not None else None
         return Interval.const(t.size) if t is not None else Interval.top()
 
     def _eval_Check(self, expr: ast.Check, state) -> Value:
@@ -607,12 +484,12 @@ class _Analyzer:
         return self._site_key(kind, line), line, None
 
     def _access_size_of(self, expr: ast.Expr) -> int:
-        t = self.types.type_of(expr)
+        t = type_of(expr)
         return t.size if t is not None and t.size > 0 else 1
 
     def _elem_size(self, expr: ast.Expr) -> int | None:
         """Byte stride for pointer arithmetic on ``expr``'s value."""
-        t = self.types.type_of(expr)
+        t = type_of(expr)
         if isinstance(t, PointerType):
             return max(1, t.pointee.size)
         if isinstance(t, ArrayType):
@@ -632,7 +509,7 @@ class _Analyzer:
             if _contains_call(expr.index) and isinstance(base, PointerValue):
                 # the index expression may have freed what base points at
                 base = self._demote_freed(base)
-            elem = self.types.type_of(expr)
+            elem = type_of(expr)
             if not isinstance(base, PointerValue) or elem is None \
                     or not isinstance(idx, Interval):
                 return None, expr.base
@@ -640,7 +517,7 @@ class _Analyzer:
             return base.shift(idx.mul(Interval.const(stride))), expr.base
         if isinstance(expr, ast.Member) and expr.arrow:
             base = self.eval(expr.base, state)
-            t = self.types.type_of(expr.base)
+            t = type_of(expr.base)
             struct = t.pointee if isinstance(t, PointerType) else None
             if not isinstance(base, PointerValue) \
                     or not isinstance(struct, StructType):
@@ -660,7 +537,7 @@ class _Analyzer:
             else self._access_size_of(expr)
         self._classify_deref(expr, addr, access_size, site, line, ptr_expr)
         self._last_addr = addr
-        return self._default(self.types.type_of(expr))
+        return self._default(type_of(expr))
 
     def _eval_Deref(self, expr: ast.Deref, state) -> Value:
         return self._eval_access(expr, state)
@@ -672,19 +549,18 @@ class _Analyzer:
         if expr.arrow:
             return self._eval_access(expr, state)
         self.eval(expr.base, state)  # x.f: no dereference, no check
-        return self._default(self.types.type_of(expr))
+        return self._default(type_of(expr))
 
     def _eval_AddrOf(self, expr: ast.AddrOf, state) -> Value:
-        target = _unwrap(expr.target)
+        target = strip_checks(expr.target)
         if isinstance(target, ast.Ident):
-            region = self.regions.get(target.name)
-            if region is not None and target.name not in self.untracked:
-                return PointerValue.to_region(region)
+            if target.binding is not None:
+                return PointerValue.to_region(self._region(target.binding))
             return PointerValue.unknown()
         if isinstance(target, ast.Index):
             base = self.eval(target.base, state)
             idx = self.eval(target.index, state)
-            elem = self.types.type_of(target)
+            elem = type_of(target)
             if isinstance(base, PointerValue) and elem is not None \
                     and isinstance(idx, Interval):
                 return base.shift(idx.mul(Interval.const(max(1, elem.size))))
@@ -703,7 +579,7 @@ class _Analyzer:
             if not target.arrow:
                 base = self.eval(ast.AddrOf(line=target.line,
                                             target=target.base), state)
-                t = self.types.type_of(target.base)
+                t = type_of(target.base)
                 if isinstance(base, PointerValue) \
                         and isinstance(t, StructType):
                     try:
@@ -796,15 +672,11 @@ class _Analyzer:
 
     def _incdec(self, target: ast.Expr, op: str, state,
                 *, prefix: bool) -> Value:
-        target = _unwrap(target)
-        if not isinstance(target, ast.Ident) \
-                or not self._is_tracked(target.name):
-            if target is not None and not isinstance(target, ast.Ident):
-                addr, _ = self._address_of(target, state)
-                self._havoc_store(state, addr)
+        b = self._tracked_var(target)
+        if b is None:
+            self._store(target, state)
             return Interval.top()
-        old = state.get(target.name,
-                        self._default(self.decl_types.get(target.name)))
+        old = state.get(b, self._default(b.ctype))
         step = 1 if op == "++" else -1
         if isinstance(old, PointerValue):
             stride = self._elem_size(target) or 1
@@ -813,36 +685,38 @@ class _Analyzer:
             new = old.add(Interval.const(step))
         else:
             new = Interval.top()
-        state[target.name] = new
+        state[b] = new
         return new if prefix else old
 
     def _eval_Assign(self, expr: ast.Assign, state) -> Value:
         value = self.eval(expr.value, state)
-        target = expr.target
-        bare = _unwrap(target)
-        if isinstance(bare, ast.Ident):
-            if self._is_tracked(bare.name):
-                t = self.decl_types.get(bare.name)
-                if expr.op:
-                    old = state.get(bare.name, self._default(t))
-                    value = self._compound(old, expr.op, value, bare)
-                state[bare.name] = self._coerce(
-                    self._fits_scope(value, bare.name), t)
-                return state[bare.name]
+        b = self._tracked_var(expr.target)
+        if b is None:
+            self._store(expr.target, state)
             return value
-        if isinstance(bare, ast.Member) and not bare.arrow:
-            self.eval(target, state)  # x.f = v: named storage, no aliasing
-            return value
-        # store through memory: evaluating the lvalue classifies its check
-        # (one evaluation only — the address is latched in _last_addr)
-        if isinstance(target, (ast.Check, ast.Deref, ast.Index, ast.Member)):
+        if expr.op:
+            old = state.get(b, self._default(b.ctype))
+            value = self._compound(old, expr.op, value, expr.target)
+        state[b] = self._coerce(self._fits_scope(value, b), b.ctype)
+        return state[b]
+
+    def _store(self, target: ast.Expr, state) -> None:
+        """Evaluate the lvalue of a store to anything but a tracked
+        variable, which classifies its check.  A store into a variable's
+        own storage (``x.f``, ``a[i]`` of an array: untracked, and it
+        faults before it leaves ``x``) aliases nothing; through a pointer
+        the address is latched (one evaluation only) and the store
+        forgets every variable it may alias."""
+        bare = strip_checks(target)
+        if storage_root(bare) is not None:
+            self.eval(target, state)
+        elif isinstance(bare, (ast.Deref, ast.Index, ast.Member)):
             self._last_addr = None
             self.eval(target, state)
             self._havoc_store(state, self._last_addr)
-        return value
 
     def _compound(self, old: Value, op: str, value: Value,
-                  target: ast.Ident) -> Value:
+                  target: ast.Expr) -> Value:
         if isinstance(old, PointerValue) and op in ("+", "-") \
                 and isinstance(value, Interval):
             stride = self._elem_size(target) or 1
@@ -895,8 +769,8 @@ class _Analyzer:
 
     # ----------------------------------------------------------- transfer
 
-    def _transfer(self, block: BasicBlock, state: dict[str, Value],
-                  ) -> list[tuple[int, dict[str, Value]]]:
+    def _transfer(self, block: BasicBlock, state: dict[Binding, Value],
+                  ) -> list[tuple[int, dict[Binding, Value]]]:
         state = dict(state)
         if self._collecting:
             entry_init = self.initfacts.entry_states.get(block.bid, {})
@@ -904,15 +778,15 @@ class _Analyzer:
         for stmt in block.stmts:
             self._exec_stmt(stmt, state)
             if self._collecting:
-                advance(self._cur_init, stmt, self.scalars)
+                advance(self._cur_init, stmt)
         term = block.term
         if isinstance(term, Jump):
             return [(term.target, state)]
         if isinstance(term, CondJump):
             self.eval(term.cond, state)
             if self._collecting:
-                advance_expr(self._cur_init, term.cond, self.scalars)
-            out: list[tuple[int, dict[str, Value]]] = []
+                advance_expr(self._cur_init, term.cond)
+            out: list[tuple[int, dict[Binding, Value]]] = []
             t_state = self._refine(term.cond, state, True)
             f_state = self._refine(term.cond, state, False)
             if t_state is not None:
@@ -922,15 +796,16 @@ class _Analyzer:
             return out
         return []  # Ret: the Return stmt in block.stmts already evaluated
 
-    def _exec_stmt(self, stmt: ast.Stmt, state: dict[str, Value]) -> None:
+    def _exec_stmt(self, stmt: ast.Stmt, state: dict[Binding, Value]) -> None:
         if isinstance(stmt, ast.VarDecl):
+            b = stmt.binding
             if stmt.init is not None:
                 value = self.eval(stmt.init, state)
-                if self._is_tracked(stmt.name):
-                    state[stmt.name] = self._coerce(
-                        self._fits_scope(value, stmt.name), stmt.ctype)
-            elif self._is_tracked(stmt.name):
-                state[stmt.name] = self._default(stmt.ctype)
+                if self._tracked(b):
+                    state[b] = self._coerce(self._fits_scope(value, b),
+                                            b.ctype)
+            elif self._tracked(b):
+                state[b] = self._default(b.ctype)
         elif isinstance(stmt, ast.ExprStmt):
             self.eval(stmt.expr, state)
         elif isinstance(stmt, ast.Return):
@@ -939,8 +814,8 @@ class _Analyzer:
 
     # --------------------------------------------------------- refinement
 
-    def _refine(self, cond: ast.Expr, state: dict[str, Value],
-                branch: bool) -> dict[str, Value] | None:
+    def _refine(self, cond: ast.Expr, state: dict[Binding, Value],
+                branch: bool) -> dict[Binding, Value] | None:
         """State for one branch of ``cond``; None when infeasible."""
         if not _pure(cond):
             return dict(state)
@@ -948,9 +823,9 @@ class _Analyzer:
         feasible = self._refine_into(cond, new, branch)
         return new if feasible else None
 
-    def _refine_into(self, cond: ast.Expr, state: dict[str, Value],
+    def _refine_into(self, cond: ast.Expr, state: dict[Binding, Value],
                      branch: bool) -> bool:
-        cond = _unwrap(cond)
+        cond = strip_checks(cond)
         if isinstance(cond, ast.UnOp) and cond.op == "!":
             return self._refine_into(cond.operand, state, not branch)
         if isinstance(cond, ast.BinOp) and cond.op == "&&" and branch:
@@ -962,27 +837,27 @@ class _Analyzer:
         if isinstance(cond, ast.IntLit):
             truth = cond.value != 0
             return truth == branch
-        if isinstance(cond, ast.Ident) and self._is_tracked(cond.name):
-            cur = state.get(cond.name)
+        var = self._tracked_var(cond)
+        if var is not None:
+            cur = state.get(var)
             if isinstance(cur, Interval):
                 refined = self._refine_truthy(cur, branch)
                 if refined.empty:
                     return False
-                state[cond.name] = refined
+                state[var] = refined
             elif isinstance(cur, PointerValue):
-                return self._refine_null(cond.name, cur, branch, state)
+                return self._refine_null(var, cur, branch, state)
             return True
         if isinstance(cond, ast.BinOp) and cond.op in ("==", "!="):
-            lhs, rhs = _unwrap(cond.left), _unwrap(cond.right)
-            for ident, zero in ((lhs, rhs), (rhs, lhs)):
-                if isinstance(ident, ast.Ident) \
-                        and self._is_tracked(ident.name) \
-                        and isinstance(zero, ast.IntLit) and zero.value == 0:
-                    cur = state.get(ident.name)
+            for side, zero in ((cond.left, cond.right),
+                               (cond.right, cond.left)):
+                var, zero = self._tracked_var(side), strip_checks(zero)
+                if var is not None and isinstance(zero, ast.IntLit) \
+                        and zero.value == 0:
+                    cur = state.get(var)
                     if isinstance(cur, PointerValue):
                         nonnull = (cond.op == "!=") == branch
-                        return self._refine_null(ident.name, cur, nonnull,
-                                                 state)
+                        return self._refine_null(var, cur, nonnull, state)
         if isinstance(cond, ast.BinOp) and cond.op in _CMP_OPS:
             op = cond.op if branch else self._negate(cond.op)
             ok = self._refine_cmp(cond.left, op, cond.right, state)
@@ -1004,8 +879,8 @@ class _Analyzer:
                 "==": "==", "!=": "!="}[op]
 
     @staticmethod
-    def _refine_null(name: str, pv: PointerValue, nonnull: bool,
-                     state: dict[str, Value]) -> bool:
+    def _refine_null(var: Binding, pv: PointerValue, nonnull: bool,
+                     state: dict[Binding, Value]) -> bool:
         """Refine a tracked pointer under a null test.  Returns False when
         the branch is infeasible (pointer is definitely null)."""
         if nonnull:
@@ -1013,10 +888,10 @@ class _Analyzer:
                          if r.kind != "null")
             if not kept:
                 return False
-            state[name] = PointerValue(kept)
+            state[var] = PointerValue(kept)
         else:
             # p == 0: on this branch the value is exactly null
-            state[name] = PointerValue.to_region(NULL_REGION)
+            state[var] = PointerValue.to_region(NULL_REGION)
         return True
 
     @staticmethod
@@ -1030,13 +905,13 @@ class _Analyzer:
         return iv
 
     def _refine_cmp(self, lhs: ast.Expr, op: str, rhs: ast.Expr,
-                    state: dict[str, Value]) -> bool | None:
+                    state: dict[Binding, Value]) -> bool | None:
         """Refine ``lhs`` (an Ident) under ``lhs op rhs``.  Returns False
         when the branch is infeasible, None when not applicable."""
-        lhs = _unwrap(lhs)
-        if not isinstance(lhs, ast.Ident) or not self._is_tracked(lhs.name):
+        var = self._tracked_var(lhs)
+        if var is None:
             return None
-        cur = state.get(lhs.name)
+        cur = state.get(var)
         if not isinstance(cur, Interval):
             return None
         was_collecting = self._classify_enabled
@@ -1061,44 +936,43 @@ class _Analyzer:
         refined = cur.meet(allowed)
         if refined.empty:
             return False
-        state[lhs.name] = refined
+        state[var] = refined
         return True
 
     # ------------------------------------------------------------ fixpoint
 
-    def _initial_state(self) -> dict[str, Value]:
-        state: dict[str, Value] = {}
-        for p in self.func.params:
-            if isinstance(p.ctype, (PointerType, ArrayType)):
-                state[p.name] = PointerValue.to_region(
-                    Region("param", p.name, None))
+    def _initial_state(self) -> dict[Binding, Value]:
+        state: dict[Binding, Value] = {}
+        for b in self.bindings:
+            if not self._tracked(b):
+                continue
+            if b.kind == "param" and isinstance(b.ctype, PointerType):
+                state[b] = PointerValue.to_region(
+                    Region("param", b.name, None))
             else:
-                state[p.name] = Interval.top()
-        for name in self.scalars:
-            if self._is_tracked(name) and name not in state:
-                state[name] = self._default(self.decl_types.get(name))
+                state[b] = self._default(b.ctype)
         return state
 
     @staticmethod
-    def _join_states(a: dict[str, Value],
-                     b: dict[str, Value], *, widen: bool) -> dict[str, Value]:
-        out: dict[str, Value] = {}
-        for name in set(a) | set(b):
-            va, vb = a.get(name), b.get(name)
+    def _join_states(a: dict[Binding, Value], b: dict[Binding, Value],
+                     *, widen: bool) -> dict[Binding, Value]:
+        out: dict[Binding, Value] = {}
+        for var in a.keys() | b.keys():
+            va, vb = a.get(var), b.get(var)
             if va is None or vb is None or type(va) is not type(vb):
-                out[name] = (va or vb) if (va is None or vb is None) \
+                out[var] = (va or vb) if (va is None or vb is None) \
                     else (Interval.top() if isinstance(va, Interval)
                           else PointerValue.unknown())
                 continue
             if widen:
-                out[name] = va.widen(vb)  # type: ignore[arg-type]
+                out[var] = va.widen(vb)  # type: ignore[arg-type]
             else:
-                out[name] = va.join(vb)   # type: ignore[arg-type]
+                out[var] = va.join(vb)   # type: ignore[arg-type]
         return out
 
-    def run(self) -> tuple[dict[int, dict[str, Value]], bool]:
+    def run(self) -> tuple[dict[int, dict[Binding, Value]], bool]:
         """Worklist fixpoint; returns (block entry states, budget_ok)."""
-        entry_states: dict[int, dict[str, Value]] = {
+        entry_states: dict[int, dict[Binding, Value]] = {
             self.cfg.entry: self._initial_state()}
         visits: dict[int, int] = {}
         worklist: deque[int] = deque([self.cfg.entry])
@@ -1128,7 +1002,7 @@ class _Analyzer:
                     worklist.append(succ)
         return entry_states, True
 
-    def collect(self, entry_states: dict[int, dict[str, Value]]) -> None:
+    def collect(self, entry_states: dict[int, dict[Binding, Value]]) -> None:
         """Replay every reachable block once, recording site findings."""
         self._collecting = True
         try:
@@ -1144,9 +1018,10 @@ class _Analyzer:
 # --------------------------------------------------------------------------
 
 def _analyze_function(program: ast.Program, func: ast.FuncDef,
-                      filename: str, trusted_externs: frozenset[str],
+                      bindings: list[Binding], filename: str,
+                      trusted_externs: frozenset[str],
                       require_termination: bool) -> FunctionVerdict:
-    analyzer = _Analyzer(program, func, filename, trusted_externs)
+    analyzer = _Analyzer(program, func, bindings, filename, trusted_externs)
     entry_states, budget_ok = analyzer.run()
     if budget_ok:
         analyzer.collect(entry_states)
@@ -1184,12 +1059,15 @@ def verify_program(program: ast.Program, filename: str = "<kgcc>", *,
     that synthesized site keys line up with instrumented ones.  Programs
     may be verified before or after instrumentation: ``Check`` wrappers
     are transparent to the analysis and contribute their site strings.
+    Every variable is the scope resolver's binding of its declaration.
     """
     report = VerifierReport(filename=filename,
                             require_termination=require_termination)
+    bindings = resolve(program)
     for func in program.funcs.values():
         report.functions[func.name] = _analyze_function(
-            program, func, filename, trusted_externs, require_termination)
+            program, func, bindings[func.name], filename, trusted_externs,
+            require_termination)
 
     # effective verdict: a function is only as safe as its callees
     changed = True
@@ -1222,17 +1100,22 @@ class LoadTimeVerifier:
         self.require_termination = require_termination
         self.filename = filename
         self.trusted_externs = trusted_externs
-        self._cache: dict[int, VerifierReport] = {}
+        #: id(program) -> (weak reference to it, its generation, report),
+        #: keyed as :class:`~repro.cminus.compile.CodeCache` keys code: a
+        #: new program at a dead one's address, or a program rewritten
+        #: since (its generation bumped), is verified afresh
+        self._cache: dict[int, tuple[weakref.ref, int, VerifierReport]] = {}
 
     def verify(self, program: ast.Program) -> VerifierReport:
-        key = id(program)
-        report = self._cache.get(key)
-        if report is None:
-            report = verify_program(
-                program, self.filename,
-                require_termination=self.require_termination,
-                trusted_externs=self.trusted_externs)
-            self._cache[key] = report
+        gen = generation_of(program)
+        entry = self._cache.get(id(program))
+        if entry is not None and entry[0]() is program and entry[1] == gen:
+            return entry[2]
+        report = verify_program(
+            program, self.filename,
+            require_termination=self.require_termination,
+            trusted_externs=self.trusted_externs)
+        self._cache[id(program)] = (weakref.ref(program), gen, report)
         return report
 
     def verdict_for(self, program: ast.Program,

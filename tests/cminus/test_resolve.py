@@ -11,6 +11,7 @@ from repro.cminus import bump_generation, parse, program_fingerprint
 from repro.cminus.resolve import resolve
 from repro.errors import BoundsError, CMinusError
 from repro.safety.kgcc import KgccRuntime, instrument, optimize
+from repro.safety.verifier import Verdict, verify_program
 
 
 def _bindings(src: str, func: str = "main") -> dict:
@@ -95,6 +96,43 @@ def test_bindings_are_cached_per_generation_and_kept_across_them():
     assert resolve(program)["main"][0] is decl.binding
 
 
+def test_fingerprint_is_structural():
+    program = parse("int main() { int x = 1; return x; }")
+    before = program_fingerprint(program)
+    bump_generation(program)
+    resolve(program)
+    assert program_fingerprint(program) == before
+    program.funcs["main"].body.stmts[0].init.value = 2
+    bump_generation(program)
+    assert program_fingerprint(program) != before
+
+
+def test_scope_paths_nest():
+    b = _bindings("""
+    int main(int n) {
+        int x = 0;
+        { int y = 1; for (int i = 0; i < 2; i++) { int z = i; } }
+        if (n) { int w = 2; }
+        return x;
+    }""")
+    assert b["n"].scope == b["x"].scope == ()
+    # each scope's path extends the paths of the scopes around it
+    assert b["i"].scope[:len(b["y"].scope)] == b["y"].scope != ()
+    assert b["z"].scope[:len(b["i"].scope)] == b["i"].scope
+    # sibling scopes share no ordinal
+    assert not set(b["w"].scope) & set(b["z"].scope)
+
+
+def test_sizeof_of_an_assignment_has_the_target_type(run_both):
+    assert run_both(lambda k, mem, program: {}, """
+    int main() {
+        char c = 0;
+        char *p;
+        return sizeof(c = 1) * 100 + sizeof(c++) * 10 + sizeof(--c)
+            + sizeof(p + 1) * 1000 + sizeof(-c) * 10000;
+    }""") == 80000 + 8000 + 100 + 10 + 1
+
+
 def test_callee_cannot_see_caller_locals(run_both):
     src = "int f() { return x; } int main() { int x = 3; return f(); }"
     with pytest.raises(CMinusError, match="undefined variable 'x'"):
@@ -135,19 +173,131 @@ UNSOUND_ELIMINATIONS = {
 }
 
 
-@pytest.mark.parametrize("optimized", [False, True], ids=["plain", "opt"])
-@pytest.mark.parametrize("src", UNSOUND_ELIMINATIONS.values(),
-                         ids=UNSOUND_ELIMINATIONS.keys())
-def test_optimize_keeps_checks_that_would_fail(run_both, src, optimized):
+#: overflows KGCC catches only when it checks every store, ``++`` and
+#: ``--`` targets included, and types each access from the declaration
+#: its identifiers name
+MISSED_CHECKS = {
+    # the 8-byte store overruns c by 4 bytes; a sibling block's
+    # `char *p` must not make it a 1-byte access
+    "access-size-from-sibling-declaration": """
+    int main() {
+        char c[12];
+        { int *p = c + 8; *p = 1; }
+        { char *p = c; *p = 2; }
+        return 0;
+    }""",
+    # p + 3 is pointer arithmetic: its arith check makes q an OOB peer,
+    # whatever the block that shadows p with an int declares
+    "shadowed-pointer-keeps-arith-check": """
+    int main() {
+        int b[2]; int a[2];
+        b[1] = 22;
+        int *p = a;
+        { int p = 3; p = p + 1; }
+        int *q = p + 3;
+        *q = 99;
+        return b[1];
+    }""",
+    "postfix-increment": """
+    int main() { int b[2]; int a[2]; b[0] = 7; a[2]++; return b[0]; }""",
+    "prefix-increment": """
+    int main() { int b[2]; int a[2]; b[0] = 7; ++a[2]; return b[0]; }""",
+    "compound-assignment": """
+    int main() { int b[2]; int a[2]; b[0] = 7; a[2] += 1; return b[0]; }""",
+}
+
+
+def _kgcc(optimized: bool):
     def build(k, mem, program):
         instrument(program)
         if optimized:
             optimize(program)
         runtime = KgccRuntime(k)
         return dict(check_runtime=runtime, var_hooks=runtime)
+    return build
+
+
+@pytest.mark.parametrize("optimized", [False, True], ids=["plain", "opt"])
+@pytest.mark.parametrize("src", UNSOUND_ELIMINATIONS.values(),
+                         ids=UNSOUND_ELIMINATIONS.keys())
+def test_optimize_keeps_checks_that_would_fail(run_both, src, optimized):
+    with pytest.raises(BoundsError):
+        run_both(_kgcc(optimized), src)
+
+
+@pytest.mark.parametrize("optimized", [False, True], ids=["plain", "opt"])
+@pytest.mark.parametrize("src", MISSED_CHECKS.values(),
+                         ids=MISSED_CHECKS.keys())
+def test_kgcc_types_accesses_by_binding(run_both, src, optimized):
+    with pytest.raises(BoundsError):
+        run_both(_kgcc(optimized), src)
+
+
+def test_verifier_keeps_sibling_arrays_apart(run_both):
+    """Two sibling ``a``s are two regions: the verifier must reject the
+    write past the 2-element one, never prove it and let ``optimize``
+    remove its check."""
+    src = """
+    int main() {
+        int b[2];
+        b[1] = 22;
+        { int a[2]; a[3] = 99; }
+        { char a[16]; a[0] = 1; }
+        return b[1];
+    }"""
+
+    def build(k, mem, program):
+        instrument(program)
+        report = verify_program(program)
+        assert report.functions["main"].verdict is Verdict.REJECT
+        optimize(program, report)
+        runtime = KgccRuntime(k)
+        return dict(check_runtime=runtime, var_hooks=runtime)
 
     with pytest.raises(BoundsError):
         run_both(build, src)
+
+
+def test_verifier_forgets_what_a_member_store_through_a_pointer_writes(
+        run_both):
+    """``(*p).x = 3`` writes ``n`` through ``p``: the verifier must forget
+    ``n``, never prove ``a[n]`` with its old value and let ``optimize``
+    remove that check."""
+    src = """
+    struct s { int x; };
+    int main() {
+        int b[2]; int a[2];
+        int n = 1;
+        b[1] = 5;
+        struct s *p = &n;
+        (*p).x = 3;
+        a[n] = 99;
+        return b[1];
+    }"""
+
+    def build(k, mem, program):
+        instrument(program)
+        report = verify_program(program)
+        assert report.functions["main"].verdict is not Verdict.PROVEN_SAFE
+        optimize(program, report)
+        runtime = KgccRuntime(k)
+        return dict(check_runtime=runtime, var_hooks=runtime)
+
+    with pytest.raises(BoundsError):
+        run_both(build, src)
+
+
+def test_verifier_proves_accesses_to_a_shadowing_array():
+    program = parse("""
+    int main() {
+        int a[2];
+        { int a[8]; a[5] = 1; }
+        a[1] = 99;
+        return a[1];
+    }""")
+    instrument(program)
+    fv = verify_program(program).functions["main"]
+    assert fv.verdict is Verdict.PROVEN_SAFE, fv.findings
 
 
 def test_cse_still_removes_checks_of_the_same_binding():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cminus import Interpreter, UserMemAccess, parse
+from repro.cminus import CompiledEngine, Interpreter, UserMemAccess, parse
 from repro.errors import BoundsError, CMinusError
 from repro.kernel import Kernel
 from repro.kernel.fs import RamfsSuperBlock
@@ -139,3 +139,33 @@ def test_patch_uses_live_struct_table():
     HotPatcher(program).patch_function(
         "norm1", "int norm1(struct pt *p) { return p->x * p->y; }")
     assert interp.call("main") == 12
+
+
+@pytest.mark.parametrize("engine", [Interpreter, CompiledEngine])
+def test_patch_is_checked_like_compiled_in_code(engine):
+    """A patch's identifiers resolve against the live program, globals
+    included: ``gp + i`` is pointer arithmetic whether ``poke`` was
+    compiled in or patched in, so its arith check makes ``q`` an OOB peer
+    instead of letting the store land in ``h[1]``."""
+    k = Kernel()
+    k.mount_root(RamfsSuperBlock(k))
+    mem = UserMemAccess(k, k.spawn("patch"))
+    src = """
+    int g[2]; int h[2]; int *gp;
+    int poke(int i) { %s }
+    int main(int i) { gp = g; h[1] = 5; poke(i); return h[1]; }
+    """
+    body = "int *q = gp + i; *q = 99; return 0;"
+    compiled_in = parse(src % body)
+    instrument(compiled_in)
+    live = parse(src % "return 0;")
+    patcher = HotPatcher(live, instrument(live))
+    engines = []
+    for program in (compiled_in, live):
+        runtime = KgccRuntime(k)
+        engines.append(engine(program, mem, check_runtime=runtime,
+                              var_hooks=runtime))
+    patcher.patch_function("poke", "int poke(int i) { %s }" % body)
+    for eng in engines:
+        with pytest.raises(BoundsError):
+            eng.call("main", 3)

@@ -8,7 +8,10 @@ acceptance bar: the verifier proves at least half of all check sites on a
 corpus of programs representative of tests/cminus and tests/safety.
 """
 
-from repro.cminus import parse
+import pytest
+
+from repro.cminus import ast, bump_generation, parse
+from repro.cminus.resolve import resolve
 from repro.safety.kgcc import instrument, optimize
 from repro.safety.verifier import (Interval, InitState, LoadTimeVerifier,
                                    SiteStatus, Verdict, build_cfg,
@@ -87,45 +90,50 @@ def test_cfg_if_else_joins():
 # ----------------------------------------------------------- definite init
 
 def _init_query(src, func="f"):
-    fdef = parse(src).funcs[func]
-    cfg = build_cfg(fdef)
-    return fdef, cfg, definite_init(fdef, cfg)
+    """(variables by name, CFG, init facts) of ``func``."""
+    program = parse(src)
+    bindings = resolve(program)[func]
+    cfg = build_cfg(program.funcs[func])
+    return ({b.name: b for b in bindings}, cfg,
+            definite_init(cfg, bindings))
 
 
 def test_definite_init_flags_uninitialized():
-    fdef, cfg, facts = _init_query("""
+    var, cfg, facts = _init_query("""
     int f() {
         int x;
         return x;
     }
     """)
     ret_blocks = [b.bid for b in cfg.blocks if b.stmts]
-    assert any(facts.state_at(bid, "x") is InitState.UNINIT
+    assert any(facts.state_at(bid, var["x"]) is InitState.UNINIT
                for bid in ret_blocks)
 
 
 def test_definite_init_joins_branches_to_maybe():
-    fdef, cfg, facts = _init_query("""
+    var, cfg, facts = _init_query("""
     int f(int n) {
         int x;
         if (n) { x = 1; }
         return x;
     }
     """)
-    states = {facts.state_at(b.bid, "x") for b in cfg.blocks}
+    states = {facts.state_at(b.bid, var["x"]) for b in cfg.blocks}
     assert InitState.MAYBE in states
 
 
 def test_params_always_initialized():
-    fdef, cfg, facts = _init_query("int f(int n) { return n; }")
-    assert all(facts.state_at(b.bid, "n") is not InitState.UNINIT
+    var, cfg, facts = _init_query("int f(int n) { return n; }")
+    assert all(facts.state_at(b.bid, var["n"]) is not InitState.UNINIT
                for b in cfg.blocks)
 
 
 # ------------------------------------------------------------- termination
 
 def _loops(src, func="f"):
-    return check_termination(parse(src).funcs[func].body)
+    program = parse(src)
+    resolve(program)
+    return check_termination(program.funcs[func].body)
 
 
 def test_counted_loop_is_bounded():
@@ -153,6 +161,66 @@ def test_step_away_from_bound_is_unbounded():
 def test_unconditional_break_bounds_any_loop():
     (lb,) = _loops("int f() { while (1) { break; } return 0; }")
     assert lb.bounded
+
+
+#: loops whose bound or induction variable changes through memory, in a
+#: callee, under a shadowing declaration or past a skipped step: each
+#: must be reported unbounded
+UNBOUNDED_LOOPS = {
+    "bound-in-memory-stored-to": """
+    int f() {
+        int a[2]; int i = 0; a[0] = 5;
+        while (i < a[0]) { a[0] = a[0] + 1; i = i + 1; }
+        return i;
+    }""",
+    "bound-through-pointer-to-local": """
+    int f() {
+        int n = 5; int i = 0;
+        int *p = &n;
+        while (i < *p) { *p = *p + 1; i++; }
+        return i;
+    }""",
+    "global-bound-changed-by-callee": """
+    int n;
+    int bump() { n++; return 0; }
+    int f() { int i = 0; while (i < n) { bump(); i++; } return i; }""",
+    "global-induction-reset-by-callee": """
+    int i;
+    int reset() { i = 0; return 0; }
+    int f() { i = 0; while (i < 10) { reset(); i++; } return i; }""",
+    "shadowing-declaration-steps": """
+    int f() {
+        int i = 0; int s = 0;
+        while (i < 10) { int i = 0; i++; s++; }
+        return s;
+    }""",
+    "continue-skips-the-step": """
+    int f(int n) {
+        int i = 0;
+        while (i < n) { if (n > 3) continue; i++; }
+        return i;
+    }""",
+}
+
+
+@pytest.mark.parametrize("src", UNBOUNDED_LOOPS.values(),
+                         ids=UNBOUNDED_LOOPS.keys())
+def test_unbounded_loops_are_reported(src):
+    (lb,) = _loops(src)
+    assert not lb.bounded, lb.reason
+
+
+def test_loop_rule_reads_bindings_not_names():
+    """A shadowing declaration neither protects nor steps the loop's
+    variable, and a global bound is fine in a loop without calls."""
+    (lb,) = _loops("""
+    int n = 4;
+    int f() {
+        int s = 0;
+        for (int i = 0; i < n; i++) { int n = 9; s = s + n; }
+        return s;
+    }""")
+    assert lb.bounded and lb.induction_var == "i"
 
 
 # -------------------------------------------------------- whole-function
@@ -194,6 +262,21 @@ def test_known_oob_rejected_with_site_reason():
     assert any(f.status is SiteStatus.VIOLATION for f in fv.findings)
     # the reason names the line and the object
     assert "'a'" in reasons[0]
+
+
+def test_postfix_store_site_is_classified():
+    """``a[i]++`` and ``++a[i]`` store through their checked target like
+    ``a[i] = v``: the verifier judges that site, so an overflow there is
+    rejected and an in-bounds one proven."""
+    rep, _ = _verify("""
+    int bad() { int a[2]; a[2]++; return 0; }
+    int bad_prefix() { int a[2]; ++a[2]; return 0; }
+    int good() { int a[2]; a[0] = 0; a[1]++; return a[0]; }
+    """)
+    assert rep.functions["bad"].verdict is Verdict.REJECT
+    assert rep.functions["bad_prefix"].verdict is Verdict.REJECT
+    good = rep.functions["good"]
+    assert good.verdict is Verdict.PROVEN_SAFE and good.proven_count == 3
 
 
 def test_uninitialized_pointer_rejected():
@@ -369,6 +452,24 @@ def test_load_time_verifier_caches_and_reports():
     r2 = v.verify(program)
     assert r1 is r2  # cached by program identity
     assert v.verdict_for(program, "f").verdict is Verdict.PROVEN_SAFE
+
+    # rewritten in place: the generation bump voids the cached verdict
+    program.funcs["f"].body.stmts[1].expr.target.index.value = 9
+    bump_generation(program)
+    assert v.verdict_for(program, "f").verdict is Verdict.REJECT
+
+    # a new program at a freed one's address is verified afresh (CPython
+    # hands a freed object's memory to the next object of its size, so
+    # each unsafe Program here lands where the safe one was)
+    good = parse("int f() { int a[2]; a[0] = 1; return a[0]; }").funcs
+    bad = parse("int f() { int a[4]; a[9] = 1; return a[0]; }").funcs
+    for _ in range(5):
+        safe = ast.Program(funcs=good)
+        assert v.verdict_for(safe, "f").verdict is Verdict.PROVEN_SAFE
+        del safe
+        unsafe = ast.Program(funcs=bad)
+        assert v.verdict_for(unsafe, "f").verdict is Verdict.REJECT
+        del unsafe
 
 
 # ------------------------------------------------------------- the corpus
