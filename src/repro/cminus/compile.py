@@ -31,6 +31,10 @@ simulator:
   (``MemoryAccess.try_read_int``/``try_write_int``) neither reads nor
   charges the clock, so only the ``ExecLimits`` test runs before it; a
   register access is plain Python and needs not even that.
+  ``step_hook`` may return a budget ``n``: the engine then skips it at
+  statement boundaries until ``n`` ops have run since the last flush.
+  Every flush zeroes the budget, so after anything but an op tick
+  charges or reads the clock the next statement calls the hook again.
 * :class:`CodeCache` caches compiled programs keyed by (program
   fingerprint, instrumentation generation).  KGCC ``instrument`` /
   ``optimize`` / ``hotpatch`` / ``deinstrument`` and CoSy re-registration
@@ -128,6 +132,18 @@ def _trunc(ctype: CType, v: str) -> str:
         half = 1 << (bits - 1)
         return f"((({v}) + {half} & {(1 << bits) - 1}) - {half})"
     return f"(({v}) & {(1 << bits) - 1})"
+
+
+def _fit(ctype: CType, value: str) -> str:
+    """``value`` converted to ``ctype``: a literal folded, a value
+    already truncated to ``int`` kept as it is."""
+    digits = value[2:-1] if value.startswith("(-") else value
+    if digits.isdigit():
+        return str(_truncate(int(value.strip("()")), ctype))
+    if (ctype.size == 8 and _is_signed(ctype) and value.startswith("(((")
+            and value.endswith(f" - {1 << 63})")):
+        return value
+    return _trunc(ctype, value)
 
 
 def _declares(stmts) -> bool:
@@ -431,14 +447,7 @@ class _Fn:
 
     def set_reg(self, r: str, ctype: CType, value: str) -> None:
         """Assign the register ``r``, truncating like a store."""
-        digits = value[2:-1] if value.startswith("(-") else value
-        if digits.isdigit():
-            value = str(_truncate(int(value.strip("()")), ctype))
-        elif not (ctype.size == 8 and _is_signed(ctype)
-                  and value.startswith("(((")
-                  and value.endswith(f" - {1 << 63})")):
-            value = _trunc(ctype, value)
-        self.emit(f"{r} = {value}")
+        self.emit(f"{r} = {_fit(ctype, value)}")
 
     # ------------------------------------------------------- expressions
 
@@ -812,10 +821,12 @@ class _Fn:
             method(s)
 
     def stmt_tick(self) -> None:
-        """Every statement's tick, then ``step_hook`` on a charged clock."""
+        """Every statement's tick, then ``step_hook`` on a charged clock
+        once the ops pending since the last flush reach its budget."""
         self.k += 1
         self.uses.add("sh")
-        self.emit(f"if sh is not None: {self.charge()}rt.flush(); sh()"
+        self.emit(f"if sh is not None and {self.pend()} >= rt.budget: "
+                  f"{self.charge()}rt.flush(); rt.budget = sh() or 0"
                   f"{self.restore()}")
 
     def open_scope(self) -> None:
@@ -925,13 +936,18 @@ class _Fn:
         self.ret(value)
 
     def ret(self, value: str) -> None:
-        """Return; the function's ``finally`` exits the open scopes."""
+        """Return; the function's ``finally`` exits the open scopes.  A
+        helper hands the value back as it is, and the C function converts
+        it to its return type."""
         self.sync()
         if self.helper:
             self.escapes.add("return")
             self.give(value)
-        else:
-            self.emit(f"return {value}")
+            return
+        ret_type = self.gen.ret_type
+        if isinstance(ret_type, (IntType, PointerType)):
+            value = _fit(ret_type, value)
+        self.emit(f"return {value}")
 
     def st_Break(self, s: ast.Break) -> None:
         self.jump("break")
@@ -1033,6 +1049,8 @@ class _Gen:
         #: a local or parameter -> its Python local: ``r<n>`` holds a
         #: register's value, ``v<n>`` a memory variable's address
         self.local: dict[Binding, str] = {}
+        #: the return type of the C function being generated
+        self.ret_type: CType = INT
         self.n = 0                  # name counter: t<n>, r<n>, v<n>, _h<n>
         self._helpers: list[str] = []
         self._writes: dict[int, bool] = {}
@@ -1095,6 +1113,7 @@ class _Gen:
             args.append(f"{'r' if b.register else 'v'}{self.n}")
             self.local[b] = args[-1]
             cf.params.append(_ParamSpec(b))
+        self.ret_type = fdef.ret_type
         fn = _Fn(self, helper=False)
         fn.stmt_tick()
         fn.st_Block(fdef.body)
@@ -1237,6 +1256,13 @@ class CompiledEngine:
     * ``on_op_batch(n)`` — preferred accounting hook, called once per
       flush with the batched op count (``on_op`` still works: it is
       invoked n times per flush, preserving exact call counts);
+    * ``step_hook()`` may return a budget, kept in ``budget``: the hook
+      is next called at the first statement by which that many ops have
+      run since the flush before it, or at the first statement after
+      any other flush.  A hook that returns ``n`` must have nothing to
+      do while fewer than ``n`` op ticks, and nothing else, have moved
+      the clock since it returned; ``None``, ``False`` or 0 keeps it at
+      every statement;
     * ``cache`` — a :class:`CodeCache`; compilation is skipped on a hit
       and the generation is re-validated on every :meth:`call`, so code
       invalidated by KGCC rewrites is recompiled before it can run.
@@ -1246,7 +1272,7 @@ class CompiledEngine:
                  externs: dict[str, Callable] | None = None,
                  on_op: Callable[[], None] | None = None,
                  on_op_batch: Callable[[int], None] | None = None,
-                 step_hook: Callable[[], None] | None = None,
+                 step_hook: Callable[[], int | None] | None = None,
                  check_runtime: CheckRuntime | None = None,
                  var_hooks: VarHooks | None = None,
                  limits: ExecLimits | None = None,
@@ -1270,6 +1296,9 @@ class CompiledEngine:
         self.filename = filename
         self.pending = 0
         self.ops_executed = 0
+        #: ops that may run past the last flush before ``step_hook``
+        #: must be called again; every flush zeroes it
+        self.budget = 0
         # the backend's scalar fast path, bound once (see MemoryAccess)
         self.load = mem.try_read_int
         self.store = mem.try_write_int
@@ -1305,7 +1334,12 @@ class CompiledEngine:
         including the crossing one are charged (the tree-walker charges
         the crossing op's tick and then raises), then the same
         :class:`CMinusError` fires.
+
+        Every call zeroes the ``step_hook`` budget, even with nothing
+        pending: a flush precedes everything but an op tick that can
+        charge or read the clock, so the next statement calls the hook.
         """
+        self.budget = 0
         n = self.pending
         if not n:
             return

@@ -15,7 +15,12 @@ Hooks (all optional):
 * ``on_op()`` — called once per AST operation; harnesses charge
   :attr:`CostModel.cminus_op` cycles here.
 * ``step_hook()`` — called once per statement; the Cosy kernel extension
-  hits its preemption point here (the watchdog of §2.3).
+  hits its preemption point here (the watchdog of §2.3).  It may return
+  a *budget*: how many more ops may run before it must see the clock
+  again.  The tree-walker ignores it and calls the hook at every
+  statement; the compiled engine skips the hook while fewer ops than
+  the budget have run since the last flush point.  ``None``, ``False``
+  or 0 asks for every statement.
 * ``var_hooks`` — ``on_decl(binding, addr, site)`` /
   ``on_scope_exit(addrs)`` for every variable in memory; KGCC registers
   stack objects in its address map through these (the compiler-inserted
@@ -133,7 +138,7 @@ class Interpreter:
                  externs: dict[str, Callable] | None = None,
                  on_op: Callable[[], None] | None = None,
                  on_op_batch: Callable[[int], None] | None = None,
-                 step_hook: Callable[[], None] | None = None,
+                 step_hook: Callable[[], int | None] | None = None,
                  check_runtime: CheckRuntime | None = None,
                  var_hooks: VarHooks | None = None,
                  limits: ExecLimits | None = None,
@@ -246,6 +251,8 @@ class Interpreter:
             result = 0
         except _ReturnSignal as ret:
             result = ret.value
+            if isinstance(func.ret_type, (IntType, PointerType)):
+                result = _truncate(result, func.ret_type)
         finally:
             self._frame = caller
             frame = self._frame_allocs.pop()

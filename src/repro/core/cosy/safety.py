@@ -143,16 +143,16 @@ class FunctionIsolation:
             interp: Interpreter | CompiledEngine = CompiledEngine(
                 program, mem,
                 on_op_batch=lambda n: charge_system(n * cminus_op),
-                step_hook=kernel.sched.maybe_preempt,
+                step_hook=self._preemption_point,
                 limits=ExecLimits(max_ops=self.max_ops),
                 cache=kernel.code_cache,
                 tracer=kernel.trace,
             )
-        else:  # the tree-walking oracle
+        else:  # the tree-walking oracle: the point at every statement
             interp = Interpreter(
                 program, mem,
                 on_op=lambda: charge_system(cminus_op),
-                step_hook=kernel.sched.maybe_preempt,
+                step_hook=self._preemption_point,
                 limits=ExecLimits(max_ops=self.max_ops),
             )
         try:
@@ -160,6 +160,17 @@ class FunctionIsolation:
         finally:
             if mode is CosyProtection.FULL_ISOLATION:
                 kernel.clock.charge(costs.far_call, Mode.SYSTEM)  # far return
+
+    def _preemption_point(self) -> int:
+        """The engines' statement hook: a scheduler preemption point,
+        where the watchdog examines the task's kernel time.  Returns how
+        many more C-minus ops can run before the quantum can expire; the
+        compiled engine skips the points in between, which would find
+        nothing to do (0 keeps every point)."""
+        sched = self.kernel.sched
+        sched.maybe_preempt()
+        op = self.kernel.costs.cminus_op
+        return -(-sched.preempt_slack() // op) if op > 0 else 0
 
     def release(self) -> None:
         self.kernel.gdt.remove(self.data_selector)

@@ -127,6 +127,8 @@ class Kernel:
         self.sys = SyscallInterface(self)
         self.kma = KmallocFacade(self)
         self.tasks: list[Task] = []
+        #: pids count from 1 in every kernel, however many one process boots
+        self.next_pid = 1
         #: event dispatcher socket (§3.3); None = instrumentation compiled out.
         self.event_hook: EventHook | None = None
         #: set by SocketLayer and UringLayer when they install their syscalls

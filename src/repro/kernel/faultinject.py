@@ -324,6 +324,11 @@ class FaultRegistry:
             fp.reset()
         self.trace.clear()
 
+    def armed(self, failpoint: str) -> bool:
+        """Whether an injection is armed on ``failpoint``: then every
+        consultation counts a hit, whatever its site."""
+        return failpoint in self._active
+
     def active_injections(self) -> Iterator[Injection]:
         for injections in self._active.values():
             yield from injections

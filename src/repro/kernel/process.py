@@ -122,14 +122,12 @@ class UserMemory:
 
 
 class Task:
-    """One process."""
-
-    _next_pid = 1
+    """One process; its pid is the next of its kernel's."""
 
     def __init__(self, kernel: "Kernel", name: str):
         self.kernel = kernel
-        self.pid = Task._next_pid
-        Task._next_pid += 1
+        self.pid = kernel.next_pid
+        kernel.next_pid += 1
         self.name = name
         self.state = TaskState.READY
         #: CPU whose runqueue holds this task (docs/SMP.md); assigned by

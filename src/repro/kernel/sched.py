@@ -418,3 +418,18 @@ class Scheduler:
             if traced:
                 tracer.end()
         return True
+
+    def preempt_slack(self) -> int:
+        """Cycles the executing CPU can still run before its quantum can
+        expire.  Until then a :meth:`maybe_preempt` that only this CPU's
+        own work separates from the last one does nothing, so a caller
+        that counts its work may skip it.  0 while something observes
+        every point: the preemptoff tracer, or an armed ``sched.preempt``
+        injection, which counts every consultation."""
+        kernel = self.kernel
+        if kernel.trace.enabled or kernel.faults.armed("sched.preempt"):
+            return 0
+        clock = kernel.clock
+        left = (self.cpus[clock.cpu].last_switch + kernel.costs.sched_quantum
+                - clock.local_now())
+        return max(left, 0)

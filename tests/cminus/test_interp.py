@@ -94,6 +94,19 @@ def test_char_truncates(run):
     assert run("int main() { char c = 200; return c; }") == 200 - 256  # signed
 
 
+def test_return_value_takes_the_return_type(run):
+    assert run("char f() { return 300; } int main() { return f(); }") == 44
+    assert run("char f() { return 300; }", "f") == 44
+    assert run("char f(int x) { if (x) return x; return 1; }", "f", 200) \
+        == 200 - 256
+    assert run("int main() { return 18446744073709551615; }") == -1
+    src = """
+    char *next(char *p) { return p + 1; }
+    int main() { char b[2]; b[1] = 7; char *q = next(b); return *q; }
+    """
+    assert run(src) == 7
+
+
 def test_if_else_chain(run):
     src = """
     int sign(int x) { if (x > 0) return 1; else if (x < 0) return -1; return 0; }

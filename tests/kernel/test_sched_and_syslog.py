@@ -25,6 +25,14 @@ def test_spawn_sets_first_task_running(k):
     assert k.current.state is TaskState.RUNNING
 
 
+def test_pids_count_per_kernel(k):
+    """Each kernel numbers its own tasks: a second kernel booted in the
+    same process gives its first task the same pid as the first did."""
+    other = Kernel()
+    assert other.spawn("main").pid == k.tasks[0].pid == 1
+    assert [k.spawn("b").pid, other.spawn("b").pid] == [2, 2]
+
+
 def test_explicit_switch_charges_and_flushes(k):
     t2 = k.spawn("other")
     cycles = k.clock.now
@@ -49,6 +57,26 @@ def test_quantum_expiry_runs_hooks(k):
     assert seen == [k.current.pid]
     # immediately after, the quantum is fresh
     assert k.sched.maybe_preempt() is False
+
+
+def test_preempt_slack_is_the_quantum_left(k):
+    quantum = k.costs.sched_quantum
+    k.trace.disable()   # whatever the boot configuration says
+    k.clock.charge(quantum)
+    assert k.sched.maybe_preempt() is True
+    assert k.sched.preempt_slack() == quantum
+    k.clock.charge(quantum - 10)
+    assert k.sched.preempt_slack() == 10
+    assert k.sched.maybe_preempt() is False
+    k.clock.charge(10)
+    assert k.sched.preempt_slack() == 0
+    assert k.sched.maybe_preempt() is True
+    # every point is observable while traced or with sched.preempt armed
+    with k.faults.inject("sched.preempt", site="elsewhere"):
+        assert k.sched.preempt_slack() == 0
+    assert k.sched.preempt_slack() == quantum
+    k.trace.enable()
+    assert k.sched.preempt_slack() == 0
 
 
 def test_timeshare_cost_only_with_other_ready_tasks(k):

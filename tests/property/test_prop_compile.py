@@ -12,7 +12,15 @@ compiled engine ran.
 
 The programs mix registers (``int`` and ``char`` locals and parameters
 whose address is never taken) with variables in memory, shadow both in
-nested blocks, and draw literals past 2**53.
+nested blocks, draw literals past 2**53, and call ``int`` and ``char``
+helper functions, whose return values both engines convert to the
+return type.
+
+A step hook may return a budget: how many more ops may run before the
+compiled engine must call it again.  The deadline hook below fires once
+the clock passes a moving deadline and returns the remaining slack in
+ops, so a budget that outlives a flush point (a TLB miss, a check, a
+call) shows as a fire the compiled engine missed.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from repro.cminus import compile as compile_module
 from repro.errors import ReproError
 from repro.kernel import Kernel
 from repro.kernel.clock import Mode
+from repro.kernel.costs import CostModel
 from repro.kernel.fs import RamfsSuperBlock
 from repro.safety.kgcc import KgccRuntime, instrument
 
@@ -146,11 +155,12 @@ def _stmts(draw, names, ro=(), depth=0, arr="a", in_loop=False, calls=()):
 @st.composite
 def _helpers(draw, name):
     """A function taking pointers into its caller's frame, and integer
-    parameters it may write."""
+    parameters it may write; it returns ``int`` or ``char``."""
     body = " ".join(draw(st.lists(
         _stmts(["t", "(*q)", "v", "c"], arr="arr"), min_size=1,
         max_size=4)))
-    return (f"int {name}(int *q, int *arr, int v, char c) {{ int t = v; "
+    ret = draw(st.sampled_from(["int", "char"]))
+    return (f"{ret} {name}(int *q, int *arr, int v, char c) {{ int t = v; "
             f"{body} return t ^ (*q) ^ c; }}")
 
 
@@ -190,8 +200,42 @@ def programs(draw):
 PARITY_MAX_OPS = 200_000
 
 
+@st.composite
+def deadlines(draw):
+    """A deadline hook's parameters: the first deadline and the period
+    (cycles after engine creation, and after each fire), the cycles a
+    fire charges, whether it flushes the TLB, and ``cminus_op``."""
+    return {"first": draw(st.integers(min_value=0, max_value=3000)),
+            "period": draw(st.integers(min_value=1, max_value=400)),
+            "charge": draw(st.sampled_from([0, 0, 1, 7, 300])),
+            "flush_tlb": draw(st.booleans()),
+            "op": draw(st.integers(min_value=1, max_value=5))}
+
+
+def _deadline_hook(k: Kernel, spec: dict, fires: list):
+    """A step hook that fires once the clock reaches a deadline: it
+    records the clock, may flush the TLB and charge cycles, and moves
+    the deadline.  Returns the ops that may run before the deadline can
+    pass, as CoSy's preemption point does."""
+    deadline = k.clock.now + spec["first"]
+    op = k.costs.cminus_op
+
+    def hook() -> int:
+        nonlocal deadline
+        if k.clock.now >= deadline:
+            fires.append(k.clock.now)
+            if spec["flush_tlb"]:
+                k.mmu.flush_tlb()
+            if spec["charge"]:
+                k.clock.charge(spec["charge"], Mode.SYSTEM)
+            deadline = k.clock.now + spec["period"]
+        return -(-(deadline - k.clock.now) // op)
+
+    return hook
+
+
 def _observe(engine: str, src: str, *, max_ops=PARITY_MAX_OPS,
-             checked=False, flush_tlb=False, stamp=False):
+             checked=False, flush_tlb=False, stamp=False, deadline=None):
     """Run one engine on a fresh kernel and capture everything observable.
 
     ``stamp`` installs a step hook recording the clock at every statement,
@@ -201,8 +245,11 @@ def _observe(engine: str, src: str, *, max_ops=PARITY_MAX_OPS,
     straddled a page, where the tracer's ``mem:tlb_miss``/``mem:fault``
     spans and the fault handlers read the clock.  ``flush_tlb`` empties
     the TLB at every statement, so such accesses land mid-expression,
-    with engine ops still pending in the compiled engine."""
-    k = Kernel()
+    with engine ops still pending in the compiled engine.  ``deadline``
+    (see :func:`deadlines`) installs the budgeted deadline hook instead,
+    and ``fires`` holds the clock at each of its fires."""
+    costs = None if deadline is None else CostModel(cminus_op=deadline["op"])
+    k = Kernel(costs=costs)
     k.mount_root(RamfsSuperBlock(k))
     task = k.spawn("prop")
     mem = UserMemAccess(k, task)
@@ -233,12 +280,15 @@ def _observe(engine: str, src: str, *, max_ops=PARITY_MAX_OPS,
         if flush_tlb:
             k.mmu.flush_tlb()
 
+    fires: list[int] = []
+    hook = step_hook if stamp or flush_tlb else None
+    if deadline is not None:
+        hook = _deadline_hook(k, deadline, fires)
     cls = Interpreter if engine == "tree" else CompiledEngine
     interp = None
     try:
         # global initializers run here, and may trip an op limit
-        interp = cls(program, mem, on_op=on_op,
-                     step_hook=step_hook if stamp or flush_tlb else None,
+        interp = cls(program, mem, on_op=on_op, step_hook=hook,
                      limits=ExecLimits(max_ops=max_ops), **kwargs)
         outcome = ("ok", interp.call("main"))
     except ReproError as exc:
@@ -256,6 +306,7 @@ def _observe(engine: str, src: str, *, max_ops=PARITY_MAX_OPS,
         "translations": translations,
         "tlb": (k.mmu.tlb_hits, k.mmu.tlb_misses, list(k.mmu._tlb)),
         "stamps": stamps,
+        "fires": fires,
     }
 
 
@@ -322,6 +373,22 @@ def test_slow_path_sees_the_tree_walkers_clock(src, checked, stamp):
     both engines leave the TLB in the same state."""
     tree = _agree(src, checked=checked, flush_tlb=True, stamp=stamp)
     assert len(tree["translations"]) > 1
+
+
+@given(programs(), deadlines(), st.integers(min_value=1, max_value=3000),
+       st.booleans(), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_budgeted_step_hook_fires_where_the_tree_walker_does(
+        src, deadline, max_ops, checked, outline):
+    """The compiled engine skips the hook while its budget lasts; the
+    tree-walker calls it at every statement and ignores the budget.  The
+    fires must land at the same clocks, under instrumentation, op limits
+    and forced outlining alike."""
+    with mock.patch.object(compile_module, "_MAX_BLOCKS",
+                           2 if outline else compile_module._MAX_BLOCKS), \
+            mock.patch.object(compile_module, "_MAX_INDENT",
+                              4 if outline else compile_module._MAX_INDENT):
+        _agree(src, max_ops=max_ops, checked=checked, deadline=deadline)
 
 
 @given(st.integers(min_value=-100, max_value=100),
