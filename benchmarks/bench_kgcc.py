@@ -9,6 +9,10 @@ Shape to hold: checks make kernel (system) time balloon, dramatically so
 for the metadata-heavy workload (every dirent scan iteration pays a splay
 lookup), while elapsed grows much less because user compute and disk I/O
 are untouched.
+
+Both runs are deterministic, so their integer clock totals are pinned as
+well: a change to the module's code, to KGCC or to the C-minus engines
+that moves a simulated cycle fails here and must say why.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 from conftest import fresh_kernel
 
 from repro.analysis import ComparisonTable
+from repro.kernel.costs import CostModel
 from repro.kernel.fs import Ext2SuperBlock
 from repro.kernel.fs.disk import Disk
 from repro.safety.kgcc.modulefs import KgccFsSuperBlock
@@ -25,6 +30,19 @@ from repro.workloads import (CompileBench, CompileBenchConfig, PostMark,
 COMPILE_CFG = CompileBenchConfig(nfiles=15, headers=12,
                                  srcdir="/mnt/src", objdir="/mnt/obj")
 PM_CFG = PostMarkConfig(nfiles=100, transactions=150, workdir="/mnt/postmark")
+
+#: (system, elapsed) cycles of the vanilla and the checked run
+E7_CYCLES = {"vanilla": (1_022_260, 4_857_100),
+             "checked": (2_213_384, 6_048_224)}
+E8_CYCLES = {"vanilla": (8_878_954, 205_854_100),
+             "checked": (170_220_288, 367_197_834)}
+
+
+def _cycles(vanilla, checked) -> dict[str, tuple[int, int]]:
+    """The runs' (system, elapsed) clock totals, in cycles."""
+    hz = CostModel().hz
+    return {side: (round(r.timings.system * hz), round(r.timings.elapsed * hz))
+            for side, r in (("vanilla", vanilla), ("checked", checked))}
 
 
 def _mount_kgccfs(checked: bool, *, cache_blocks: int = 8192):
@@ -66,6 +84,7 @@ def test_kgcc_compile(run_once):
                f"{sb.engine.runtime.check_failures} failures")
     table.print()
     assert table.all_hold
+    assert _cycles(vanilla, checked) == E7_CYCLES
 
 
 def test_kgcc_postmark(run_once):
@@ -85,3 +104,4 @@ def test_kgcc_postmark(run_once):
                f"consultation")
     table.print()
     assert table.all_hold
+    assert _cycles(vanilla, checked) == E8_CYCLES

@@ -7,10 +7,12 @@ pointer operations in them, and its optimization passes remove them again;
 each carries a stable ``site`` id used for check counting and dynamic
 deinstrumentation.
 
-``Ident``, ``VarDecl`` and ``Param`` carry the side field ``binding``:
-the declaration the name denotes (None for an ``Ident`` that names no
-declaration), set by :func:`repro.cminus.resolve.resolve` and ignored by
-node equality and the program fingerprint.
+Side fields are set by :func:`repro.cminus.resolve.resolve` and ignored
+by node equality and the program fingerprint.  ``Ident``, ``VarDecl``
+and ``Param`` carry ``binding``: the declaration the name denotes (None
+for an ``Ident`` that names no declaration).  ``Call`` carries
+``value_type``: its callee's return type when that is an integer or a
+pointer, else ``int`` (a ``void`` or struct return, an extern).
 """
 
 from __future__ import annotations
@@ -18,15 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.cminus.ctypes import CType
+from repro.cminus.ctypes import INT, CType
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cminus.resolve import Binding
 
 
-def _binding() -> Any:
-    """The ``binding`` side field: set by the resolver, not compared."""
-    return field(default=None, compare=False, repr=False)
+def _side(default: Any = None) -> Any:
+    """A side field: set by the resolver, not compared."""
+    return field(default=default, compare=False, repr=False)
 
 
 @dataclass
@@ -54,7 +56,7 @@ class StrLit(Expr):
 @dataclass
 class Ident(Expr):
     name: str = ""
-    binding: Optional[Binding] = _binding()
+    binding: Optional[Binding] = _side()
 
 
 @dataclass
@@ -101,6 +103,7 @@ class Member(Expr):
 class Call(Expr):
     func: str = ""
     args: list[Expr] = field(default_factory=list)
+    value_type: CType = _side(INT)
 
 
 @dataclass
@@ -150,7 +153,7 @@ class VarDecl(Stmt):
     name: str = ""
     ctype: CType = None
     init: Optional[Expr] = None
-    binding: Binding = _binding()
+    binding: Binding = _side()
 
 
 @dataclass
@@ -205,7 +208,7 @@ class Continue(Stmt):
 class Param(Node):
     name: str = ""
     ctype: CType = None
-    binding: Binding = _binding()
+    binding: Binding = _side()
 
 
 @dataclass

@@ -11,11 +11,11 @@ simulator:
 * :func:`compile_program` generates one Python function per C function
   and ``exec``s it once.  C control flow becomes Python control flow,
   and names are bound by :func:`~repro.cminus.resolve.resolve`: a
-  *register* (an integer local or parameter whose address is never
-  taken) is a Python local holding its value, and every other variable
-  keeps its simulated stack slot, its address a Python local.  Type sizes
-  and truncation masks are literals, and KGCC :class:`ast.Check` nodes
-  become inline calls into the check runtime.
+  *register* (an integer or pointer local or parameter whose address is
+  never taken) is a Python local holding its value, and every other
+  variable keeps its simulated stack slot, its address a Python local.
+  Type sizes and truncation masks are literals, and KGCC
+  :class:`ast.Check` nodes become inline calls into the check runtime.
   ``CompiledFunction.source`` keeps the text; the code object's filename
   names the C function (``<cminus:file:func>``).
 * :class:`CompiledEngine` executes compiled code behind the same ``call``
@@ -59,7 +59,8 @@ from repro.cminus import ast_nodes as ast
 from repro.cminus.ctypes import (ArrayType, CHAR, CType, INT, IntType,
                                  PointerType, StructType)
 from repro.cminus.interp import (CheckRuntime, ExecLimits, VarHooks,
-                                 _WORD_MASK, _truncate, c_div, c_mod)
+                                 _WORD_MASK, _step_by, _truncate, c_div,
+                                 c_mod)
 from repro.cminus.memaccess import MemoryAccess
 from repro.cminus.resolve import (Binding, bump_generation, generation_of,
                                   register_of, resolve, static_type)
@@ -80,6 +81,8 @@ def program_fingerprint(program: ast.Program) -> str:
     for node in ast.walk(program):
         h.update(type(node).__name__.encode())
         for f in dataclasses.fields(node):
+            if not f.compare:
+                continue            # a side field the resolver sets
             value = getattr(node, f.name)
             if isinstance(value, (bool, int, str)):
                 h.update(f"{f.name}={value};".encode())
@@ -555,10 +558,10 @@ class _Fn:
             found = self.reg(e.operand)
             if found is not None:
                 r, ctype = found
-                self.set_reg(r, ctype, f"{r} {e.op[0]} 1")
+                self.set_reg(r, ctype, f"{r} + {_step_by(ctype, e.op)}")
                 return r, ctype
             addr, ctype = self.lv(e.operand)
-            new = self.step(addr, ctype, -1 if e.op == "--" else 1)[1]
+            new = self.step(addr, ctype, e.op)[1]
             return _trunc(ctype, new), ctype
         v, _ = self.ev(e.operand)
         if e.op == "-":
@@ -569,12 +572,11 @@ class _Fn:
             return _trunc(INT, f"~{v}"), INT
         return self.fail(f"unknown unary operator '{e.op}'", e.line), INT
 
-    def step(self, addr: str, ctype: CType, sign: int) -> tuple[str, str]:
+    def step(self, addr: str, ctype: CType, op: str) -> tuple[str, str]:
         """``++``/``--`` on the object at ``addr``: (old, new) names."""
-        scale = ctype.pointee.size if isinstance(ctype, PointerType) else 1
         old = self.load(addr, ctype)
         new = self.tmp()
-        self.emit(f"{new} = {old} + {sign * scale} & {_mask(ctype)}")
+        self.emit(f"{new} = {old} + {_step_by(ctype, op)} & {_mask(ctype)}")
         self.store(self.name(addr), new, ctype.size)
         return old, new
 
@@ -584,10 +586,10 @@ class _Fn:
             r, ctype = found
             old = self.tmp()
             self.emit(f"{old} = {r}")
-            self.set_reg(r, ctype, f"{old} {e.op[0]} 1")
+            self.set_reg(r, ctype, f"{old} + {_step_by(ctype, e.op)}")
             return old, ctype
         addr, ctype = self.lv(e.target)
-        return self.step(addr, ctype, -1 if e.op == "--" else 1)[0], ctype
+        return self.step(addr, ctype, e.op)[0], ctype
 
     def ev_Deref(self, e: ast.Expr) -> tuple[str, CType]:
         return self.via(*self.lv(e))
@@ -641,7 +643,7 @@ class _Fn:
         else:
             self.flush(f"rt.flush(); {t} = rt.call_extern({e.func!r}"
                        f"{', ' if args else ''}{args})")
-        return t, INT
+        return t, e.value_type
 
     def ev_SizeOf(self, e: ast.SizeOf) -> tuple[str, CType]:
         try:

@@ -1,9 +1,9 @@
 """Tree-walking interpreter for the C subset.
 
 Names are resolved lexically, by :func:`repro.cminus.resolve.resolve`.
-A *register* -- an integer local or parameter whose address is never
-taken -- lives in the call's frame, outside simulated memory.  Every
-other variable lives at a real simulated address supplied by a
+A *register* -- an integer or pointer local or parameter whose address
+is never taken -- lives in the call's frame, outside simulated memory.
+Every other variable lives at a real simulated address supplied by a
 :class:`~repro.cminus.memaccess.MemoryAccess`; every load and store moves
 actual bytes, so the safety tools observe genuine memory behaviour:
 Kefence's guard pages fault on overflowing pointers, segment limits stop
@@ -85,6 +85,13 @@ def _truncate(value: int, ctype: CType) -> int:
     if isinstance(ctype, IntType) and ctype.signed and value >= (1 << (bits - 1)):
         value -= 1 << bits
     return value
+
+
+def _step_by(ctype: CType, op: str) -> int:
+    """What ``++`` (``op``) or ``--`` adds to a ``ctype`` value: a pointer
+    moves by its pointee's size."""
+    size = ctype.pointee.size if isinstance(ctype, PointerType) else 1
+    return size if op == "++" else -size
 
 
 def c_div(a: int, b: int) -> int:
@@ -502,13 +509,12 @@ class Interpreter:
         b = register_of(target)
         if b is not None:
             old = self._frame[b]
-            new = _truncate(old + 1 if op == "++" else old - 1, b.ctype)
+            new = _truncate(old + _step_by(b.ctype, op), b.ctype)
             self._frame[b] = new
             return old, new, b.ctype
         addr, ctype = self.lvalue(target)
         old = self._load(addr, ctype)
-        scale = ctype.pointee.size if isinstance(ctype, PointerType) else 1
-        new = old + scale if op == "++" else old - scale
+        new = old + _step_by(ctype, op)
         self._store(addr, new, ctype)
         return old, _truncate(new, ctype), ctype
 
@@ -596,7 +602,7 @@ class Interpreter:
 
     def _eval_Call(self, e: ast.Call) -> tuple[int, CType]:
         args = [self.eval(a)[0] for a in e.args]
-        return self.call(e.func, *args), INT
+        return self.call(e.func, *args), e.value_type
 
     def _eval_SizeOf(self, e: ast.SizeOf) -> tuple[int, CType]:
         if e.ctype is not None:

@@ -19,11 +19,13 @@ Each binding's facts are computed once, for every consumer:
   a KGCC ``Check``), or it has a member array or nested struct that
   decays to its address;
 * ``passed`` -- the bare identifier is a call argument;
-* ``register`` -- an integer local or parameter whose address is never
-  taken.  Its value can only change by assignment to its own name, so
-  both engines keep it out of simulated memory, as gcc keeps such a
-  variable in a machine register (§3.4: "KGCC does not check stack
-  objects whose addresses are not taken").
+* ``register`` -- an integer or pointer local or parameter whose
+  address is never taken.  Its value can only change by assignment to
+  its own name, so both engines keep it out of simulated memory, as gcc
+  keeps such a variable in a machine register, and KGCC registers no
+  object for it (§3.4: "KGCC does not check stack objects whose
+  addresses are not taken").  A pointer register's value is still
+  checked wherever it is dereferenced.
 
 Each binding also records its ``scope`` path, so a consumer can tell
 whether one declaration's lifetime encloses another's.  :func:`type_of`
@@ -83,6 +85,9 @@ class Binding:
         self.scope: tuple[int, ...] = ()
         self.addr_taken = False
         self.passed = False
+        #: an ``int``, ``char``, ``long`` or pointer local or parameter
+        #: whose address is never taken: it lives outside simulated
+        #: memory, and KGCC registers no object for it
         self.register = False
 
     def __repr__(self) -> str:
@@ -106,8 +111,8 @@ def type_of(expr: ast.Expr) -> CType | None:
     """``expr``'s static type, without evaluating it (None when it has
     none), looking through KGCC checks.  Arrays decay only in pointer
     arithmetic, which has the pointer's type; ``=``, ``op=``, ``++`` and
-    ``--`` have their target's type; every other operator, and a call,
-    is ``int``."""
+    ``--`` have their target's type; a call has its ``value_type``; every
+    other operator is ``int``."""
     expr = strip_checks(expr)
     if isinstance(expr, ast.StrLit):
         return PointerType(CHAR)
@@ -145,6 +150,8 @@ def type_of(expr: ast.Expr) -> CType | None:
         return type_of(expr.target)
     if isinstance(expr, ast.UnOp) and expr.op in ("++", "--"):
         return type_of(expr.operand)
+    if isinstance(expr, ast.Call):
+        return expr.value_type
     return INT
 
 
@@ -204,9 +211,12 @@ class _Resolver:
         self.ordinals = 0
         #: off inside ``sizeof``, which evaluates nothing
         self.facts = True
+        #: the program's functions, which type the calls
+        self.funcs: dict[str, ast.FuncDef] = {}
 
     def run(self, program: ast.Program) -> dict[str, list[Binding]]:
         funcs: dict[str, list[Binding]] = {}
+        self.funcs = program.funcs
         glob: dict[str, Binding] = {}
         self.scopes = [glob]
         for i, decl in enumerate(program.globals):
@@ -223,7 +233,7 @@ class _Resolver:
             funcs[name] = self.bindings
         for bindings in funcs.values():
             for b in bindings:
-                b.register = (isinstance(b.ctype, IntType)
+                b.register = (isinstance(b.ctype, (IntType, PointerType))
                               and not b.addr_taken)
         return funcs
 
@@ -303,6 +313,11 @@ class _Resolver:
             self.expr(e.expr)
             self.facts = facts
             return
+        if isinstance(e, ast.Call):
+            fdef = self.funcs.get(e.func)
+            ret = fdef.ret_type if fdef is not None else INT
+            e.value_type = (ret if isinstance(ret, (IntType, PointerType))
+                            else INT)
         for value in vars(e).values():
             if isinstance(value, ast.Expr):
                 self.expr(value)

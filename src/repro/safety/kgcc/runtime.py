@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import TYPE_CHECKING
 
-from repro.cminus.ctypes import ArrayType, PointerType
+from repro.cminus.ctypes import ArrayType
 from repro.cminus.memaccess import MemoryAccess
 from repro.cminus.resolve import Binding
 from repro.errors import AllocatorMisuse, BoundsError, InvalidPointer
@@ -37,13 +37,14 @@ if TYPE_CHECKING:  # pragma: no cover
 
 def registered(binding: Binding) -> bool:
     """Whether KGCC registers the variable in its address map: every
-    global, pointer and array, and every object whose address is taken
-    or that is passed to a call.  "KGCC does not check stack objects
-    whose addresses are not taken" (§3.4); a register has no storage at
-    all."""
+    global and array, and every object whose address is taken or that
+    is passed to a call.  "KGCC does not check stack objects whose
+    addresses are not taken" (§3.4, Jones & Kelly's rule): an integer or
+    pointer local or parameter whose address is never taken is a
+    register, with no storage at all."""
     return not binding.register and (
         binding.kind == "global" or binding.addr_taken or binding.passed
-        or isinstance(binding.ctype, (PointerType, ArrayType)))
+        or isinstance(binding.ctype, ArrayType))
 
 
 class KgccRuntime:

@@ -8,9 +8,10 @@ count from both.
 import pytest
 
 from repro.cminus import ExecLimits, Interpreter, UserMemAccess, parse
-from repro.errors import CMinusError
+from repro.errors import BoundsError, CMinusError
 from repro.kernel import Kernel
 from repro.kernel.fs import RamfsSuperBlock
+from repro.safety.kgcc import KgccRuntime, instrument
 
 
 @pytest.fixture
@@ -105,6 +106,49 @@ def test_return_value_takes_the_return_type(run):
     int main() { char b[2]; b[1] = 7; char *q = next(b); return *q; }
     """
     assert run(src) == 7
+
+
+def test_a_call_has_its_callees_type(run):
+    """A pointer-returning call can be dereferenced and indexed in place,
+    and ``sizeof`` sees each call's type."""
+    src = """
+    char *next(char *p) { return p + 1; }
+    int main() {
+        char b[3];
+        b[0] = 1; b[1] = 7; b[2] = 9;
+        return *next(b) * 10 + next(b)[1];
+    }
+    """
+    assert run(src) == 79
+    src = """
+    char c() { return 1; }
+    char *next(char *p) { return p + 1; }
+    void v() { }
+    int main() {
+        char b[2];
+        return sizeof(c()) * 1000 + sizeof(next(b)) * 100
+            + sizeof(*next(b)) * 10 + sizeof(v());
+    }
+    """
+    assert run(src) == 1000 + 800 + 10 + 8
+
+
+@pytest.mark.parametrize("access", ["*next(b + 3)", "next(b)[5]"])
+def test_an_out_of_bounds_call_result_fails_its_check(run_both, access):
+    """Under KGCC, an access through a call's out-of-bounds result is
+    checked like any pointer's."""
+    src = f"""
+    char *next(char *p) {{ return p + 1; }}
+    int main() {{ char b[2]; b[0] = 1; b[1] = 2; return {access}; }}
+    """
+
+    def build(k, mem, program):
+        instrument(program)
+        runtime = KgccRuntime(k)
+        return dict(check_runtime=runtime, var_hooks=runtime)
+
+    with pytest.raises(BoundsError):
+        run_both(build, src)
 
 
 def test_if_else_chain(run):

@@ -7,8 +7,8 @@ count from both.
 
 import pytest
 
-from repro.cminus import bump_generation, parse, program_fingerprint
-from repro.cminus.resolve import resolve
+from repro.cminus import ast, bump_generation, parse, program_fingerprint
+from repro.cminus.resolve import resolve, type_of
 from repro.errors import BoundsError, CMinusError
 from repro.safety.kgcc import KgccRuntime, instrument, optimize
 from repro.safety.verifier import Verdict, verify_program
@@ -45,8 +45,8 @@ def test_address_taken_looks_through_arrays_members_and_checks():
     # &p[1] is an element of what p points to, not of p
     assert not b["p"].addr_taken and not b["w"].addr_taken
     assert b["a"].passed and not b["p"].passed
-    assert [n for n, x in b.items() if x.register] == ["y", "z"]
-    assert not _bindings(src, "f")["p"].register     # a pointer
+    assert [n for n, x in b.items() if x.register] == ["p", "y", "z"]
+    assert _bindings(src, "f")["p"].register     # a pointer parameter
 
 
 def test_member_array_decay_takes_the_struct_address():
@@ -94,6 +94,31 @@ def test_bindings_are_cached_per_generation_and_kept_across_them():
     bump_generation(program)
     assert resolve(program) is not first
     assert resolve(program)["main"][0] is decl.binding
+
+
+def test_calls_take_their_callees_type():
+    """The resolver stamps each call with its callee's integer or
+    pointer return type; a void or struct return and an extern are
+    ``int``.  The stamp is a side field: equality and the fingerprint
+    ignore it."""
+    src = """
+    struct s { int a; };
+    char c() { return 1; }
+    char *next(char *p) { return p + 1; }
+    struct s *sp(struct s *p) { return p; }
+    struct s sv(int x) { return x; }
+    void v() { }
+    int main() { char b[2]; v(); ext(); c(); sv(1); sp(0); return *next(b); }
+    """
+    program = parse(src)
+    resolve(program)
+    calls = {n.func: type_of(n) for n in ast.walk(program.funcs["main"])
+             if isinstance(n, ast.Call)}
+    assert {f: repr(t) for f, t in calls.items()} == {
+        "v": "int", "ext": "int", "c": "char", "sv": "int",
+        "sp": "struct s*", "next": "char*"}
+    assert parse(src) == program
+    assert program_fingerprint(parse(src)) == program_fingerprint(program)
 
 
 def test_fingerprint_is_structural():

@@ -10,11 +10,14 @@ statement.  Any divergence means the source generator or its batched
 accounting changed semantics; the failure message prints the Python the
 compiled engine ran.
 
-The programs mix registers (``int`` and ``char`` locals and parameters
-whose address is never taken) with variables in memory, shadow both in
-nested blocks, draw literals past 2**53, and call ``int`` and ``char``
-helper functions, whose return values both engines convert to the
-return type.
+The programs mix registers (``int``, ``char`` and pointer locals and
+parameters whose address is never taken) with variables in memory,
+shadow both in nested blocks, draw literals past 2**53, and call ``int``
+and ``char`` helper functions, whose return values both engines convert
+to the return type.  Pointer locals walk ``int`` and ``char`` arrays
+(``++``/``--``, ``+=``/``-=``), are compared, subtracted, dereferenced,
+passed to helpers and returned by them; one of them, ``m``, has its
+address taken, so it steps and is read through memory.
 
 A step hook may return a budget: how many more ops may run before the
 compiled engine must call it again.  The deadline hook below fires once
@@ -73,12 +76,20 @@ def _exprs(draw, names, wr=(), depth=0):
     return f"({left} {op} {right})"
 
 
+#: main's pointers into ``a``: the register ``p``, and ``m``, whose
+#: address ``pm`` holds, named directly and through ``pm``
+_PTRS = ("p", "m", "(*pm)")
+
+
 @st.composite
-def _stmts(draw, names, ro=(), depth=0, arr="a", in_loop=False, calls=()):
+def _stmts(draw, names, ro=(), depth=0, arr="a", in_loop=False, calls=(),
+           ptrs=(), pcalls=()):
     """One statement.  ``names`` are writable scalars (``c...`` ones are
     ``char``); ``ro`` holds loop counters, readable only, so every loop
     terminates.  ``arr`` points at 8 ints; ``calls`` are the helper
-    functions it may call."""
+    functions it may call, and ``pcalls`` the pointer-returning ones.
+    ``ptrs`` are pointers into ``arr``; a statement that moves one
+    brings it back into ``arr`` when it leaves."""
     rd = list(names) + list(ro)
     kinds = ["assign", "assign", "aug", "aug", "array", "postinc",
              "preinc", "return"]
@@ -88,6 +99,13 @@ def _stmts(draw, names, ro=(), depth=0, arr="a", in_loop=False, calls=()):
         kinds += ["jump", "jump"]
     if calls:
         kinds += ["call"]
+    if ptrs:
+        kinds += ["pstep", "pstep", "pstore", "pwalk", "cwalk"]
+        rd += [f"({q} - {arr})" for q in ptrs] + [
+            f"(*{ptrs[0]})", f"({ptrs[0]} < {ptrs[-1]})",
+            f"({ptrs[1]} == {ptrs[0]})"]
+    if pcalls:
+        kinds += ["pret"]
     kind = draw(st.sampled_from(kinds))
     target = draw(st.sampled_from(names))
 
@@ -97,7 +115,43 @@ def _stmts(draw, names, ro=(), depth=0, arr="a", in_loop=False, calls=()):
     def body(extra_ro=(), loop=in_loop, more=()):
         return " ".join(draw(st.lists(
             _stmts(list(names) + list(more), tuple(ro) + extra_ro,
-                   depth + 1, arr, loop, calls), min_size=1, max_size=3)))
+                   depth + 1, arr, loop, calls, ptrs, pcalls),
+            min_size=1, max_size=3)))
+
+    def into(q):
+        """Bring the pointer ``q`` back into ``arr``."""
+        k = draw(st.integers(min_value=0, max_value=7))
+        return (f"if ({q} < {arr} || {q} > {arr} + 7) "
+                f"{q} = {arr} + {k};")
+
+    if kind == "pstep":
+        q = draw(st.sampled_from(ptrs))
+        step = draw(st.sampled_from([
+            f"{q}++;", f"{q}--;", f"++{q};", f"--{q};",
+            f"{q} += {draw(st.integers(0, 3))};",
+            f"{q} -= {draw(st.integers(0, 3))};",
+            f"{q} = {draw(st.sampled_from(ptrs))};"]))
+        return f"{step} {into(q)}"
+    if kind == "pstore":
+        q = draw(st.sampled_from(ptrs))
+        if draw(st.booleans()):
+            return f"*{q} = {expr()};"
+        return f"{q}[0] ^= {expr()};"
+    if kind == "pwalk":
+        w = f"w{depth}"
+        return (f"for (int *{w} = {arr}; {w} < {arr} + 8; "
+                f"{w} += {draw(st.integers(1, 3))}) {target} ^= *{w};")
+    if kind == "cwalk":
+        w = f"k{depth}"
+        return (f"{{ char *{w} = s8 + 8; while ({w} > s8) "
+                f"{{ --{w}; *{w} += {expr()}; }} }}")
+    if kind == "pret":
+        f = draw(st.sampled_from(pcalls))
+        q = draw(st.sampled_from(ptrs))
+        return draw(st.sampled_from([
+            f"{q} = {f}({arr}, {expr()});",
+            f"{target} ^= *{f}({arr}, {expr()});",
+            f"{target} += {f}({arr}, {expr()})[0];"]))
 
     if kind == "assign":
         return f"{target} = {expr()};"
@@ -121,8 +175,9 @@ def _stmts(draw, names, ro=(), depth=0, arr="a", in_loop=False, calls=()):
         return f"if ({expr()}) {draw(st.sampled_from(['break', 'continue']))};"
     if kind == "call":
         ints = [n for n in names if n.isidentifier() and n[0] != "c"]
+        where = [f"&{n}" for n in ints] + list(ptrs)
         return (f"{target} = {draw(st.sampled_from(calls))}"
-                f"(&{draw(st.sampled_from(ints))}, {arr}, {expr()}, "
+                f"({draw(st.sampled_from(where))}, {arr}, {expr()}, "
                 f"{expr()});")
     if kind == "if":
         cond = expr()
@@ -139,6 +194,10 @@ def _stmts(draw, names, ro=(), depth=0, arr="a", in_loop=False, calls=()):
         if draw(st.booleans()):
             # a new array of the same name hides the one statements index
             return f"{{ int {arr}[8]; {body()} }}"
+        if ptrs and draw(st.booleans()):
+            # a new pointer register hides p
+            k = draw(st.integers(min_value=0, max_value=7))
+            return f"{{ int *{ptrs[0]} = {arr} + {k}; {body()} }}"
         var = draw(st.sampled_from(scalars))
         ctype = "char" if var[0] == "c" else "int"
         return f"{{ {ctype} {var} = {expr()}; {body()} }}"
@@ -165,16 +224,30 @@ def _helpers(draw, name):
 
 
 @st.composite
+def _pointer_helpers(draw, name):
+    """A function returning a pointer to the element ``v & 7`` of the
+    8-int array ``arr``, reached by a walk of its pointer register."""
+    walk = draw(st.sampled_from([
+        "r += v & 7;",
+        "for (int i = v & 7; i > 0; i--) r++;",
+        "r = r + 7; for (int i = 7 - (v & 7); i > 0; i--) --r;"]))
+    return f"int *{name}(int *arr, int v) {{ int *r = arr; {walk} return r; }}"
+
+
+@st.composite
 def programs(draw):
     calls = tuple(f"h{i}" for i in range(draw(st.integers(0, 2))))
-    helpers = " ".join(draw(_helpers(h)) for h in calls)
+    pcalls = tuple(f"ph{i}" for i in range(draw(st.integers(0, 1))))
+    helpers = " ".join([draw(_helpers(h)) for h in calls]
+                       + [draw(_pointer_helpers(h)) for h in pcalls])
     names = ["x", "y", "z", "c"]
     inits = " ".join(
         f"{'char' if n == 'c' else 'int'} {n} = "
         f"{draw(st.integers(min_value=-50, max_value=50))};"
         for n in names)
-    body = " ".join(draw(st.lists(_stmts(names, calls=calls),
-                                  min_size=1, max_size=6)))
+    body = " ".join(draw(st.lists(
+        _stmts(names, calls=calls, ptrs=_PTRS, pcalls=pcalls),
+        min_size=1, max_size=6)))
     return f"""
     int g = {draw(st.integers(min_value=-50, max_value=50))};
     int g2 = g * 3 - 1;
@@ -183,10 +256,15 @@ def programs(draw):
         {inits}
         int a[8];
         for (int j = 0; j < 8; j++) a[j] = j * 3 + g2;
+        char s8[8];
+        for (char *k = s8; k < s8 + 8; k++) *k = k - s8 + g;
+        int *p = a + {draw(st.integers(min_value=0, max_value=7))};
+        int *m = a + {draw(st.integers(min_value=0, max_value=7))};
+        int **pm = &m;
         {body}
-        g = x ^ y ^ z ^ c;
+        g = x ^ y ^ z ^ c ^ (p - a) * 16 ^ (m - a) * 256;
         int s = 0;
-        for (int j = 0; j < 8; j++) s ^= a[j];
+        for (int j = 0; j < 8; j++) s ^= a[j] ^ s8[j];
         return g ^ s;
     }}
     """

@@ -6,9 +6,10 @@
   one element past a random array is always caught.
 * The optimizer never changes which programs pass or fail: with the
   load-time verifier's proofs, on programs that shadow, redeclare, use
-  struct fields and pass element addresses to helpers, every check that
-  would fail stays, at the same site, and a function the verifier proves
-  safe never faults.
+  struct fields, pass element addresses to helpers and walk arrays with
+  pointer locals (registers, which KGCC does not register), every check
+  that would fail stays, at the same site, and a function the verifier
+  proves safe never faults.
 """
 
 from hypothesis import given, settings
@@ -119,9 +120,10 @@ def test_out_of_bounds_always_caught(n, past, via_pointer):
 # Programs over an array ``a``, a struct ``r`` and helpers that take
 # pointers, with blocks that shadow the array, a scalar or a pointer,
 # sibling blocks that redeclare one name with another type, ``&`` of
-# elements and fields passed to the helpers, and postfix ``++`` on
-# elements.  Every statement indexes in bounds or, when it is drawn out
-# of bounds, up to a few elements past its object.
+# elements and fields passed to the helpers, postfix ``++`` on elements,
+# and pointer locals that walk ``a`` and ``r.vals``.  Every statement
+# indexes in bounds or, when it is drawn out of bounds, up to a few
+# elements past its object.
 
 _PRELUDE = """
 struct rec { int len; char tag; int vals[4]; };
@@ -131,7 +133,8 @@ int poke(int *p, int v) { *p = v; return 0; }
 
 #: statement templates: ``i`` indexes ``a``, ``j`` an ``m``-element
 #: block array, ``f`` ``r.vals``, ``k`` an 8-byte store into an
-#: ``m8``-byte char array
+#: ``m8``-byte char array; a pointer local ``w`` steps to ``a[i]`` or
+#: ``r.vals[f]``
 _TEMPLATES = [
     "a[{i}] = {v};",
     "s += a[{i}];",
@@ -148,6 +151,10 @@ _TEMPLATES = [
     "{{ struct rec *rp = &r; rp->vals[{f}] = {v}; s += rp->vals[{f}]; }}",
     "s += peek(&a[{i}]);",
     "poke(&r.vals[{f}], {v}); s += peek(&r.vals[{f}]);",
+    "{{ int *w = a; for (int t = 0; t < {i}; t++) w++; s += *w; }}",
+    "{{ int *w = a; int *e = a + {i}; while (w <= e) {{ s += *w; w++; }} }}",
+    "{{ int *w = a + {i}; w--; ++w; *w = {v}; s += peek(w) + (w - a); }}",
+    "{{ int *w = r.vals; w += {f}; *w = {v}; s += *w; }}",
 ]
 
 
