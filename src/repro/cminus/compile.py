@@ -790,8 +790,8 @@ class _Fn:
 
     def try_side(self, side: ast.Expr, t: str) -> bool:
         """One operand of :meth:`arith_base`; a ``CMinusError`` moves on
-        to the next.  Every raise site zeroes ``p``, so the handler
-        starts with nothing pending."""
+        to the next, unless it is the op limit's.  Every raise site zeroes
+        ``p``, so the handler starts with nothing pending."""
         self.sync()
         self.emit("try:")
         self.ind += 1
@@ -805,7 +805,9 @@ class _Fn:
             self.emit("pass")
         self.ind -= 1
         self.blocks -= 1
-        self.emit("except CMinusError: pass")
+        self.uses.add("cap")
+        self.emit("except CMinusError:")
+        self.emit("    if rt.ops_executed > cap: raise")
         return is_ptr
 
     # -------------------------------------------------------- statements

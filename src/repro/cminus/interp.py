@@ -188,6 +188,10 @@ class Interpreter:
             raise CMinusError(
                 f"execution exceeded {self.limits.max_ops} operations")
 
+    def _over_limit(self) -> bool:
+        return (self.limits.max_ops is not None
+                and self.ops_executed > self.limits.max_ops)
+
     def _site(self, node: ast.Node) -> str:
         return f"{self.filename}:{node.line}"
 
@@ -634,12 +638,16 @@ class Interpreter:
         return self._load(addr, ctype), ctype
 
     def _arith_base(self, expr: ast.Expr) -> int:
-        """The pointer operand's value, for peer attribution (§3.4)."""
+        """The pointer operand's value, for peer attribution (§3.4).  A
+        side that fails has no value to offer, except that the op limit
+        ends the run."""
         if isinstance(expr, ast.BinOp):
             for side in (expr.left, expr.right):
                 try:
                     value, ctype = self.eval(side)
                 except CMinusError:
+                    if self._over_limit():
+                        raise
                     continue
                 if isinstance(ctype, PointerType):
                     return value

@@ -12,7 +12,7 @@ import pytest
 from repro.cminus import (CodeCache, CompiledEngine, ExecLimits, Interpreter,
                           UserMemAccess, bump_generation, compile_program,
                           generation_of, parse)
-from repro.errors import CMinusError
+from repro.errors import CMinusError, ReproError
 from repro.kernel import Kernel
 from repro.kernel.clock import Mode
 from repro.kernel.fs import RamfsSuperBlock
@@ -131,6 +131,45 @@ def test_max_ops_not_hit_runs_to_completion():
     comp = _run_engine("compiled", WORK_SRC, "main", 3, max_ops=10_000_000)
     assert tree[0][0] == "ok"
     assert tree == comp
+
+
+WALK_SRC = """
+int main() {
+    char s[8];
+    int n = 0;
+    for (char *k = s; k < s + 8; k++) n++;
+    return n;
+}
+"""
+
+
+def _run_checked(engine: str, max_ops: int | None):
+    k, mem = _fresh()
+    program = parse(WALK_SRC)
+    instrument(program)
+    runtime = KgccRuntime(k)
+    cls = Interpreter if engine == "tree" else CompiledEngine
+    interp = cls(program, mem, limits=ExecLimits(max_ops=max_ops),
+                 check_runtime=runtime, var_hooks=runtime)
+    try:
+        outcome = ("ok", interp.call("main"))
+    except ReproError as exc:
+        outcome = (type(exc).__name__, str(exc))
+    return outcome, interp.ops_executed, runtime.checks_executed
+
+
+def test_max_ops_inside_a_kgcc_arith_check():
+    """KGCC's ``s + 8`` check re-evaluates its operands to find the
+    pointer.  A limit that trips there ends the run on both engines; it
+    must not leave the check with no pointer, which raised
+    ``InvalidPointer`` on the tree-walker alone."""
+    total = _run_checked("tree", None)[1]
+    for max_ops in range(1, total):
+        tree = _run_checked("tree", max_ops)
+        assert tree[0] == (
+            "CMinusError", f"execution exceeded {max_ops} operations")
+        assert tree[1] == max_ops + 1
+        assert tree == _run_checked("compiled", max_ops)
 
 
 # ---------------------------------------------------------------- the cache
