@@ -52,14 +52,11 @@ def _run_engine(engine: str) -> tuple[int, int, float]:
         cminus_op = k.costs.cminus_op
         charge = k.clock.charge_system
 
-        if engine == "tree":
-            interp = Interpreter(program, mem,
-                                 on_op=lambda: charge(cminus_op))
-        else:
-            # batched accounting — one charge per flush, same total
-            interp = CompiledEngine(
-                program, mem,
-                on_op_batch=lambda n: charge(n * cminus_op))
+        # the tree-walker charges one op per call, the compiled engine
+        # one batch per flush: the same total
+        cls = Interpreter if engine == "tree" else CompiledEngine
+        interp = cls(program, mem,
+                     on_op_batch=lambda n: charge(n * cminus_op))
         t0 = time.perf_counter()
         result = interp.call("mix", 7, ITERS)
         best = min(best, time.perf_counter() - t0)

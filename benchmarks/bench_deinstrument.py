@@ -50,8 +50,9 @@ def _measure():
         return kernel.clock.now - before
 
     # unchecked reference
-    plain = Interpreter(parse(SRC), mem, on_op=lambda: kernel.clock.charge(
-        kernel.costs.cminus_op, Mode.USER))
+    plain = Interpreter(parse(SRC), mem,
+                        on_op_batch=lambda n: kernel.clock.charge(
+                            n * kernel.costs.cminus_op, Mode.USER))
     unchecked = one_pass_cost(plain)
 
     # checked, with a deinstrumenter watching
@@ -60,8 +61,8 @@ def _measure():
     runtime = KgccRuntime(kernel, mode=Mode.USER)
     interp = Interpreter(program, mem, check_runtime=runtime,
                          var_hooks=runtime,
-                         on_op=lambda: kernel.clock.charge(
-                             kernel.costs.cminus_op, Mode.USER))
+                         on_op_batch=lambda n: kernel.clock.charge(
+                             n * kernel.costs.cminus_op, Mode.USER))
     deinst = DynamicDeinstrumenter(runtime, report, threshold=500)
     checked_before = one_pass_cost(interp)
     # warm the counters past the threshold, then sweep

@@ -33,9 +33,9 @@ PM_CFG = PostMarkConfig(nfiles=100, transactions=150, workdir="/mnt/postmark")
 
 #: (system, elapsed) cycles of the vanilla and the checked run
 E7_CYCLES = {"vanilla": (1_022_260, 4_857_100),
-             "checked": (2_213_384, 6_048_224)}
+             "checked": (2_212_872, 6_047_712)}
 E8_CYCLES = {"vanilla": (8_878_954, 205_854_100),
-             "checked": (170_220_288, 367_197_834)}
+             "checked": (170_147_506, 367_125_052)}
 
 
 def _cycles(vanilla, checked) -> dict[str, tuple[int, int]]:

@@ -1,8 +1,8 @@
 """Source generator for the C subset: lower an AST once, execute many.
 
 The tree-walking :class:`~repro.cminus.interp.Interpreter` re-dispatches on
-node types and fires a Python ``on_op`` callback for every simulated
-operation.  That is faithful but slow, and every hot path in the
+node types and fires a Python ``on_op_batch(1)`` callback for every
+simulated operation.  That is faithful but slow, and every hot path in the
 reproduction (CoSy compounds, KGCC-instrumented modules) bottoms out in
 it.  This module performs the move real kernel-embedded runtimes make —
 eBPF JIT-compiles verified bytecode at load time — scaled to this
@@ -15,7 +15,9 @@ simulator:
   never taken) is a Python local holding its value, and every other
   variable keeps its simulated stack slot, its address a Python local.
   Type sizes and truncation masks are literals, and KGCC
-  :class:`ast.Check` nodes become inline calls into the check runtime.
+  :class:`ast.Check` nodes become inline calls into the check runtime on
+  values the code has just computed: an arith check's base is the
+  pointer operand of the ``+``/``-`` it wraps, evaluated once.
   ``CompiledFunction.source`` keeps the text; the code object's filename
   names the C function (``<cminus:file:func>``).
 * :class:`CompiledEngine` executes compiled code behind the same ``call``
@@ -715,7 +717,7 @@ class _Fn:
     # ------------------------------------------------------------ checks
 
     def check_call(self, node: ast.Check, call: str) -> None:
-        """A deref/index check: ``enabled`` is read live from the node,
+        """A check's runtime call: ``enabled`` is read live from the node,
         so dynamic deinstrumentation applies before the recompile."""
         self.uses.add("cr")
         self.emit(f"if {self.gen.const(node)}.enabled and cr is not None: "
@@ -751,64 +753,20 @@ class _Fn:
         return self.via(addr, ctype)
 
     def arith_check(self, e: ast.Check) -> tuple[str, CType]:
-        value, ctype = self.ev(e.inner)
+        """Mirror of the tree-walker's arith check: the ``BinOp`` ticks
+        and is evaluated once, and its pointer operand is the base."""
+        inner = e.inner
+        self.k += 1
+        left, lt = self.ev_then(inner.left, inner.right)
+        right, rtt = self.ev(inner.right)
+        left, right = self.name(left), self.name(right)
+        value, ctype = self.combine(inner.op, left, lt, right, rtt,
+                                    inner.line)
         t = self.tmp()
         self.emit(f"{t} = {value}")
-        self.uses.add("cr")
-        self.emit(f"if {self.gen.const(e)}.enabled and cr is not None:")
-        k0 = self.k
-        self.ind += 1
-        base = self.arith_base(e.inner)
-        self.flush(f"rt.flush(); {t} = cr.check_arith({base}, {t}, "
-                   f"{e.site!r})")
-        self.sync(k0)
-        self.ind -= 1
+        base = left if isinstance(lt, PointerType) else right
+        self.check_call(e, f"{t} = cr.check_arith({base}, {t}, {e.site!r})")
         return t, ctype
-
-    def arith_base(self, inner: ast.Expr) -> str:
-        """Mirror of ``Interpreter._arith_base``: re-evaluate the operands
-        (ticks and side effects included); the first pointer wins."""
-        t = self.tmp()
-        if isinstance(inner, ast.BinOp):
-            self.emit(f"{t} = None")
-            if self.try_side(inner.left, t):
-                self.emit(f"if {t} is None:")
-                self.ind += 1
-                self.try_side(inner.right, t)
-                self.ind -= 1
-            else:
-                self.try_side(inner.right, t)
-            self.emit(f"if {t} is None: {t} = 0")
-        elif isinstance(inner, (ast.PostIncDec, ast.UnOp)):
-            target = getattr(inner, "target", None) or getattr(inner,
-                                                               "operand")
-            v, vtype = self.ev(target)
-            self.emit(f"{t} = {v if isinstance(vtype, PointerType) else 0}")
-        else:
-            self.emit(f"{t} = 0")
-        return t
-
-    def try_side(self, side: ast.Expr, t: str) -> bool:
-        """One operand of :meth:`arith_base`; a ``CMinusError`` moves on
-        to the next, unless it is the op limit's.  Every raise site zeroes
-        ``p``, so the handler starts with nothing pending."""
-        self.sync()
-        self.emit("try:")
-        self.ind += 1
-        self.blocks += 1
-        v, vtype = self.ev(side)
-        is_ptr = isinstance(vtype, PointerType)
-        if is_ptr:
-            self.emit(f"{t} = {v}")
-        self.sync()
-        if self.lines[-1].strip() == "try:":
-            self.emit("pass")
-        self.ind -= 1
-        self.blocks -= 1
-        self.uses.add("cap")
-        self.emit("except CMinusError:")
-        self.emit("    if rt.ops_executed > cap: raise")
-        return is_ptr
 
     # -------------------------------------------------------- statements
 
@@ -1255,11 +1213,10 @@ class CodeCache:
 class CompiledEngine:
     """Drop-in replacement for :class:`Interpreter` over generated code.
 
-    Same constructor surface plus:
+    Same constructor surface, with these differences:
 
-    * ``on_op_batch(n)`` — preferred accounting hook, called once per
-      flush with the batched op count (``on_op`` still works: it is
-      invoked n times per flush, preserving exact call counts);
+    * ``on_op_batch(n)`` is called once per flush with the batched op
+      count, where the tree-walker calls it with 1 per op;
     * ``step_hook()`` may return a budget, kept in ``budget``: the hook
       is next called at the first statement by which that many ops have
       run since the flush before it, or at the first statement after
@@ -1274,7 +1231,6 @@ class CompiledEngine:
 
     def __init__(self, program: ast.Program, mem: MemoryAccess, *,
                  externs: dict[str, Callable] | None = None,
-                 on_op: Callable[[], None] | None = None,
                  on_op_batch: Callable[[int], None] | None = None,
                  step_hook: Callable[[], int | None] | None = None,
                  check_runtime: CheckRuntime | None = None,
@@ -1287,7 +1243,6 @@ class CompiledEngine:
         self.program = program
         self.mem = mem
         self.externs = externs or {}
-        self.on_op = on_op
         self.step_hook = step_hook
         self.check_runtime = check_runtime
         self.var_hooks = var_hooks
@@ -1309,12 +1264,6 @@ class CompiledEngine:
         self.strings: dict[int, int] = {}
         self._cache = cache
         self._tracer = tracer
-        if on_op_batch is None and on_op is not None:
-            op = on_op
-
-            def on_op_batch(n: int) -> None:
-                for _ in range(n):
-                    op()
         self._on_op_batch = on_op_batch
         if compiled is None:
             compiled = (cache.lookup(program, filename) if cache is not None

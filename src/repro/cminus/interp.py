@@ -8,12 +8,17 @@ Every other variable lives at a real simulated address supplied by a
 actual bytes, so the safety tools observe genuine memory behaviour:
 Kefence's guard pages fault on overflowing pointers, segment limits stop
 escaping ones, and KGCC's :class:`~repro.cminus.ast_nodes.Check` nodes are
-executed here by calling into the attached check runtime.
+executed here by calling into the attached check runtime with the values
+the checked node computed: an arith check evaluates its ``+``/``-`` once
+and hands the runtime that sum's pointer operand as the base.
 
 Hooks (all optional):
 
-* ``on_op()`` — called once per AST operation; harnesses charge
-  :attr:`CostModel.cminus_op` cycles here.
+* ``on_op_batch(n)`` — called with ``n`` = 1 at every AST operation
+  (the compiled engine batches ``n``); harnesses charge ``n`` ×
+  :attr:`CostModel.cminus_op` cycles here.  KGCC's runtime calls are
+  not operations: a program ticks the same with the check runtime
+  attached, detached or disabled.
 * ``step_hook()`` — called once per statement; the Cosy kernel extension
   hits its preemption point here (the watchdog of §2.3).  It may return
   a *budget*: how many more ops may run before it must see the clock
@@ -143,7 +148,6 @@ class Interpreter:
 
     def __init__(self, program: ast.Program, mem: MemoryAccess, *,
                  externs: dict[str, Callable] | None = None,
-                 on_op: Callable[[], None] | None = None,
                  on_op_batch: Callable[[int], None] | None = None,
                  step_hook: Callable[[], int | None] | None = None,
                  check_runtime: CheckRuntime | None = None,
@@ -153,14 +157,7 @@ class Interpreter:
         self.program = program
         self.mem = mem
         self.externs = externs or {}
-        if on_op is None and on_op_batch is not None:
-            # API symmetry with CompiledEngine: accept a batch callback;
-            # the tree-walker simply charges it one op at a time
-            batch = on_op_batch
-
-            def on_op() -> None:
-                batch(1)
-        self.on_op = on_op
+        self.on_op_batch = on_op_batch
         self.step_hook = step_hook
         self.check_runtime = check_runtime
         self.var_hooks = var_hooks
@@ -181,16 +178,12 @@ class Interpreter:
 
     def _tick(self) -> None:
         self.ops_executed += 1
-        if self.on_op is not None:
-            self.on_op()
+        if self.on_op_batch is not None:
+            self.on_op_batch(1)
         if (self.limits.max_ops is not None
                 and self.ops_executed > self.limits.max_ops):
             raise CMinusError(
                 f"execution exceeded {self.limits.max_ops} operations")
-
-    def _over_limit(self) -> bool:
-        return (self.limits.max_ops is not None
-                and self.ops_executed > self.limits.max_ops)
 
     def _site(self, node: ast.Node) -> str:
         return f"{self.filename}:{node.line}"
@@ -621,10 +614,15 @@ class Interpreter:
 
     def _eval_Check(self, e: ast.Check) -> tuple[int, CType]:
         if e.kind == "arith":
-            # Evaluate the arithmetic, then let the runtime validate/track it.
-            value, ctype = self.eval(e.inner)
+            # The BinOp, evaluated once; its pointer operand is the base
+            # the runtime attributes the result to (§3.4).
+            inner = e.inner
+            self._tick()
+            lv, lt = self.eval(inner.left)
+            rv, rt = self.eval(inner.right)
+            value, ctype = self._binop(inner.op, lv, lt, rv, rt, inner.line)
             if e.enabled and self.check_runtime is not None:
-                base = self._arith_base(e.inner)
+                base = lv if isinstance(lt, PointerType) else rv
                 value = self.check_runtime.check_arith(base, value, e.site)
             return value, ctype
         # deref-kind Check wrapping a load
@@ -636,24 +634,3 @@ class Interpreter:
         if isinstance(ctype, ArrayType):
             return addr, ctype.decay()
         return self._load(addr, ctype), ctype
-
-    def _arith_base(self, expr: ast.Expr) -> int:
-        """The pointer operand's value, for peer attribution (§3.4).  A
-        side that fails has no value to offer, except that the op limit
-        ends the run."""
-        if isinstance(expr, ast.BinOp):
-            for side in (expr.left, expr.right):
-                try:
-                    value, ctype = self.eval(side)
-                except CMinusError:
-                    if self._over_limit():
-                        raise
-                    continue
-                if isinstance(ctype, PointerType):
-                    return value
-        if isinstance(expr, (ast.PostIncDec, ast.UnOp)):
-            target = getattr(expr, "target", None) or getattr(expr, "operand")
-            value, ctype = self.eval(target)
-            if isinstance(ctype, PointerType):
-                return value
-        return 0

@@ -151,7 +151,7 @@ class FunctionIsolation:
         else:  # the tree-walking oracle: the point at every statement
             interp = Interpreter(
                 program, mem,
-                on_op=lambda: charge_system(cminus_op),
+                on_op_batch=lambda n: charge_system(n * cminus_op),
                 step_hook=self._preemption_point,
                 limits=ExecLimits(max_ops=self.max_ops),
             )

@@ -27,10 +27,3 @@ def page_align_up(addr: int) -> int:
 def vpn_of(addr: int) -> int:
     """Virtual page number containing addr."""
     return addr >> PAGE_SHIFT
-
-
-def pages_spanned(addr: int, size: int) -> int:
-    """Number of pages touched by the byte range [addr, addr+size)."""
-    if size <= 0:
-        return 0
-    return vpn_of(addr + size - 1) - vpn_of(addr) + 1

@@ -104,20 +104,6 @@ class MMU:
 
     # --------------------------------------------------------- translation
 
-    def _tlb_access(self, vpn: int) -> None:
-        if vpn in self._tlb:
-            self._tlb.move_to_end(vpn)
-            self.tlb_hits += 1
-            return
-        self.tlb_misses += 1
-        self.clock.charge(self.costs.tlb_miss)
-        tracer = self._tracer
-        if tracer is not None and tracer.enabled:
-            tracer.complete("mem:tlb_miss", "mem", self.costs.tlb_miss)
-        self._tlb[vpn] = None
-        if len(self._tlb) > self.tlb_entries:
-            self._tlb.popitem(last=False)
-
     def flush_tlb(self) -> None:
         """Full TLB flush (charged by the scheduler on context switches)."""
         self._tlb.clear()
@@ -276,12 +262,6 @@ class MMU:
         return True
 
     # Fixed-width integer helpers (little-endian, like x86).
-
-    def read_u8(self, aspace: AddressSpace, vaddr: int) -> int:
-        return self.read(aspace, vaddr, 1)[0]
-
-    def write_u8(self, aspace: AddressSpace, vaddr: int, value: int) -> None:
-        self.write(aspace, vaddr, bytes([value & 0xFF]))
 
     def read_u32(self, aspace: AddressSpace, vaddr: int) -> int:
         return int.from_bytes(self.read(aspace, vaddr, 4), "little")

@@ -84,6 +84,3 @@ class AddressSpace:
 
     def map_page(self, vaddr: int, pte: PTE) -> None:
         self.table_for(vaddr).map(vpn_of(vaddr), pte)
-
-    def unmap_page(self, vaddr: int) -> PTE | None:
-        return self.table_for(vaddr).unmap(vpn_of(vaddr))

@@ -61,7 +61,3 @@ class PhysicalMemory:
             buf = bytearray(PAGE_SIZE)
             self._data[frame] = buf
         return buf
-
-    @property
-    def free_frames(self) -> int:
-        return self.total_frames - self.allocated

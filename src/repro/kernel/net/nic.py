@@ -147,11 +147,6 @@ class Nic:
         self._c_dropped.inc(n)
 
     @property
-    def rx_ring(self) -> deque[Packet]:
-        """Queue 0's RX ring (the only ring on single-queue devices)."""
-        return self.rx_rings[0]
-
-    @property
     def pending(self) -> int:
         """Packets queued in any ring (in flight on the 'wire')."""
         return len(self.tx_ring) + sum(len(r) for r in self.rx_rings)

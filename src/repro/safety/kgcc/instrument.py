@@ -5,8 +5,9 @@ arithmetic, string operations, memory copying, etc. are preceded by
 checks."  Here the pass wraps:
 
 * every dereference (``*p``) and index (``a[i]``) in a ``deref`` check,
-* every side-effect-free pointer ``+``/``-`` in an ``arith`` check (which
-  is where OOB peers get created),
+* every pointer ``+``/``-`` in an ``arith`` check (which is where OOB
+  peers get created), whatever its operands do: the engines evaluate the
+  sum once and hand the runtime the pointer operand they computed,
 
 and reports, per the paper's heuristic, which declarations need no
 registration at all: "KGCC does not check stack objects whose addresses
@@ -49,24 +50,6 @@ class InstrumentationReport:
 
     def all_checks(self) -> list[ast.Check]:
         return [c for nodes in self.sites.values() for c in nodes]
-
-
-def _side_effect_free(expr: ast.Expr) -> bool:
-    if isinstance(expr, (ast.IntLit, ast.StrLit, ast.Ident)):
-        return True
-    if isinstance(expr, ast.BinOp):
-        return _side_effect_free(expr.left) and _side_effect_free(expr.right)
-    if isinstance(expr, ast.UnOp):
-        return expr.op not in ("++", "--") and _side_effect_free(expr.operand)
-    if isinstance(expr, ast.Deref):
-        return _side_effect_free(expr.ptr)
-    if isinstance(expr, ast.Index):
-        return _side_effect_free(expr.base) and _side_effect_free(expr.index)
-    if isinstance(expr, ast.AddrOf):
-        return _side_effect_free(expr.target)
-    if isinstance(expr, ast.SizeOf):
-        return True
-    return False  # calls, assignments, ++/--
 
 
 class _Instrumenter:
@@ -160,7 +143,7 @@ class _Instrumenter:
         if isinstance(expr, ast.BinOp):
             expr.left = self._instr_expr(expr.left)
             expr.right = self._instr_expr(expr.right)
-            if expr.op in ("+", "-") and _side_effect_free(expr) \
+            if expr.op in ("+", "-") \
                     and isinstance(type_of(expr), PointerType):
                 return self._make_check("arith", expr, 1, expr.line)
             return expr

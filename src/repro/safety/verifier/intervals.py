@@ -40,10 +40,6 @@ class Interval:
     # ------------------------------------------------------------- queries
 
     @property
-    def is_top(self) -> bool:
-        return self.lo is None and self.hi is None
-
-    @property
     def is_const(self) -> bool:
         return self.lo is not None and self.lo == self.hi
 
@@ -53,9 +49,6 @@ class Interval:
         if self.hi is not None and v > self.hi:
             return False
         return True
-
-    def definitely_lt(self, v: int) -> bool:
-        return self.hi is not None and self.hi < v
 
     def definitely_ge(self, v: int) -> bool:
         return self.lo is not None and self.lo >= v

@@ -212,7 +212,8 @@ class VerifierReport:
 Value = Interval | PointerValue
 
 def _pure(expr: ast.Expr | None) -> bool:
-    """Side-effect-free modulo Check wrappers (checks only observe)."""
+    """Side-effect-free modulo Check wrappers (checks only observe), so
+    that refining a branch on ``expr`` cannot miss a write."""
     if expr is None:
         return True
     for node in ast.walk(expr):
@@ -377,13 +378,9 @@ class _Analyzer:
                 f"pointer '{ptr.name}' may be uninitialized on some path")
         self._record(site, "deref", line, status, reason)
 
-    def _classify_arith(self, result: PointerValue | None, site: str,
+    def _classify_arith(self, result: PointerValue, site: str,
                         line: int) -> None:
         if not (self._collecting and self._classify_enabled):
-            return
-        if result is None:
-            self._record(site, "arith", line, SiteStatus.UNPROVEN,
-                         "result has no computable provenance")
             return
         statuses = [self._judge_access(region, iv, 0, one_past=True)
                     for region, iv in result.pointees]
@@ -548,8 +545,14 @@ class _Analyzer:
     def _eval_Member(self, expr: ast.Member, state) -> Value:
         if expr.arrow:
             return self._eval_access(expr, state)
-        self.eval(expr.base, state)  # x.f: no dereference, no check
-        return self._default(type_of(expr))
+        base = self.eval(expr.base, state)  # x.f: no dereference, no check
+        struct, ftype = type_of(expr.base), type_of(expr)
+        if isinstance(base, PointerValue) and isinstance(struct, StructType) \
+                and isinstance(ftype, (ArrayType, StructType)):
+            # an array or struct field decays to its address, ``&x.f``
+            return base.shift(Interval.const(
+                struct.field(expr.field_name)[0]))
+        return self._default(ftype)
 
     def _eval_AddrOf(self, expr: ast.AddrOf, state) -> Value:
         target = strip_checks(expr.target)
@@ -604,21 +607,13 @@ class _Analyzer:
         if op in ("&&", "||"):
             return Interval(0, 1)
 
-        ptr_left = isinstance(left, PointerValue)
-        ptr_right = isinstance(right, PointerValue)
-        if op in ("+", "-") and (ptr_left or ptr_right):
-            result = self._ptr_arith(expr, left, right, state)
-            wrapped = (self._site_override is not None
-                       and self._site_override.kind == "arith")
-            # classify when wrapped in an arith Check, or (raw ASTs) when
-            # the instrumenter *would* wrap it — side-effect-free only
-            if wrapped or _pure(expr):
-                site, line, _ = self._take_site("arith", expr.line)
-                self._classify_arith(
-                    result if isinstance(result, PointerValue) else None,
-                    site, line)
+        if op in ("+", "-") and isinstance(type_of(expr), PointerType):
+            # every pointer +/- is an arith site: KGCC checks each one
+            result = self._ptr_arith(expr, left, right)
+            site, line, _ = self._take_site("arith", expr.line)
+            self._classify_arith(result, site, line)
             return result
-        if ptr_left or ptr_right:
+        if isinstance(left, PointerValue) or isinstance(right, PointerValue):
             return Interval.top()
 
         assert isinstance(left, Interval) and isinstance(right, Interval)
@@ -639,23 +634,17 @@ class _Analyzer:
                 return Interval(0, left.lo)
         return Interval.top()
 
-    def _ptr_arith(self, expr: ast.BinOp, left: Value, right: Value,
-                   state) -> Value:
-        if isinstance(left, PointerValue) and isinstance(right, PointerValue):
-            return Interval.top()  # pointer difference
+    def _ptr_arith(self, expr: ast.BinOp, left: Value,
+                   right: Value) -> PointerValue:
+        """``p + n``, ``n + p`` or ``p - n``."""
         ptr, num = (left, right) if isinstance(left, PointerValue) \
             else (right, left)
-        if not isinstance(num, Interval):
-            return PointerValue.unknown()
         stride = self._elem_size(expr)
-        if stride is None:
+        if not isinstance(ptr, PointerValue) \
+                or not isinstance(num, Interval) or stride is None:
             return PointerValue.unknown()
         delta = num.mul(Interval.const(stride))
-        if expr.op == "-":
-            if not isinstance(left, PointerValue):
-                return PointerValue.unknown()  # n - p is not a pointer
-            delta = delta.neg()
-        return ptr.shift(delta)
+        return ptr.shift(delta.neg() if expr.op == "-" else delta)
 
     def _eval_UnOp(self, expr: ast.UnOp, state) -> Value:
         if expr.op in ("++", "--"):

@@ -20,7 +20,7 @@ PARITY_MAX_OPS = 200_000
 
 
 def _run_once(cls, source: str, fn: str, args: tuple, build: Callable):
-    """One engine on a fresh kernel whose ``on_op`` charges the clock:
+    """One engine on a fresh kernel whose ``on_op_batch`` charges the clock:
     (result or exception, clock, ops_executed, engine)."""
     k = Kernel()
     k.mount_root(RamfsSuperBlock(k))
@@ -30,7 +30,8 @@ def _run_once(cls, source: str, fn: str, args: tuple, build: Callable):
     kwargs = build(k, mem, program)
     if kwargs.get("limits") is None:
         kwargs["limits"] = ExecLimits(max_ops=PARITY_MAX_OPS)
-    engine = cls(program, mem, on_op=lambda: k.clock.charge_system(cminus_op),
+    engine = cls(program, mem,
+                 on_op_batch=lambda n: k.clock.charge_system(n * cminus_op),
                  **kwargs)
     try:
         outcome = engine.call(fn, *args)

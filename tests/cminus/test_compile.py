@@ -66,16 +66,14 @@ def _run_engine(engine: str, src: str, func: str, *args,
     program = parse(src)
     charged = 0
 
-    def on_op():
+    def on_op_batch(n):
         nonlocal charged
-        charged += 1
-        k.clock.charge(k.costs.cminus_op, Mode.SYSTEM)
+        charged += n
+        k.clock.charge(n * k.costs.cminus_op, Mode.SYSTEM)
 
     limits = ExecLimits(max_ops=max_ops)
-    if engine == "tree":
-        interp = Interpreter(program, mem, on_op=on_op, limits=limits)
-    else:
-        interp = CompiledEngine(program, mem, on_op=on_op, limits=limits)
+    cls = Interpreter if engine == "tree" else CompiledEngine
+    interp = cls(program, mem, on_op_batch=on_op_batch, limits=limits)
     try:
         outcome = ("ok", interp.call(func, *args))
     except CMinusError as exc:
@@ -94,7 +92,8 @@ def test_differential_result_and_cycles():
 
 
 def test_batched_accounting_uses_on_op_batch():
-    """on_op_batch sees the same total as n on_op calls, in fewer calls."""
+    """The compiled engine's on_op_batch sees the same total as the
+    tree-walker's one call per op, in fewer calls."""
     k, mem = _fresh()
     program = parse(WORK_SRC)
     batches: list[int] = []
@@ -159,9 +158,9 @@ def _run_checked(engine: str, max_ops: int | None):
 
 
 def test_max_ops_inside_a_kgcc_arith_check():
-    """KGCC's ``s + 8`` check re-evaluates its operands to find the
-    pointer.  A limit that trips there ends the run on both engines; it
-    must not leave the check with no pointer, which raised
+    """A limit that trips inside KGCC's ``s + 8`` check, while its
+    operands are evaluated, ends the run on both engines at the same op;
+    it must not leave the check with no pointer, which once raised
     ``InvalidPointer`` on the tree-walker alone."""
     total = _run_checked("tree", None)[1]
     for max_ops in range(1, total):
@@ -366,7 +365,8 @@ def _hooked_run(cls, program, report, hooks: set, cache=None):
     if cache is not None:
         kwargs["cache"] = cache
     engine = cls(program, mem,
-                 on_op=lambda: k.clock.charge(k.costs.cminus_op, Mode.SYSTEM),
+                 on_op_batch=lambda n: k.clock.charge(n * k.costs.cminus_op,
+                                                      Mode.SYSTEM),
                  **kwargs)
     try:
         outcome = ("ok", engine.call("main"))

@@ -347,6 +347,7 @@ def test_on_op_hook_counts():
     mem = UserMemAccess(k, task)
     count = [0]
     interp = Interpreter(parse("int main() { return 1 + 2; }"), mem,
-                         on_op=lambda: count.__setitem__(0, count[0] + 1))
+                         on_op_batch=lambda n: count.__setitem__(
+                             0, count[0] + n))
     interp.call("main")
     assert count[0] == interp.ops_executed > 0

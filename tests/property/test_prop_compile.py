@@ -347,8 +347,8 @@ def _observe(engine: str, src: str, *, max_ops=PARITY_MAX_OPS,
         runtime = KgccRuntime(k)
         kwargs = dict(check_runtime=runtime, var_hooks=runtime)
 
-    def on_op():
-        k.clock.charge(k.costs.cminus_op, Mode.SYSTEM)
+    def on_op_batch(n):
+        k.clock.charge(n * k.costs.cminus_op, Mode.SYSTEM)
 
     stamps = []
 
@@ -366,7 +366,7 @@ def _observe(engine: str, src: str, *, max_ops=PARITY_MAX_OPS,
     interp = None
     try:
         # global initializers run here, and may trip an op limit
-        interp = cls(program, mem, on_op=on_op, step_hook=hook,
+        interp = cls(program, mem, on_op_batch=on_op_batch, step_hook=hook,
                      limits=ExecLimits(max_ops=max_ops), **kwargs)
         outcome = ("ok", interp.call("main"))
     except ReproError as exc:

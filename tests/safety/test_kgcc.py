@@ -459,9 +459,10 @@ def test_checked_execution_is_slower():
             runtime = KgccRuntime(k, mode=Mode.USER)
             kwargs = dict(check_runtime=runtime, var_hooks=runtime)
         before = k.clock.now
-        def on_op():
-            k.clock.charge(k.costs.cminus_op, Mode.USER)
-        Interpreter(program, mem, on_op=on_op, **kwargs).call("main")
+        def on_op_batch(n):
+            k.clock.charge(n * k.costs.cminus_op, Mode.USER)
+        Interpreter(program, mem, on_op_batch=on_op_batch,
+                    **kwargs).call("main")
         return k.clock.now - before
 
     vanilla = run(False)

@@ -8,11 +8,15 @@ acceptance bar: the verifier proves at least half of all check sites on a
 corpus of programs representative of tests/cminus and tests/safety.
 """
 
+import ast as pyast
+from pathlib import Path
+
 import pytest
 
 from repro.cminus import ast, bump_generation, parse
 from repro.cminus.resolve import resolve
 from repro.safety.kgcc import instrument, optimize
+from repro.safety.kgcc.modulefs import MODULE_SOURCE
 from repro.safety.verifier import (Interval, InitState, LoadTimeVerifier,
                                    SiteStatus, Verdict, build_cfg,
                                    check_termination, definite_init,
@@ -331,6 +335,31 @@ def test_pointer_walk_proven():
     assert rep.functions["f"].verdict is Verdict.PROVEN_SAFE
 
 
+def test_member_arrays_of_local_structs_have_provenance():
+    """``v.b`` decays to ``v``'s storage shifted by ``b``'s offset, as
+    ``&v.b`` does, so indexing it, ``&v.b[0]`` and ``v.b + 2`` are all
+    proven, and the optimizer drops every check."""
+    src = """
+    struct s { int a; int b[4]; int c; };
+    int f() {
+        struct s v;
+        for (int i = 0; i < 4; i++) v.b[i] = i;
+        int t = 0;
+        for (int i = 0; i < 4; i++) t = t + v.b[i];
+        int *p = &v.b[0];
+        int *q = v.b + 2;
+        return t + *p + *q;
+    }
+    """
+    raw = verify_program(parse(src))
+    assert raw.verdict_for("f") is Verdict.PROVEN_SAFE
+    assert raw.site_stats() == (5, 0, 0)
+    program = parse(src)
+    assert instrument(program).checks_inserted == 5
+    report = optimize(program, verifier_report=verify_program(program))
+    assert report.checks_removed == 5
+
+
 def test_risky_extern_caps_at_needs_checks():
     rep, _ = _verify("""
     int f() {
@@ -576,3 +605,59 @@ def test_corpus_proves_at_least_half_of_sites():
     assert fraction >= 0.5, (
         f"verifier proved only {total_proven}/{total_sites} "
         f"({100 * fraction:.0f}%) of corpus check sites")
+
+
+# ------------------------------------------- arith sites = arith checks
+
+def _e9_sources() -> list[str]:
+    """E9's extra corpus, read from its benchmark without importing it."""
+    bench = (Path(__file__).resolve().parents[2] / "benchmarks"
+             / "bench_kgcc_checks.py")
+    for node in pyast.parse(bench.read_text()).body:
+        if isinstance(node, pyast.Assign) \
+                and getattr(node.targets[0], "id", None) == "EXTRA_SOURCES":
+            return pyast.literal_eval(node.value)
+    raise AssertionError("no EXTRA_SOURCES in bench_kgcc_checks.py")
+
+
+def _arith_sites(src: str) -> tuple[list[str], list[str]]:
+    """The arith sites the verifier reports on the raw program, and the
+    arith checks KGCC inserts."""
+    raw = verify_program(parse(src), "t.c")
+    report = instrument(parse(src), "t.c")
+    return (sorted(f.site for f in raw.all_findings() if f.kind == "arith"),
+            sorted(c.site for c in report.all_checks() if c.kind == "arith"))
+
+
+def test_every_pointer_sum_is_an_arith_site():
+    """Whatever its operands do, a pointer ``+``/``-`` is one arith site
+    for the verifier and one arith check for KGCC."""
+    sites, checks = _arith_sites("""
+    struct t { int a; int b[4]; };
+    int *id(int *p) { return p; }
+    int f() {
+        struct t v;
+        int a[4];
+        int *p = a;
+        int **pp = &p;
+        struct t *sp = &v;
+        int *w = v.b + 2;
+        int *x = id(a) + 1;
+        int *y = *pp + 1;
+        int *z = sp->b + 1;
+        return *w + *x + *y + *z;
+    }
+    """)
+    assert sites == checks == [f"t.c:{n}:arith" for n in (10, 11, 12, 13)]
+
+
+#: KgccFs, E9's extra corpus and the corpus above
+CORPORA = {"kgccfs": MODULE_SOURCE,
+           **{f"e9-{i}": src for i, src in enumerate(_e9_sources())},
+           **{f"corpus-{i}": src for i, src in enumerate(CORPUS)}}
+
+
+@pytest.mark.parametrize("name", sorted(CORPORA))
+def test_verifier_and_instrumenter_agree_on_arith_sites(name):
+    sites, checks = _arith_sites(CORPORA[name])
+    assert sites == checks

@@ -233,7 +233,8 @@ def test_folded_stacks_capture_cminus_function():
     mem = UserMemAccess(k, k.current)
     engine = CompiledEngine(
         parse(src), mem, tracer=k.trace,
-        on_op=lambda: k.clock.charge(k.costs.cminus_op, Mode.SYSTEM))
+        on_op_batch=lambda n: k.clock.charge(n * k.costs.cminus_op,
+                                             Mode.SYSTEM))
     engine.call("spin", 500)
     folded = k.trace.attribution().folded()
     spin = [n for st, n in folded.items()
