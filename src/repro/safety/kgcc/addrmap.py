@@ -56,6 +56,9 @@ class ObjectMap:
 
         self._tree = SplayTree()
         self._oob: dict[int, OOBObject] = {}
+        #: one-past-the-end addresses that checked arithmetic produced,
+        #: and the object each one ends
+        self.one_past: dict[int, MemObject] = {}
         self.on_visit = on_visit
         self.registrations = 0
         self.lookups = 0
@@ -80,11 +83,12 @@ class ObjectMap:
     def unregister(self, base: int) -> MemObject | None:
         before = self._tree.visits
         obj = self._tree.remove(base)
-        # Any peers of this object die with it.
+        # Any peers of this object, and its one-past address, die with it.
         if obj is not None:
             dead = [a for a, o in self._oob.items() if o.peer is obj]
             for a in dead:
                 del self._oob[a]
+            self.one_past.pop(obj.end, None)
         self._charge(before)
         return obj
 

@@ -151,12 +151,7 @@ class _Instrumenter:
             expr.operand = self._instr_expr(expr.operand)
             return expr
         if isinstance(expr, ast.AddrOf):
-            # &x itself accesses nothing; do not descend into an Index here
-            # with a deref check (C blesses &a[n] even one past the end), but
-            # still instrument the index expression's subexpressions.
-            if isinstance(expr.target, ast.Index):
-                expr.target.base = self._instr_expr(expr.target.base)
-                expr.target.index = self._instr_expr(expr.target.index)
+            self._instr_address(expr.target)
             return expr
         if isinstance(expr, ast.Assign):
             expr.target = self._instr_expr(expr.target)
@@ -169,6 +164,23 @@ class _Instrumenter:
             expr.args = [self._instr_expr(a) for a in expr.args]
             return expr
         return expr
+
+    def _instr_address(self, target: ast.Expr) -> None:
+        """Instrument ``&target``'s operands.  Taking an address accesses
+        nothing, so ``target`` gets no deref check (C blesses ``&a[n]``
+        even one past the end), but the values it is computed from are
+        checked like any other: ``&*(p + 4)`` checks the sum and
+        ``&(*pp)->f`` the load of ``*pp``."""
+        if isinstance(target, ast.Index):
+            target.base = self._instr_expr(target.base)
+            target.index = self._instr_expr(target.index)
+        elif isinstance(target, ast.Deref):
+            target.ptr = self._instr_expr(target.ptr)
+        elif isinstance(target, ast.Member):
+            if target.arrow:
+                target.base = self._instr_expr(target.base)
+            else:
+                self._instr_address(target.base)
 
 
 def instrument(program: ast.Program, filename: str = "<kgcc>"

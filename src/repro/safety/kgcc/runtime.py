@@ -12,7 +12,9 @@ Implements the interpreter's ``CheckRuntime`` and ``VarHooks`` protocols:
 * ``check_arith`` — pointer arithmetic may leave an object's bounds, but
   then the result becomes an *OOB peer* of that object: further arithmetic
   is fine, dereferencing is not, and arithmetic that re-enters the object
-  returns to normal (§3.4's out-of-bounds handling);
+  returns to normal (§3.4's out-of-bounds handling).  A one-past-the-end
+  result is remembered, so arithmetic from it back into its object stays
+  valid even where the next object starts;
 * heap externs — ``malloc``/``free`` for checked programs, with
   double-free and invalid-free detection (BCC's malloc/free checking).
 
@@ -59,6 +61,7 @@ class KgccRuntime:
         # directly, so each check is one splay lookup and one charge
         self._tree = self.map._tree
         self._oob = self.map._oob
+        self._one_past = self.map.one_past
         self.checks_executed = 0
         self.check_failures = 0
         self.site_counts: Counter = Counter()
@@ -156,17 +159,29 @@ class KgccRuntime:
                 addr, f"indexing through out-of-bounds pointer (peer of "
                       f"object at {oob.peer.base:#x})", site)
         origin = self._lookup_charged(base)
-        if origin is None:
-            self.check_failures += 1
-            raise InvalidPointer(base, "indexing an unknown pointer")
-        if addr < origin.base or addr + max(size, 1) > origin.end:
-            self.check_failures += 1
-            raise BoundsError(
-                addr, f"index access of {size} bytes escapes object "
-                      f"[{origin.base:#x}, {origin.end:#x})", site)
+        if origin is None or addr < origin.base \
+                or addr + max(size, 1) > origin.end:
+            if origin is None or addr < origin.base:
+                # a one-past-the-end base indexes back into its own
+                # object, as in check_arith
+                origin = self._one_past.get(base, origin)
+            if origin is None:
+                self.check_failures += 1
+                raise InvalidPointer(base, "indexing an unknown pointer")
+            if addr < origin.base or addr + max(size, 1) > origin.end:
+                self.check_failures += 1
+                raise BoundsError(
+                    addr, f"index access of {size} bytes escapes object "
+                          f"[{origin.base:#x}, {origin.end:#x})", site)
 
     def check_arith(self, base: int, result: int, site: str) -> int:
-        """Validate pointer arithmetic; may create or retire an OOB peer."""
+        """Validate pointer arithmetic; may create or retire an OOB peer.
+
+        C blesses a pointer one past an object's end, and that address
+        can hold no object or the next one.  A one-past result is
+        remembered, and arithmetic from that address to below the
+        object found there (or where none is) is attributed to the
+        remembered object."""
         self.checks_executed += 1
         self.site_counts[site] += 1
         # Arithmetic starting from an existing OOB peer?
@@ -176,14 +191,20 @@ class KgccRuntime:
             origin: MemObject | None = src_oob.peer
         else:
             origin = self._lookup_charged(base)
+            if origin is None or result < origin.base:
+                origin = self._one_past.get(base, origin)
         if origin is None:
             self.check_failures += 1
             raise InvalidPointer(
                 base, "pointer arithmetic on an unknown pointer")
         # C blesses the one-past-the-end address; beyond that, a peer.
-        if origin.base <= result <= origin.end:
+        end = origin.end
+        if origin.base <= result < end:
             return result
-        self.map.make_peer(result, origin, site)
+        if result == end:
+            self._one_past[result] = origin
+        else:
+            self.map.make_peer(result, origin, site)
         return result
 
     # --------------------------------------------------------- heap externs

@@ -38,29 +38,34 @@ def _run(src: str, cls, *, runtime: bool = True, disabled: bool = False):
     return outcome, engine.ops_executed, arith, rt
 
 
-#: pointer operands that are not a plain variable: what each needs
-#: before ``main``, the object it points into, its set-up, the operand
-OPERANDS = {
-    "call": ("int *id(int *p) { return p; }", "int a[2];", "", "id(a)"),
-    "deref": ("", "int a[2];", "int *p = a; int **pp = &p;", "*pp"),
+#: sums whose pointer operand is not a plain variable, or whose address
+#: is taken: what each needs before ``main``, the 8-byte object it
+#: points into, its set-up, and a pointer two elements past the object
+SUMS = {
+    "call": ("int *id(int *p) { return p; }", "int a[2];", "", "id(a) + 4"),
+    "deref": ("", "int a[2];", "int *p = a; int **pp = &p;", "*pp + 4"),
     "arrow": ("struct s { int a[2]; };", "struct s v;",
-              "struct s *sp = &v;", "sp->a"),
+              "struct s *sp = &v;", "sp->a + 4"),
+    "addr-of-deref": ("int *id(int *p) { return p; }", "int a[2];", "",
+                      "&*(id(a) + 4)"),
+    "addr-of-arrow": ("struct s { int x; int y; };", "struct s v;",
+                      "struct s *sp = &v;", "&(sp + 2)->x"),
 }
 
 
 @pytest.mark.parametrize("cls", ENGINES)
-@pytest.mark.parametrize("name", sorted(OPERANDS))
+@pytest.mark.parametrize("name", sorted(SUMS))
 def test_every_pointer_sum_is_checked(name, cls):
-    """``X + 4``, two elements past ``X``'s object, makes an OOB peer
-    whatever ``X`` is, so the store through it cannot land in ``b``."""
-    prelude, obj, setup, operand = OPERANDS[name]
+    """A sum two elements past its object makes an OOB peer whatever
+    its operands are, so the store through it cannot land in ``b``."""
+    prelude, obj, setup, pointer = SUMS[name]
     src = f"""{prelude}
     int main() {{
         {obj}
         int b[2];
         b[0] = 7; b[1] = 7;
         {setup}
-        int *q = {operand} + 4;
+        int *q = {pointer};
         *q = 99;
         return b[0] * 1000 + b[1];
     }}"""
@@ -109,3 +114,57 @@ def test_checked_operands_run_once(cls):
     assert result == 1256
     assert len(arith) == 2
     assert [rt.site_counts[s] for s in arith] == [1, 1]
+
+
+#: steps back from ``a + 4``, the one-past-the-end address of
+#: ``int a[4]`` that a checked sum produced, to ``a[3]``: what each
+#: needs before ``main``, its declarations before ``a``, and its code
+ONE_PAST = {
+    "nested": ("", "", "int *l = a + 4 - 1; *l = 5;"),
+    "variable": ("", "", "int *e = a + 4; int *l = e - 2; l[1] = 5;"),
+    "member": ("struct span { int *end; };",
+               "struct span s; struct span *sp = &s;",
+               "sp->end = a + 4; int *l = sp->end - 1; *l = 5;"),
+    "deref": ("", "int *e; int **endp = &e;",
+              "e = a + 4; int *l = *endp - 1; *l = 5;"),
+    "call": ("int *id(int *p) { return p; }", "",
+             "int *l = id(a + 4) - 1; *l = 5;"),
+    "index": ("", "", "int *e = a + 4; e[-1] = 5;"),
+}
+
+
+@pytest.mark.parametrize("cls", ENGINES)
+@pytest.mark.parametrize("next_object", [False, True])
+@pytest.mark.parametrize("name", sorted(ONE_PAST))
+def test_one_past_the_end_pointers_step_back(name, next_object, cls):
+    """C blesses ``a + 4``, and arithmetic or indexing from it back into
+    ``a`` is valid whether no object starts there or ``b`` does."""
+    prelude, decls, code = ONE_PAST[name]
+    src = f"""{prelude}
+    int main() {{
+        {decls}
+        int a[4];
+        {"int b[2]; b[0] = 7;" if next_object else ""}
+        a[3] = 0;
+        {code}
+        return a[3];
+    }}"""
+    assert _run(src, cls)[0] == 5
+
+
+@pytest.mark.parametrize("cls", ENGINES)
+def test_a_sum_below_an_object_stays_out_of_bounds(cls):
+    """``b - 1`` lands in ``a``, which ends where ``b`` starts, but no
+    checked sum produced that address as ``a``'s one-past pointer, so
+    the result is ``b``'s OOB peer and the store faults."""
+    src = """
+    int main() {
+        int a[4];
+        int b[2];
+        a[3] = 7;
+        int *l = b - 1;
+        *l = 5;
+        return a[3];
+    }"""
+    assert _run(src, cls, runtime=False)[0] == 5     # the underflow
+    assert _run(src, cls)[0] == "BoundsError"

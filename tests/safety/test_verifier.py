@@ -607,7 +607,7 @@ def test_corpus_proves_at_least_half_of_sites():
         f"({100 * fraction:.0f}%) of corpus check sites")
 
 
-# ------------------------------------------- arith sites = arith checks
+# ------------------------------------------------- sites = checks
 
 def _e9_sources() -> list[str]:
     """E9's extra corpus, read from its benchmark without importing it."""
@@ -620,19 +620,20 @@ def _e9_sources() -> list[str]:
     raise AssertionError("no EXTRA_SOURCES in bench_kgcc_checks.py")
 
 
-def _arith_sites(src: str) -> tuple[list[str], list[str]]:
-    """The arith sites the verifier reports on the raw program, and the
-    arith checks KGCC inserts."""
+def _sites(src: str) -> tuple[list[str], list[str]]:
+    """The sites the verifier reports on the raw program, and the
+    checks KGCC inserts, one entry per check."""
     raw = verify_program(parse(src), "t.c")
     report = instrument(parse(src), "t.c")
-    return (sorted(f.site for f in raw.all_findings() if f.kind == "arith"),
-            sorted(c.site for c in report.all_checks() if c.kind == "arith"))
+    return (sorted(f.site for f in raw.all_findings()),
+            sorted(c.site for c in report.all_checks()))
 
 
 def test_every_pointer_sum_is_an_arith_site():
-    """Whatever its operands do, a pointer ``+``/``-`` is one arith site
-    for the verifier and one arith check for KGCC."""
-    sites, checks = _arith_sites("""
+    """Whatever its operands do, and whether or not its address is
+    taken, a pointer ``+``/``-`` is one arith site for the verifier and
+    one arith check for KGCC."""
+    sites, checks = _sites("""
     struct t { int a; int b[4]; };
     int *id(int *p) { return p; }
     int f() {
@@ -641,14 +642,21 @@ def test_every_pointer_sum_is_an_arith_site():
         int *p = a;
         int **pp = &p;
         struct t *sp = &v;
+        struct t **spp = &sp;
         int *w = v.b + 2;
         int *x = id(a) + 1;
         int *y = *pp + 1;
         int *z = sp->b + 1;
-        return *w + *x + *y + *z;
+        int *u = &*(id(a) + 1);
+        int *t = &(sp + 1)->a;
+        int *r = &(*spp)->a;
+        return 0;
     }
     """)
-    assert sites == checks == [f"t.c:{n}:arith" for n in (10, 11, 12, 13)]
+    arith = [site for site in sites if site.endswith(":arith")]
+    assert arith == [f"t.c:{n}:arith" for n in range(11, 17)]
+    assert "t.c:17:deref" in sites
+    assert sites == checks
 
 
 #: KgccFs, E9's extra corpus and the corpus above
@@ -658,6 +666,6 @@ CORPORA = {"kgccfs": MODULE_SOURCE,
 
 
 @pytest.mark.parametrize("name", sorted(CORPORA))
-def test_verifier_and_instrumenter_agree_on_arith_sites(name):
-    sites, checks = _arith_sites(CORPORA[name])
+def test_verifier_and_instrumenter_agree_on_check_sites(name):
+    sites, checks = _sites(CORPORA[name])
     assert sites == checks
